@@ -20,8 +20,8 @@ from . import fitting
 from .errors import DegenerateBox, EmptyIntersection, RankDeficient
 from .funcmodel import FunctionField, lipschitz_estimate
 from .geometry import (AffineMap, Box, DyadicCube, Hyperplane, LineSeg,
-                       clip_line_to_box, sample_hyperplanes, sample_lines,
-                       support_interval)
+                       clip_line_to_box, dyadic_levels, sample_hyperplanes,
+                       sample_lines, support_interval)
 from .rng import stream
 
 
@@ -69,27 +69,6 @@ def midpoint_grid(box: Box, nodes: int):
     return mesh, w
 
 
-def _fit_for_p(samples: fitting.SampleSet, p: float, L: float | None):
-    if math.isinf(p):
-        try:
-            return fitting.fit_affine_minimax(samples, L=L)
-        except RankDeficient:
-            fit = fitting.fit_affine_l2(samples, allow_degenerate=True)
-            r = np.abs(fit.residuals(samples))
-            return fitting.AffineFit(fit.map, float(r.max()), "linf", constraint=L)
-    if p == 2:
-        try:
-            if L is None:
-                return fitting.fit_affine_l2(samples)
-            return fitting.fit_affine_l2_constrained(samples, L)
-        except RankDeficient:
-            return fitting.fit_affine_l2(samples, allow_degenerate=True)
-    try:
-        return fitting.fit_affine_lp(samples, p)
-    except RankDeficient:
-        return fitting.fit_affine_l2(samples, allow_degenerate=True)
-
-
 def _norm_value(r: np.ndarray, w: np.ndarray, p: float, diam: float, m: int) -> float:
     if math.isinf(p):
         return float(np.max(np.abs(r))) / diam if r.size else 0.0
@@ -105,7 +84,7 @@ def beta_p_cube(fld: FunctionField, box: Box, p: float, quad: QuadratureSpec,
     X, w = midpoint_grid(box, quad.nodes)
     y = fld.eval(X)
     try:
-        fit = _fit_for_p(fitting.SampleSet(X, y, w), p, L)
+        fit = fitting.affine_fit(fitting.SampleSet(X, y, w), p, L)
     except RankDeficient as exc:
         raise DegenerateBox(str(exc)) from exc
     r = y - fit.map(X)
@@ -125,7 +104,7 @@ def _line_record(fld, box, seg: LineSeg, p, quad, L):
     pts = seg.points(s)
     y = fld.eval(pts)
     w = np.full(nodes, h)
-    fit = _fit_for_p(fitting.SampleSet(s[:, None], y, w), p, L)
+    fit = fitting.affine_fit(fitting.SampleSet(s[:, None], y, w), p, L)
     r = y - fit.map(s[:, None])
     value = _norm_value(r, w, p, box.diameter, 1)
     a = fit.map.a[0]
@@ -156,7 +135,7 @@ def _plane_record(fld, box, plane: Hyperplane, p, quad, L):
     U, X = U[inside], X[inside]
     y = fld.eval(X)
     w = np.full(U.shape[0], cell)
-    fit = _fit_for_p(fitting.SampleSet(U, y, w), p, L)
+    fit = fitting.affine_fit(fitting.SampleSet(U, y, w), p, L)
     r = y - fit.map(U)
     value = _norm_value(r, w, p, box.diameter, mdim)
     grad = B @ fit.map.a
@@ -224,38 +203,65 @@ def combined_beta(fld: FunctionField, box: Box, quad: QuadratureSpec,
     return math.hypot(b_planes.value, b_lines.value)
 
 
-SELECTORS = ("beta2", "ig_line_inf2", "ig_plane_22", "combined")
-
-
-def _selector_value(fld, box, selector, quad):
-    if selector == "beta2":
-        return beta_p_cube(fld, box, 2, quad).value
-    if selector == "ig_line_inf2":
-        return beta_integralgeometric(fld, box, 1 if box.dim > 1 else box.dim,
-                                      math.inf, 2, quad).value
-    if selector == "ig_plane_22":
-        return beta_integralgeometric(fld, box, box.dim - 1 if box.dim > 1 else box.dim,
-                                      2, 2, quad).value
-    if selector == "combined":
-        return combined_beta(fld, box, quad)
-    raise ValueError(f"unknown selector {selector!r}")
+# name -> (coefficient of a dilated cube, power, needs L). Entries call the
+# coefficient functions through their module-level names, so a rebound name
+# (instrumentation, monkeypatching) is seen by the table as well.
+SELECTORS = {
+    "beta2": (lambda fld, box, quad: beta_p_cube(fld, box, 2, quad).value, 2.0, False),
+    "ig_line_inf2": (lambda fld, box, quad: beta_integralgeometric(
+        fld, box, 1, math.inf, 2, quad).value, 2.0, False),
+    "ig_plane_22": (lambda fld, box, quad: beta_integralgeometric(
+        fld, box, max(box.dim - 1, 1), 2, 2, quad).value, 2.0, False),
+    "combined": (lambda fld, box, quad: combined_beta(fld, box, quad), 2.0, False),
+}
 
 
 @dataclass
 class CarlesonReport:
+    """Packing sum of selector(CQ)^power |Q| over a dyadic tree.
+
+    ``nodes`` holds (node, selector value) for every visited cube or
+    parabolic box in walk order; ``ratios`` are the running totals over the
+    family's normalization (Lhat |Q0| for cubes, |Q0| for parabolic boxes).
+    """
+
     selector: str
     dilation: float
+    power: float
     levels: list
     counts: list
     per_scale: list
     cumulative: list
     lipschitz: float
     ratios: list
-    cube_values: list  # (level, index tuple, value) for every visited cube
+    nodes: list
 
     @property
     def total(self) -> float:
         return self.cumulative[-1] if self.cumulative else 0.0
+
+    @classmethod
+    def tally(cls, selector, dilation, power, lipschitz, denominator, walk):
+        """Report of a walk given as one list of (node, value, term) per level.
+
+        Level sums accumulate the terms one by one in visit order, so a
+        rerun reproduces every sum bit for bit.
+        """
+        levels, counts, per_scale, cumulative, ratios, nodes = [], [], [], [], [], []
+        running = 0.0
+        for level in walk:
+            level_sum = 0.0
+            for node, value, term in level:
+                level_sum += term
+                nodes.append((node, value))
+            running += level_sum
+            levels.append(level[0][0].level)
+            counts.append(len(level))
+            per_scale.append(level_sum)
+            cumulative.append(running)
+            ratios.append(running / denominator)
+        return cls(selector, dilation, power, levels, counts, per_scale, cumulative,
+                   lipschitz, ratios, nodes)
 
 
 def carleson_sum(fld: FunctionField, root: DyadicCube, dilation: float, depth: int,
@@ -263,27 +269,17 @@ def carleson_sum(fld: FunctionField, root: DyadicCube, dilation: float, depth: i
     """Sum selector(CQ)^2 |Q| over dyadic Q inside root, down `depth` levels."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if selector not in SELECTORS:
+        raise ValueError(f"unknown selector {selector!r}")
+    coefficient, power, _ = SELECTORS[selector]
     root_box = root.as_box()
     Lhat = fld.lipschitz
     if Lhat is None:
         Lhat = lipschitz_estimate(fld, root_box.dilate(dilation), 4096, quad.seed)
-    levels, counts, per_scale, cumulative, ratios = [], [], [], [], []
-    cube_values = []
-    running = 0.0
-    frontier = [root]
-    for j in range(depth + 1):
-        level_sum = 0.0
-        for cube in frontier:
-            val = _selector_value(fld, cube.as_box().dilate(dilation), selector, quad)
-            level_sum += val * val * cube.volume
-            cube_values.append((cube.level, cube.index, val))
-        running += level_sum
-        levels.append(root.level + j)
-        counts.append(len(frontier))
-        per_scale.append(level_sum)
-        cumulative.append(running)
-        ratios.append(running / (max(Lhat, 1e-300) * root.volume))
-        if j < depth:
-            frontier = [kid for cube in frontier for kid in cube.children()]
-    return CarlesonReport(selector, dilation, levels, counts, per_scale,
-                          cumulative, Lhat, ratios, cube_values)
+    walk = []
+    for frontier in dyadic_levels(root, depth):
+        vals = [coefficient(fld, cube.as_box().dilate(dilation), quad) for cube in frontier]
+        # val * val, not val ** 2.0: the two round differently for some doubles
+        walk.append([(cube, v, v * v * cube.volume) for cube, v in zip(frontier, vals)])
+    return CarlesonReport.tally(selector, dilation, power, Lhat,
+                                max(Lhat, 1e-300) * root.volume, walk)

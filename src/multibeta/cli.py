@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 
@@ -19,8 +20,8 @@ from . import parabolic as pbmod
 from . import reports, svgplot
 from .beta import QuadratureSpec
 from .errors import BudgetExhausted, ConfigError, MultibetaError
-from .funcmodel import GridField, default_catalog, make_field
-from .geometry import Box, DyadicCube, DyadicParabolicBox, ParabolicBox
+from .funcmodel import GridField, make_field
+from .geometry import Box, DyadicCube, DyadicParabolicBox, dyadic_levels
 from .reconstruct import verify_reconstruction
 
 EXIT_OK = 0
@@ -159,6 +160,37 @@ def _parse_p(raw):
     return float(raw)
 
 
+def _write_packing(cfg, args, seed, dim, rep, prefix, node_csv, columns, outputs=()):
+    """Artifacts of a packing report: levels CSV, per-node CSV (``columns``
+    are node attributes), per-scale bar chart, the n = 2 heatmap of the
+    deepest level, the manifest over those plus ``outputs``, summary line."""
+    lev_path = _out(args, f"{prefix}_levels.csv")
+    reports.write_csv(lev_path,
+                      ["level", "count", "per_scale", "cumulative", "ratio"],
+                      zip(rep.levels, rep.counts, rep.per_scale, rep.cumulative, rep.ratios))
+    node_path = _out(args, node_csv)
+    key = operator.attrgetter(*columns)
+    reports.write_csv(node_path, [*columns, "value"],
+                      [(*key(node), val) for node, val in rep.nodes])
+    bar_path = _out(args, f"{prefix}_scales.svg")
+    svgplot.bar_chart(bar_path, rep.levels, rep.per_scale,
+                      title=f"per-scale sums, selector {rep.selector}")
+    outputs = [lev_path, node_path, *outputs, bar_path]
+    if dim == 2:
+        deepest = rep.levels[-1]
+        cells = []
+        for node, val in rep.nodes:
+            if node.level == deepest:
+                box = node.as_box()
+                cells.append((box.lo[0], box.lo[1], box.sides[0], box.sides[1], val))
+        heat_path = _out(args, f"{prefix}_heatmap.svg")
+        svgplot.heatmap(heat_path, cells, title=f"{rep.selector} at level {deepest}")
+        outputs.append(heat_path)
+    reports.write_manifest(_out(args, "manifest.json"), cfg.data, seed, outputs)
+    _say(args, f"total {rep.total!r}, final ratio {rep.ratios[-1]!r}")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -169,15 +201,15 @@ def cmd_analyze(cfg, args, seed):
     quad = load_quad(cfg, seed)
     root = load_root(cfg, fld.dim)
     depth = int(cfg.number("depth", default=2, minimum=0, integer=True))
-    ps = [_parse_p(p) for p in cfg.get("ps", [1, 2, "inf"])]
+    try:
+        ps = [_parse_p(p) for p in cfg.get("ps", [1, 2, "inf"])]
+    except (TypeError, ValueError):
+        cfg.fail("ps", 'must be a list of numbers or "inf"')
     rows = []
-    frontier = [root]
-    for j in range(depth + 1):
+    for frontier in dyadic_levels(root, depth):
         for cube in frontier:
             vals = [betamod.beta_p_cube(fld, cube.as_box(), p, quad).value for p in ps]
             rows.append([cube.level, cube.index, *vals])
-        if j < depth:
-            frontier = [kid for cube in frontier for kid in cube.children()]
     header = ["level", "index"] + [
         "beta_inf" if math.isinf(p) else f"beta_{p:g}" for p in ps]
     path = _out(args, "analyze.csv")
@@ -195,32 +227,10 @@ def cmd_carleson(cfg, args, seed):
     dilation = cfg.number("dilation", default=3.0, minimum=1.0)
     selector = cfg.get("selector", "beta2")
     if selector not in betamod.SELECTORS:
-        cfg.fail("selector", f"must be one of {betamod.SELECTORS}")
+        cfg.fail("selector", f"must be one of {tuple(betamod.SELECTORS)}")
     rep = betamod.carleson_sum(fld, root, dilation, depth, selector, quad)
-    lev_path = _out(args, "carleson_levels.csv")
-    reports.write_csv(lev_path,
-                      ["level", "count", "per_scale", "cumulative", "ratio"],
-                      zip(rep.levels, rep.counts, rep.per_scale, rep.cumulative, rep.ratios))
-    cube_path = _out(args, "carleson_cubes.csv")
-    reports.write_csv(cube_path, ["level", "index", "value"], rep.cube_values)
-    outputs = [lev_path, cube_path]
-    bar_path = _out(args, "carleson_scales.svg")
-    svgplot.bar_chart(bar_path, rep.levels, rep.per_scale,
-                      title=f"per-scale sums, selector {selector}")
-    outputs.append(bar_path)
-    if fld.dim == 2:
-        deepest = max(lv for lv, _, _ in rep.cube_values)
-        cells = []
-        for lv, idx, val in rep.cube_values:
-            if lv == deepest:
-                side = 2.0 ** (-lv)
-                cells.append((idx[0] * side, idx[1] * side, side, side, val))
-        heat_path = _out(args, "carleson_heatmap.svg")
-        svgplot.heatmap(heat_path, cells, title=f"{selector} at level {deepest}")
-        outputs.append(heat_path)
-    reports.write_manifest(_out(args, "manifest.json"), cfg.data, seed, outputs)
-    _say(args, f"total {rep.total!r}, final ratio {rep.ratios[-1]!r}")
-    return EXIT_OK
+    return _write_packing(cfg, args, seed, fld.dim, rep, "carleson", "carleson_cubes.csv",
+                          ("level", "index"))
 
 
 def cmd_igbeta(cfg, args, seed):
@@ -228,7 +238,10 @@ def cmd_igbeta(cfg, args, seed):
     quad = load_quad(cfg, seed)
     box = load_box(cfg, fld.dim)
     m = int(cfg.number("m", default=max(fld.dim - 1, 1), minimum=1, integer=True))
-    p = _parse_p(cfg.get("p", 2))
+    try:
+        p = _parse_p(cfg.get("p", 2))
+    except (TypeError, ValueError):
+        cfg.fail("p", 'must be a number or "inf"')
     q = cfg.number("q", default=2, minimum=1)
     rec = betamod.beta_integralgeometric(fld, box, m, p, q, quad)
     path = _out(args, "igbeta.csv")
@@ -285,17 +298,12 @@ def cmd_parabolic(cfg, args, seed):
     dilation = cfg.number("dilation", default=3.0, minimum=1.0)
     selector = cfg.get("selector", "beta2")
     if selector not in pbmod.PARABOLIC_SELECTORS:
-        cfg.fail("selector", f"must be one of {pbmod.PARABOLIC_SELECTORS}")
+        cfg.fail("selector", f"must be one of {tuple(pbmod.PARABOLIC_SELECTORS)}")
     L = cfg.get("L")
+    if L is None and pbmod.PARABOLIC_SELECTORS[selector][2]:
+        cfg.fail("selector", f'{selector!r} needs "L"')
     rep = pbmod.parabolic_carleson_sum(fld, root, dilation, depth, selector, quad, L=L)
     coeffs = pbmod.coefficient_table(fld, root.as_parabolic_box(), quad, L=L)
-    lev_path = _out(args, "parabolic_levels.csv")
-    reports.write_csv(lev_path,
-                      ["level", "count", "per_scale", "cumulative", "ratio"],
-                      zip(rep.levels, rep.counts, rep.per_scale, rep.cumulative, rep.ratios))
-    box_path = _out(args, "parabolic_boxes.csv")
-    reports.write_csv(box_path, ["level", "spatial_index", "time_index", "value"],
-                      rep.box_values)
     coeff_path = _out(args, "parabolic_coefficients.csv")
     reports.write_csv(
         coeff_path,
@@ -304,24 +312,8 @@ def cmd_parabolic(cfg, args, seed):
         [[coeffs.affinity, coeffs.osc, coeffs.beta2, coeffs.beta_inf,
           coeffs.affinity_L, coeffs.beta2_L, coeffs.beta_inf_L,
           coeffs.dt_quotient, coeffs.dt_band]])
-    outputs = [lev_path, box_path, coeff_path]
-    bar_path = _out(args, "parabolic_scales.svg")
-    svgplot.bar_chart(bar_path, rep.levels, rep.per_scale,
-                      title=f"per-scale sums, selector {selector}")
-    outputs.append(bar_path)
-    if fld.dim == 2:
-        deepest = max(lv for lv, _, _, _ in rep.box_values)
-        cells = []
-        for lv, sidx, tidx, val in rep.box_values:
-            if lv == deepest:
-                side = 2.0 ** (-lv)
-                cells.append((sidx[0] * side, tidx * side * side, side, side * side, val))
-        heat_path = _out(args, "parabolic_heatmap.svg")
-        svgplot.heatmap(heat_path, cells, title=f"{selector} at level {deepest}")
-        outputs.append(heat_path)
-    reports.write_manifest(_out(args, "manifest.json"), cfg.data, seed, outputs)
-    _say(args, f"total {rep.total!r}, final ratio {rep.ratios[-1]!r}")
-    return EXIT_OK
+    return _write_packing(cfg, args, seed, fld.dim, rep, "parabolic", "parabolic_boxes.csv",
+                          ("level", "spatial_index", "time_index"), [coeff_path])
 
 
 def cmd_rademacher(cfg, args, seed):

@@ -338,3 +338,23 @@ def fit_affine_minimax(samples: SampleSet, L: float | None = None,
         b = 0.5 * (rr.max() + rr.min())
     amap = AffineMap(tuple(np.atleast_1d(a)), b)
     return AffineFit(amap, float(np.max(np.abs(y - amap(x)))), "linf", constraint=L)
+
+
+def affine_fit(samples: SampleSet, p: float, L: float | None = None) -> AffineFit:
+    """Best affine fit in the weighted Lp norm (p = 2 and inf honour |a| <= L).
+
+    A rank-deficient design falls back to the minimum-norm least-squares
+    map, scored by its max residual when p = inf.
+    """
+    try:
+        if math.isinf(p):
+            return fit_affine_minimax(samples, L=L)
+        if p == 2:
+            return fit_affine_l2(samples) if L is None else fit_affine_l2_constrained(samples, L)
+        return fit_affine_lp(samples, p)
+    except RankDeficient:
+        fit = fit_affine_l2(samples, allow_degenerate=True)
+        if not math.isinf(p):
+            return fit
+        r = np.abs(fit.residuals(samples))
+        return AffineFit(fit.map, float(r.max()), "linf", constraint=L)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSimplex, EmptyIntersection, ParallelOrDegenerate
+from .errors import DegenerateSimplex, ParallelOrDegenerate
 from .rng import stream
 
 DET_TOL = 1e-10
@@ -248,6 +248,10 @@ class DyadicParabolicBox:
         sp = Box(tuple(np.asarray(self.spatial_index) * s), (s,) * self.spatial_dim)
         return ParabolicBox(sp, self.time_index * s * s, s * s)
 
+    def as_box(self) -> Box:
+        """The space-time rectangle as a Euclidean box in R^n."""
+        return self.as_parabolic_box().as_box()
+
     def children(self) -> list:
         base = tuple(2 * k for k in self.spatial_index)
         kids = []
@@ -261,6 +265,20 @@ class DyadicParabolicBox:
                     )
                 )
         return kids
+
+
+def dyadic_levels(root, depth: int):
+    """Yield the frontiers of the dyadic tree below ``root``, level by level.
+
+    Works for any node with ``children()`` (dyadic cubes and parabolic
+    boxes); yields depth + 1 lists, each in ``children()`` order of the
+    previous one.
+    """
+    frontier = [root]
+    yield frontier
+    for _ in range(depth):
+        frontier = [kid for node in frontier for kid in node.children()]
+        yield frontier
 
 
 # ---------------------------------------------------------------------------

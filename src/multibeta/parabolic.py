@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fitting
-from .beta import QuadratureSpec
-from .errors import DegenerateBox, RankDeficient
+from .beta import CarlesonReport, QuadratureSpec, midpoint_grid
+from .errors import DegenerateBox
 from .funcmodel import FunctionField, lipschitz_estimate
-from .geometry import (AffineMap, Box, DyadicParabolicBox, ParabolicBox,
+from .geometry import (AffineMap, DyadicParabolicBox, ParabolicBox, dyadic_levels,
                        parabolic_distance)
 from .rng import stream
 
@@ -57,13 +57,7 @@ def _space_time_nodes(pbox: ParabolicBox, quad: QuadratureSpec):
     """Midpoint nodes: X (Ns, n-1) spatial, t (Nt,), per-cell weights."""
     if pbox.volume <= 0:
         raise DegenerateBox("empty parabolic box")
-    sp = pbox.spatial
-    axes = []
-    for lo, s in zip(sp.lo, sp.sides):
-        h = s / quad.nodes
-        axes.append(lo + h * (np.arange(quad.nodes) + 0.5))
-    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sp.dim)
-    wx = np.full(X.shape[0], sp.volume / X.shape[0])
+    X, wx = midpoint_grid(pbox.spatial, quad.nodes)
     ht = pbox.t_len / quad.nodes
     t = pbox.t0 + ht * (np.arange(quad.nodes) + 0.5)
     wt = np.full(quad.nodes, ht)
@@ -78,16 +72,6 @@ def _values(psi: FunctionField, X, t):
     return psi.eval(pts).reshape(Ns, Nt)
 
 
-def _slice_fit(X, wx, y, L):
-    samples = fitting.SampleSet(X, y, wx)
-    try:
-        if L is None:
-            return fitting.fit_affine_l2(samples)
-        return fitting.fit_affine_l2_constrained(samples, L)
-    except RankDeficient:
-        return fitting.fit_affine_l2(samples, allow_degenerate=True)
-
-
 def horizontal_affinity(psi: FunctionField, pbox: ParabolicBox,
                         quad: QuadratureSpec, L: float | None = None) -> float:
     """Time average of per-time affine misfit, relative to the spatial diameter."""
@@ -97,7 +81,7 @@ def horizontal_affinity(psi: FunctionField, pbox: ParabolicBox,
     W = wx.sum()
     acc = 0.0
     for k in range(t.size):
-        fit = _slice_fit(X, wx, vals[:, k], L)
+        fit = fitting.affine_fit(fitting.SampleSet(X, vals[:, k], wx), 2, L)
         r = vals[:, k] - fit.map(X)
         acc += wt[k] * float(wx @ (r * r)) / W
     return math.sqrt(acc / wt.sum()) / d1
@@ -129,7 +113,7 @@ def parabolic_beta2(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec
     diameter taken in the parabolic metric.
     """
     X, y, w = _cloud(pbox, quad, psi)
-    fit = _slice_fit(X, w, y, L)
+    fit = fitting.affine_fit(fitting.SampleSet(X, y, w), 2, L)
     r = y - fit.map(X)
     diam = pbox.diameter
     return math.sqrt(float(w @ (r * r)) / diam ** (pbox.dim + 1)) / diam
@@ -146,13 +130,7 @@ def parabolic_beta_inf(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureS
     Xe = np.vstack([X, X])
     ye = np.concatenate([upper, lower])
     we = np.ones(ye.size)
-    samples = fitting.SampleSet(Xe, ye, we)
-    try:
-        fit = fitting.fit_affine_minimax(samples, L=L)
-    except RankDeficient:
-        base = fitting.fit_affine_l2(samples, allow_degenerate=True)
-        r = np.abs(base.residuals(samples))
-        fit = fitting.AffineFit(base.map, float(r.max()), "linf", constraint=L)
+    fit = fitting.affine_fit(fitting.SampleSet(Xe, ye, we), math.inf, L)
     r = ye - fit.map(Xe)
     return float(np.max(np.abs(r))) / pbox.diameter
 
@@ -178,7 +156,7 @@ def combine_affine_bound(psi: FunctionField, pbox: ParabolicBox, quad: Quadratur
     icepts = np.zeros(t.size)
     beta_h = 0.0
     for k in range(t.size):
-        fit = _slice_fit(X, wx, vals[:, k], L)
+        fit = fitting.affine_fit(fitting.SampleSet(X, vals[:, k], wx), 2, L)
         grads[k] = fit.map.a
         icepts[k] = fit.map.intercept
         r = vals[:, k] - fit.map(X)
@@ -254,79 +232,49 @@ def coefficient_table(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSp
     )
 
 
-PARABOLIC_SELECTORS = ("beta2", "beta2L", "A", "AL", "osc", "betainf")
-
-
-def _parabolic_selector(psi, pbox, selector, quad, L):
-    if selector == "beta2":
-        return parabolic_beta2(psi, pbox, quad), 2.0
-    if selector == "beta2L":
-        return parabolic_beta2(psi, pbox, quad, L), 2.0
-    if selector == "A":
-        return horizontal_affinity(psi, pbox, quad), 2.0
-    if selector == "AL":
-        return horizontal_affinity(psi, pbox, quad, L), 2.0
-    if selector == "osc":
-        return vertical_osc(psi, pbox, quad), 2.0
-    if selector == "betainf":
-        return parabolic_beta_inf(psi, pbox, quad), float(pbox.dim + 3)
-    raise ValueError(f"unknown parabolic selector {selector!r}")
-
-
-@dataclass
-class ParabolicCarlesonReport:
-    selector: str
-    dilation: float
-    power: float
-    levels: list
-    counts: list
-    per_scale: list
-    cumulative: list
-    lipschitz: float           # parabolic Lipschitz estimate, informational
-    ratios: list               # cumulative sums over |Q0|
-    box_values: list           # (level, spatial index, time index, value)
-
-    @property
-    def total(self) -> float:
-        return self.cumulative[-1] if self.cumulative else 0.0
+# name -> (coefficient of a dilated box, power as a function of the
+# space-time dimension n, needs L). Entries call the coefficient functions
+# through their module-level names, as beta.SELECTORS does.
+PARABOLIC_SELECTORS = {
+    "beta2": (lambda psi, pbox, quad, L: parabolic_beta2(psi, pbox, quad),
+              lambda n: 2.0, False),
+    "beta2L": (lambda psi, pbox, quad, L: parabolic_beta2(psi, pbox, quad, L),
+               lambda n: 2.0, True),
+    "A": (lambda psi, pbox, quad, L: horizontal_affinity(psi, pbox, quad),
+          lambda n: 2.0, False),
+    "AL": (lambda psi, pbox, quad, L: horizontal_affinity(psi, pbox, quad, L),
+           lambda n: 2.0, True),
+    "osc": (lambda psi, pbox, quad, L: vertical_osc(psi, pbox, quad),
+            lambda n: 2.0, False),
+    "betainf": (lambda psi, pbox, quad, L: parabolic_beta_inf(psi, pbox, quad),
+                lambda n: float(n + 3), False),
+}
 
 
 def parabolic_carleson_sum(psi: FunctionField, root: DyadicParabolicBox,
                            dilation: float, depth: int, selector: str,
                            quad: QuadratureSpec,
-                           L: float | None = None) -> ParabolicCarlesonReport:
+                           L: float | None = None) -> CarlesonReport:
     """Sum selector(CQ)^power |Q| over the parabolic dyadic tree below root."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if selector in ("beta2L", "AL") and L is None:
+    if selector not in PARABOLIC_SELECTORS:
+        raise ValueError(f"unknown parabolic selector {selector!r}")
+    coefficient, power_of, needs_L = PARABOLIC_SELECTORS[selector]
+    if needs_L and L is None:
         raise ValueError(f"selector {selector!r} needs L")
+    power = power_of(root.spatial_dim + 1)
     root_pbox = root.as_parabolic_box()
     Lhat = psi.lipschitz
     if Lhat is None:
         Lhat = lipschitz_estimate(psi, root_pbox.dilate(dilation).as_box(),
                                   4096, quad.seed, parabolic=True)
-    levels, counts, per_scale, cumulative, ratios = [], [], [], [], []
-    box_values = []
-    running = 0.0
-    power = None
-    frontier = [root]
-    for j in range(depth + 1):
-        level_sum = 0.0
-        for node in frontier:
-            val, power = _parabolic_selector(psi, node.as_parabolic_box().dilate(dilation),
-                                             selector, quad, L)
-            level_sum += val ** power * node.volume
-            box_values.append((node.level, node.spatial_index, node.time_index, val))
-        running += level_sum
-        levels.append(root.level + j)
-        counts.append(len(frontier))
-        per_scale.append(level_sum)
-        cumulative.append(running)
-        ratios.append(running / root.volume)
-        if j < depth:
-            frontier = [kid for node in frontier for kid in node.children()]
-    return ParabolicCarlesonReport(selector, dilation, power, levels, counts,
-                                   per_scale, cumulative, Lhat, ratios, box_values)
+    walk = []
+    for frontier in dyadic_levels(root, depth):
+        vals = [coefficient(psi, node.as_parabolic_box().dilate(dilation), quad, L)
+                for node in frontier]
+        walk.append([(node, v, v ** power * node.volume) for node, v in zip(frontier, vals)])
+    return CarlesonReport.tally(selector, dilation, power, Lhat, root.volume, walk)
 
 
 @dataclass
@@ -391,7 +339,7 @@ def rademacher_probe(psi: FunctionField, p, radii, quad: QuadratureSpec,
             for i in range(n_space)]
     Xs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n_space)
     ys = psi.eval(np.concatenate([Xs, np.full((Xs.shape[0], 1), t0)], axis=1))
-    fit = _slice_fit(Xs, np.ones(Xs.shape[0]), ys, None)
+    fit = fitting.affine_fit(fitting.SampleSet(Xs, ys, np.ones(Xs.shape[0])), 2)
     a = fit.map.a
 
     eps_vals = []

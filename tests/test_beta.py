@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from multibeta.beta import (QuadratureSpec, beta_integralgeometric,
+from multibeta.beta import (SELECTORS, QuadratureSpec, beta_integralgeometric,
                             beta_p_cube, beta_p_restricted, carleson_sum,
                             combined_beta, midpoint_grid)
 from multibeta.errors import EmptyIntersection
@@ -171,7 +171,7 @@ class TestCarleson:
         # every dilated-cube coefficient is controlled by the Lipschitz bound
         fld = make_field("distset", 2, points=[[0.2, 0.2], [0.8, 0.5]])
         rep = carleson_sum(fld, DyadicCube(0, (0, 0)), 3.0, 3, "beta2", QUAD)
-        for _, _, val in rep.cube_values:
+        for _, val in rep.nodes:
             assert val <= 0.5 * rep.lipschitz + 1e-12
 
     def test_selector_combined_runs(self):
@@ -179,4 +179,19 @@ class TestCarleson:
         quad = QuadratureSpec(mc_samples=64, seed=1)
         rep = carleson_sum(fld, DyadicCube(0, (0, 0)), 3.0, 1, "combined", quad)
         assert rep.total > 0
-        assert len(rep.cube_values) == 5
+        assert len(rep.nodes) == 5
+
+    @pytest.mark.parametrize("selector", list(SELECTORS))
+    def test_every_selector_walks_the_tree(self, selector):
+        fld = make_field("cone", 2, x0=[0.3, 0.7])
+        quad = QuadratureSpec(nodes=3, restricted_nodes=5, mc_samples=16, seed=1)
+        rep = carleson_sum(fld, DyadicCube(0, (0, 0)), 3.0, 1, selector, quad)
+        assert rep.power == 2.0
+        assert rep.levels == [0, 1] and rep.counts == [1, 4]
+        assert [node.level for node, _ in rep.nodes] == [0, 1, 1, 1, 1]
+        assert all(math.isfinite(val) and val >= 0 for _, val in rep.nodes)
+
+    def test_unknown_selector_rejected(self):
+        fld = make_field("cone", 1, x0=[0.4])
+        with pytest.raises(ValueError):
+            carleson_sum(fld, DyadicCube(0, (0,)), 3.0, 1, "bogus", QUAD)

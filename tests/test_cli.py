@@ -188,3 +188,47 @@ class TestManifest:
         assert manifest["config_sha256"] == config_hash(CONE_CFG)
         assert str(out / "analyze.csv") in manifest["outputs"]
         assert {"multibeta", "numpy", "scipy", "python"} <= set(manifest["versions"])
+
+
+class TestConfigErrors:
+    """Config mistakes exit 2 and name the offending key."""
+
+    PARABOLIC = {
+        "field": {"kind": "p_additive", "dim": 2,
+                  "params": {"space": "cone", "space_params": {"x0": [0.4]},
+                             "time": "sin"}},
+        "depth": 1,
+        "quad": {"nodes": 3},
+    }
+
+    @pytest.mark.parametrize("selector", ["beta2L", "AL"])
+    def test_parabolic_selector_needs_l(self, tmp_path, capsys, selector):
+        cfg = write_config(tmp_path, "cfg.json", dict(self.PARABOLIC, selector=selector))
+        assert main(["parabolic", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert '"selector"' in err and '"L"' in err
+
+    def test_bad_p_names_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", dict(CONE_CFG, p="abc"))
+        assert main(["igbeta", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert '"p"' in capsys.readouterr().err
+
+    def test_bad_ps_names_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", dict(CONE_CFG, ps=[1, "abc"]))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert '"ps"' in capsys.readouterr().err
+
+
+class TestWalkOrder:
+    def test_analyze_and_carleson_list_the_same_cubes(self, tmp_path):
+        payload = dict(CONE_CFG, selector="beta2", depth=2,
+                       root={"level": 1, "index": [1, 0]})
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        for cmd in ("analyze", "carleson"):
+            assert main([cmd, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        analyze = [r[:2] for r in read_csv(out / "analyze.csv")[1:]]
+        cubes = [r[:2] for r in read_csv(out / "carleson_cubes.csv")[1:]]
+        assert analyze == cubes
+        assert len(cubes) == 1 + 4 + 16
+        assert cubes[:2] == [["1", "1;0"], ["2", "2;0"]]

@@ -6,7 +6,7 @@ import pytest
 
 from multibeta.errors import DegenerateSimplex, ParallelOrDegenerate
 from multibeta.geometry import (Ball, Box, DyadicCube, DyadicParabolicBox,
-                                Hyperplane, ParabolicBox, Simplex,
+                                Hyperplane, ParabolicBox, Simplex, dyadic_levels,
                                 estimate_line_measure, estimate_plane_measure,
                                 intersect_hyperplanes, parabolic_distance,
                                 plane_metric, sample_hyperplanes, sample_lines,
@@ -132,6 +132,22 @@ class TestDyadic:
         kids = box.children()
         assert len(kids) == 2 ** (box.spatial_dim + 2)
         assert sum(k.volume for k in kids) == pytest.approx(box.volume, abs=1e-15)
+
+    def test_levels_expand_in_children_order(self):
+        root = DyadicCube(1, (1, 0))
+        levels = list(dyadic_levels(root, 2))
+        assert [len(f) for f in levels] == [1, 4, 16]
+        assert levels[0] == [root]
+        for parents, kids in zip(levels, levels[1:]):
+            assert kids == [kid for node in parents for kid in node.children()]
+        assert list(dyadic_levels(root, 0)) == [[root]]
+
+    def test_parabolic_levels_and_box(self):
+        root = DyadicParabolicBox(0, (0,), 0)
+        assert [len(f) for f in dyadic_levels(root, 2)] == [1, 8, 64]
+        node = DyadicParabolicBox(2, (3,), 7)
+        box = node.as_box()
+        assert box.lo == (0.75, 7 / 16) and box.sides == (0.25, 1 / 16)
 
     def test_parabolic_box_relation(self):
         pbox = DyadicParabolicBox(2, (3,), 7).as_parabolic_box()

@@ -7,7 +7,8 @@ from multibeta.beta import QuadratureSpec
 from multibeta.calibration import C_HOLD
 from multibeta.funcmodel import make_field
 from multibeta.geometry import Box, DyadicParabolicBox, ParabolicBox
-from multibeta.parabolic import (coefficient_table, combine_affine_bound,
+from multibeta.parabolic import (PARABOLIC_SELECTORS, coefficient_table,
+                                 combine_affine_bound,
                                  dt_carleson_quotient, holder_exponent_check,
                                  horizontal_affinity, parabolic_beta2,
                                  parabolic_beta_inf, parabolic_carleson_sum,
@@ -206,6 +207,17 @@ class TestParabolicCarleson:
                   6.354275745226779e-05, 2.977572280541773e-05]
         assert rep.per_scale == pytest.approx(expect, rel=1e-12)
         assert rep.total == pytest.approx(0.003625191144195732, rel=1e-12)
+
+    @pytest.mark.parametrize("selector", list(PARABOLIC_SELECTORS))
+    def test_every_selector_walks_the_tree(self, selector):
+        psi = additive("cone", "sin", x0=[0.4])
+        rep = parabolic_carleson_sum(psi, DyadicParabolicBox(0, (0,), 0), 3.0, 1,
+                                     selector, QuadratureSpec(nodes=3), L=0.7)
+        # the sup coefficient packs at the n + 3 power, the others squared
+        assert rep.power == (5.0 if selector == "betainf" else 2.0)
+        assert rep.counts == [1, 8]
+        assert [node.level for node, _ in rep.nodes] == [0] + [1] * 8
+        assert all(math.isfinite(val) and val >= 0 for _, val in rep.nodes)
 
     def test_missing_l_rejected(self):
         with pytest.raises(ValueError):
