@@ -5,8 +5,11 @@ grid and normalize by diam(Q)^n (not |Q|). Restricted coefficients
 parametrize the slice (line interval or hyperplane patch), fit in slice
 coordinates, and report the fitted map in ambient coordinates.
 Integral-geometric coefficients are Monte Carlo averages of restricted
-coefficients against the weighted Grassmannian samplers. Carleson sums
-walk the dyadic tree and profile per-scale contributions.
+coefficients against the weighted Grassmannian samplers. A sampled line
+family is scored in batched passes (``restricted_line_betas``: one field
+evaluation and one stacked L2 fit per block of lines); ``beta_p_restricted``
+is the scalar reference it matches bit for bit. Carleson sums walk the
+dyadic tree and profile per-scale contributions.
 """
 
 from __future__ import annotations
@@ -72,7 +75,10 @@ def midpoint_grid(box: Box, nodes: int):
 def _norm_value(r: np.ndarray, w: np.ndarray, p: float, diam: float, m: int) -> float:
     if math.isinf(p):
         return float(np.max(np.abs(r))) / diam if r.size else 0.0
-    integral = float(w @ np.abs(r) ** p)
+    return _lp_value(float(w @ np.abs(r) ** p), p, diam, m)
+
+
+def _lp_value(integral: float, p: float, diam: float, m: int) -> float:
     return (integral / diam ** m) ** (1.0 / p) / diam
 
 
@@ -154,35 +160,113 @@ def beta_p_restricted(fld: FunctionField, box: Box, slice_obj, p: float,
     raise TypeError(f"cannot restrict to {type(slice_obj).__name__}")
 
 
-def beta_integralgeometric(fld: FunctionField, box: Box, m: int, p: float, q: float,
-                           quad: QuadratureSpec, L: float | None = None,
-                           seed_tags: tuple = ()) -> BetaRecord:
-    """L^q average of restricted beta_p over m-planes meeting the box."""
-    n = box.dim
-    if m == n:
-        rec = beta_p_cube(fld, box, p, quad, L)
-        return BetaRecord(box, "ig", p, rec.value, q=q, m=m, fitted=rec.fitted, stderr=0.0)
-    if m not in (1, n - 1):
-        raise ValueError("only m in {1, n-1, n} is supported")
+# Lines per batched pass: bounds the (lines, nodes, n) arrays and the field's
+# own temporaries while keeping per-call overhead small.
+LINE_BLOCK = 512
+
+
+def restricted_line_betas(fld: FunctionField, box: Box, segs, ps, quad: QuadratureSpec,
+                          L: float | None = None):
+    """beta_p_restricted(fld, box, seg, p, quad, L).value for a family of lines.
+
+    Returns (kept, values): ``kept`` masks the lines that meet the box and
+    ``values[p]`` holds their coefficients in order, for each p in ``ps``.
+    Without L and for p in {2, inf} the lines are clipped, then done in
+    blocks of LINE_BLOCK: one field evaluation on all nodes of the block and
+    one stacked L2 fit; p = 2 reads its values off that fit and p = inf
+    starts each line's 1-D exchange from it. Lines failing the rank check,
+    families with L and other p go through beta_p_restricted line by line.
+    Every value equals the scalar one exactly.
+    """
+    kept = np.zeros(len(segs), dtype=bool)
+    if L is not None or not all(p == 2 or math.isinf(p) for p in ps):
+        values = {p: [] for p in ps}
+        for k, seg in enumerate(segs):
+            try:
+                recs = [beta_p_restricted(fld, box, seg, p, quad, L) for p in ps]
+            except EmptyIntersection:
+                continue
+            kept[k] = True
+            for p, rec in zip(ps, recs):
+                values[p].append(rec.value)
+        return kept, {p: np.asarray(v, dtype=float) for p, v in values.items()}
+
+    lines, ends = [], []
+    for k, seg in enumerate(segs):
+        clip = clip_line_to_box(seg.base, seg.direction, box)
+        if clip is not None:
+            kept[k] = True
+            lines.append(seg)
+            ends.append(clip)
+    blocks = [_line_block_betas(fld, box, lines[i:i + LINE_BLOCK], ends[i:i + LINE_BLOCK], ps, quad)
+              for i in range(0, len(lines), LINE_BLOCK)]
+    return kept, {p: np.concatenate([blk[p] for blk in blocks] or [np.zeros(0)]) for p in ps}
+
+
+def _line_block_betas(fld, box, lines, ends, ps, quad):
+    """restricted_line_betas of lines that meet the box, clipped to (s0, s1) = ends."""
+    nodes = quad.restricted_nodes
+    s0, s1 = np.asarray(ends).T
+    h = (s1 - s0) / nodes
+    s = s0[:, None] + h[:, None] * (np.arange(nodes) + 0.5)
+    pts = s[:, :, None] * np.asarray([seg.direction for seg in lines])[:, None, :]
+    pts += np.asarray([seg.base for seg in lines])[:, None, :]
+    y = fld.eval(pts.reshape(-1, box.dim)).reshape(s.shape)
+    del pts
+    x = s[:, :, None]
+    w = np.repeat(h[:, None], nodes, axis=1)
+    ok, a, b = fitting._fit_affine_l2_stack(x, y, w)
+    diam = box.diameter
+    values = {}
+    for p in ps:
+        a_p, b_p = a, b
+        if math.isinf(p):
+            # each line's 1-D exchange starts from its L2 map
+            a_p, b_p = a.copy(), b.copy()
+            for k in np.flatnonzero(ok):
+                amap = fitting._minimax_from_l2(x[k], y[k], w[k], AffineMap(tuple(a[k]), b[k])).map
+                a_p[k], b_p[k] = amap.a, amap.intercept
+        r = np.abs(y - ((x @ a_p[:, :, None])[:, :, 0] + b_p[:, None]))
+        if math.isinf(p):
+            vals = r.max(axis=1) / diam
+        else:
+            vals = [_lp_value(float(i), p, diam, 1)
+                    for i in (w[:, None, :] @ (r ** p)[:, :, None])[:, 0, 0]]
+        values[p] = np.asarray(
+            [v if good else beta_p_restricted(fld, box, seg, p, quad).value
+             for v, good, seg in zip(vals, ok, lines)], dtype=float)
+    return values
+
+
+def _ig_family(fld, box, m, ps, quad, L, seed_tags):
+    """Sample the m-planes meeting the box once and score them in every p of ps.
+
+    Returns (weights, values) over the samples that met the box.
+    """
     rng_seed = int(stream(quad.seed, "ig", m, box_tag(box), *seed_tags).integers(0, 2 ** 62))
     if m == 1:
         # for n = 2 the line and hyperplane measures coincide, so the line
         # sampler covers both m = 1 and m = n - 1
         samples = sample_lines(box, quad.mc_samples, rng_seed)
-    else:
-        samples = sample_hyperplanes(box, quad.mc_samples, rng_seed)
-    vals, weights = [], []
+        kept, values = restricted_line_betas(fld, box, [seg for seg, _ in samples], ps, quad, L)
+        return np.asarray([w for _, w in samples])[kept], values
+    samples = sample_hyperplanes(box, quad.mc_samples, rng_seed)
+    vals, weights = {p: [] for p in ps}, []
     for obj, w in samples:
         try:
-            rec = beta_p_restricted(fld, box, obj, p, quad, L)
+            recs = [beta_p_restricted(fld, box, obj, p, quad, L) for p in ps]
         except EmptyIntersection:
             continue
-        vals.append(rec.value)
+        for p, rec in zip(ps, recs):
+            vals[p].append(rec.value)
         weights.append(w)
-    if not vals:
+    return np.asarray(weights), {p: np.asarray(v) for p, v in vals.items()}
+
+
+def _ig_record(box, m, p, q, L, weights, vals) -> BetaRecord:
+    """L^q Monte Carlo mean of restricted coefficients, with its standard error."""
+    if not vals.size:
         raise EmptyIntersection("no sampled plane met the box")
-    vals = np.asarray(vals)
-    weights = np.asarray(weights)
     mean_q = float(weights @ vals ** q / weights.sum())
     value = mean_q ** (1.0 / q)
     # delta-method standard error through the q-th root
@@ -193,13 +277,36 @@ def beta_integralgeometric(fld: FunctionField, box: Box, m: int, p: float, q: fl
                       meta={"mc": len(vals), "L": L})
 
 
+def beta_integralgeometric(fld: FunctionField, box: Box, m: int, p: float, q: float,
+                           quad: QuadratureSpec, L: float | None = None,
+                           seed_tags: tuple = ()) -> BetaRecord:
+    """L^q average of restricted beta_p over m-planes meeting the box."""
+    n = box.dim
+    if m == n:
+        rec = beta_p_cube(fld, box, p, quad, L)
+        return BetaRecord(box, "ig", p, rec.value, q=q, m=m, fitted=rec.fitted, stderr=0.0)
+    if m not in (1, n - 1):
+        raise ValueError("only m in {1, n-1, n} is supported")
+    weights, values = _ig_family(fld, box, m, (p,), quad, L, seed_tags)
+    return _ig_record(box, m, p, q, L, weights, values[p])
+
+
 def combined_beta(fld: FunctionField, box: Box, quad: QuadratureSpec,
                   seed_tags: tuple = ()) -> float:
-    """Root-sum-of-squares of the hyperplane L2 and line sup coefficients."""
+    """Root-sum-of-squares of the hyperplane L2 and line sup coefficients.
+
+    At n = 2 hyperplanes are lines and both parts share one sampled family,
+    scored once in each norm.
+    """
     if box.dim < 2:
         raise ValueError("combined coefficient needs n >= 2")
-    b_planes = beta_integralgeometric(fld, box, box.dim - 1, 2, 2, quad, seed_tags=seed_tags)
-    b_lines = beta_integralgeometric(fld, box, 1, math.inf, 2, quad, seed_tags=seed_tags)
+    if box.dim == 2:
+        weights, values = _ig_family(fld, box, 1, (2, math.inf), quad, None, seed_tags)
+        b_planes = _ig_record(box, 1, 2, 2, None, weights, values[2])
+        b_lines = _ig_record(box, 1, math.inf, 2, None, weights, values[math.inf])
+    else:
+        b_planes = beta_integralgeometric(fld, box, box.dim - 1, 2, 2, quad, seed_tags=seed_tags)
+        b_lines = beta_integralgeometric(fld, box, 1, math.inf, 2, quad, seed_tags=seed_tags)
     return math.hypot(b_planes.value, b_lines.value)
 
 

@@ -39,6 +39,10 @@ def _key_line(text: str, key: str) -> int:
     return 0
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 class Config:
     """Parsed config with line-annotated validation errors."""
 
@@ -78,7 +82,7 @@ class Config:
             self.fail(key, "is required")
         if integer and not isinstance(val, int):
             self.fail(key, "must be an integer")
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
+        if not _is_number(val):
             self.fail(key, "must be a number")
         if minimum is not None and val < minimum:
             self.fail(key, f"must be >= {minimum}")
@@ -99,7 +103,10 @@ def load_field(cfg: Config):
     dim = spec.get("dim")
     if kind is None or dim is None:
         cfg.fail("field", "needs \"kind\" and \"dim\" (or \"grid_csv\")")
-    return make_field(kind, int(dim), **spec.get("params", {}))
+    try:
+        return make_field(kind, int(dim), **spec.get("params", {}))
+    except ConfigError as exc:
+        raise ConfigError(f"{cfg.path}:{_key_line(cfg.text, 'field')}: {exc}") from exc
 
 
 def load_quad(cfg: Config, seed: int) -> QuadratureSpec:
@@ -238,6 +245,8 @@ def cmd_igbeta(cfg, args, seed):
     quad = load_quad(cfg, seed)
     box = load_box(cfg, fld.dim)
     m = int(cfg.number("m", default=max(fld.dim - 1, 1), minimum=1, integer=True))
+    if m not in (1, fld.dim - 1, fld.dim):
+        cfg.fail("m", f"must be 1, n - 1 or n for a field of dimension n = {fld.dim}")
     try:
         p = _parse_p(cfg.get("p", 2))
     except (TypeError, ValueError):
@@ -302,6 +311,8 @@ def cmd_parabolic(cfg, args, seed):
     L = cfg.get("L")
     if L is None and pbmod.PARABOLIC_SELECTORS[selector][2]:
         cfg.fail("selector", f'{selector!r} needs "L"')
+    if L is not None and not (_is_number(L) and L > 0):
+        cfg.fail("L", "must be a positive number")
     rep = pbmod.parabolic_carleson_sum(fld, root, dilation, depth, selector, quad, L=L)
     coeffs = pbmod.coefficient_table(fld, root.as_parabolic_box(), quad, L=L)
     coeff_path = _out(args, "parabolic_coefficients.csv")
@@ -323,6 +334,9 @@ def cmd_rademacher(cfg, args, seed):
         cfg.fail("field", "needs dim >= 2 for the differentiability probe")
     point = cfg.get("point", [0.5] * fld.dim)
     radii = cfg.get("radii", [2.0 ** (-k) for k in range(3, 10)])
+    if (not isinstance(radii, list) or not radii or not all(_is_number(r) and r > 0 for r in radii)
+            or any(a <= b for a, b in zip(radii, radii[1:]))):
+        cfg.fail("radii", "must be a non-empty list of positive numbers, strictly decreasing")
     probe = pbmod.rademacher_probe(fld, point, radii, quad)
     path = _out(args, "rademacher.csv")
     reports.write_csv(path, ["radius", "eps"], zip(probe.radii, probe.eps))

@@ -33,6 +33,10 @@ class OutOfDomain(MultibetaError):
     """Evaluation point outside a grid field's lattice hull."""
 
 
+class BoundViolation(MultibetaError):
+    """A computed quantity broke a bound that holds in exact arithmetic."""
+
+
 class ConfigError(MultibetaError):
     """Run configuration failed validation."""
 

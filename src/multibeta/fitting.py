@@ -87,6 +87,49 @@ def _check_rank(samples: SampleSet):
         raise RankDeficient("affine design matrix is rank deficient")
 
 
+def _fit_affine_l2_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """fit_affine_l2 of each sample set in a stack: x (K, N, d), y and w (K, N).
+
+    Every step is the scalar path's numpy expression with a leading stack
+    axis, so each slice meets the same reductions and BLAS kernels and the
+    maps agree bit for bit. Returns (ok, a (K, d), b (K,)); a row is not ok
+    where the scalar fit would raise RankDeficient, and every row is not ok
+    when the stacked solve finds any covariance singular.
+    """
+    K, N, d = x.shape
+    not_ok = np.zeros(K, dtype=bool), np.zeros((K, d)), np.zeros(K)
+    design = np.empty((K, N, d + 1))
+    design[:, :, :d] = x
+    design[:, :, d] = 1.0
+    design *= np.sqrt(w)[:, :, None]
+    try:
+        sv = np.linalg.svd(design, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return not_ok
+    del design
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ok = (sv[:, 0] != 0) & ~(sv[:, -1] / sv[:, 0] < RANK_TOL)
+    if not ok.all():
+        x, y, w = x[ok], y[ok], w[ok]
+    W = w.sum(axis=1)
+    xbar = (w[:, None, :] @ x)[:, 0, :] / W[:, None]
+    ybar = (w[:, None, :] @ y[:, :, None])[:, 0, 0] / W
+    xc = x - xbar[:, None, :]
+    yc = y - ybar[:, None]
+    xw = np.swapaxes(xc * w[:, :, None], 1, 2)
+    C = xw @ xc / W[:, None, None]
+    c = xw @ yc[:, :, None] / W[:, None, None]
+    try:
+        a_ok = np.linalg.solve(C, c)[:, :, 0]
+    except np.linalg.LinAlgError:
+        return not_ok
+    a = np.zeros((K, d))
+    b = np.zeros(K)
+    a[ok] = a_ok
+    b[ok] = ybar - (a_ok[:, None, :] @ xbar[:, :, None])[:, 0, 0]
+    return ok, a, b
+
+
 def _mean_sq_residual(samples: SampleSet, amap: AffineMap) -> float:
     r = samples.y - amap(samples.x)
     return float(samples.w @ (r * r) / samples.total_weight)
@@ -277,13 +320,18 @@ def fit_affine_minimax(samples: SampleSet, L: float | None = None,
     constraint set; an exact LP on that set, grown cutting-plane style,
     polishes to the discrete optimum.
     """
-    x, y, w = samples.x, samples.y, samples.w
-    d = samples.d
     base = fit_affine_l2(samples)
-    r = np.abs(base.residuals(samples))
+    return _minimax_from_l2(samples.x, samples.y, samples.w, base.map, L, max_iter)
+
+
+def _minimax_from_l2(x: np.ndarray, y: np.ndarray, w: np.ndarray, base: AffineMap,
+                     L: float | None = None, max_iter: int = 200) -> AffineFit:
+    """fit_affine_minimax of the samples (x, y, w) after their L2 fit ``base``."""
+    d = x.shape[1]
+    r = np.abs(y - base(x))
     scale = max(float(np.max(np.abs(y))), 1.0)
-    if r.max() <= 1e-13 * scale and (L is None or base.map.lipschitz <= L * (1 + 1e-12)):
-        return AffineFit(base.map, float(r.max()), "linf", constraint=L)
+    if r.max() <= 1e-13 * scale and (L is None or base.lipschitz <= L * (1 + 1e-12)):
+        return AffineFit(base, float(r.max()), "linf", constraint=L)
 
     if d == 1 and L is None:
         try:
@@ -293,8 +341,8 @@ def fit_affine_minimax(samples: SampleSet, L: float | None = None,
             pass  # duplicated abscissas or cycling: fall through to the LP path
 
     # IRLS with exponent escalation
-    amap = base.map
-    best_map, best_val = amap, float(np.max(np.abs(base.residuals(samples))))
+    amap = base
+    best_map, best_val = amap, float(np.max(np.abs(y - base(x))))
     iters = 0
     for p in (4, 8, 16, 32, 64, 128, 256):
         for _ in range(3):

@@ -110,6 +110,14 @@ def _time_part(name):
     raise ConfigError(f"unknown time part {name!r}")
 
 
+def _point(params: dict, key: str, dim: int) -> np.ndarray:
+    """params[key] as a point of R^dim (the origin when absent)."""
+    x = np.asarray(params.get(key, np.zeros(dim)), dtype=float)
+    if x.shape != (dim,):
+        raise ConfigError(f'"{key}" must have {dim} entries for a field of dimension {dim}')
+    return x
+
+
 def make_field(kind: str, dim: int, **params) -> FunctionField:
     """Catalog factory. Euclidean kinds: affine, pwlinear, cone, distset,
     bump, square. Parabolic kinds: p_additive, p_product."""
@@ -126,7 +134,7 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
         return FunctionField(kind, dim, _pwlinear_eval(xs, ys), params, lipschitz=L)
 
     if kind == "cone":
-        x0 = np.asarray(params.get("x0", np.zeros(dim)), dtype=float)
+        x0 = _point(params, "x0", dim)
         return FunctionField(kind, dim, lambda pts: np.linalg.norm(pts - x0, axis=1), params, lipschitz=1.0)
 
     if kind == "distset":
@@ -137,7 +145,7 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
             params, lipschitz=1.0)
 
     if kind == "bump":
-        x0 = np.asarray(params.get("x0", np.zeros(dim)), dtype=float)
+        x0 = _point(params, "x0", dim)
         scale = float(params.get("scale", 0.3))
         amp = float(params.get("amp", 1.0))
         # max slope of amp*exp(-r^2/s^2) is amp*sqrt(2/e)/s

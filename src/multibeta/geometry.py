@@ -526,10 +526,12 @@ def simplex_from_planes(planes) -> Simplex:
 
 def clip_line_to_box(base: np.ndarray, direction: np.ndarray, box: Box):
     """Slab-clip; returns (s0, s1) or None if the line misses the box."""
-    base = np.asarray(base, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    s_lo, s_hi = -np.inf, np.inf
-    for lo, hi, b, d in zip(box.lo_arr, box.hi, base, direction):
+    # Python floats: the same IEEE operations as numpy scalars, at less cost
+    base = np.asarray(base, dtype=float).tolist()
+    direction = np.asarray(direction, dtype=float).tolist()
+    s_lo, s_hi = -math.inf, math.inf
+    for lo, side, b, d in zip(box.lo, box.sides, base, direction):
+        hi = lo + side
         if abs(d) < 1e-14:
             if b < lo or b > hi:
                 return None
@@ -577,10 +579,19 @@ def shadow_area(region, e: np.ndarray) -> float:
     """(n-1)-volume of the orthogonal projection of the region onto e^perp."""
     if isinstance(region, Ball):
         return ball_volume(region.dim - 1) * region.radius ** (region.dim - 1)
-    sides = np.asarray(region.sides)
+    return _box_shadow(_face_areas(region), e)
+
+
+def _face_areas(box: Box) -> list:
+    """(n-1)-volume of the faces of the box normal to each axis."""
+    sides = np.asarray(box.sides)
+    return [np.prod(np.delete(sides, i)) for i in range(box.dim)]
+
+
+def _box_shadow(faces: list, e: np.ndarray) -> float:
     total = 0.0
-    for i in range(region.dim):
-        total += abs(e[i]) * np.prod(np.delete(sides, i))
+    for ei, face in zip(e, faces):
+        total += abs(ei) * face
     return float(total)
 
 
@@ -633,29 +644,36 @@ def sample_lines(region, count: int, seed: int):
     n = region.dim
     rng = stream(seed, "lines")
     norm = ball_volume(n - 1)
+    # invariants of the region, hoisted out of the per-line loop
+    is_ball = isinstance(region, Ball)
+    if is_ball:
+        center = np.asarray(region.center)
+    else:
+        corners, faces = region.corners(), _face_areas(region)
     out = []
     for _ in range(count):
         e = _unit_vectors(rng, 1, n)[0]
         B = orthonormal_complement(e)
-        if isinstance(region, Ball):
-            c_frame = B.T @ np.asarray(region.center)
+        if is_ball:
+            c_frame = B.T @ center
             lo = c_frame - region.radius
             hi = c_frame + region.radius
         else:
-            corner_frame = region.corners() @ B
+            corner_frame = corners @ B
             lo = corner_frame.min(axis=0)
             hi = corner_frame.max(axis=0)
         while True:
             u = rng.uniform(lo, hi)
             base = B @ u
-            if isinstance(region, Ball):
+            if is_ball:
                 clip = clip_line_to_ball(base, e, region)
             else:
                 clip = clip_line_to_box(base, e, region)
             if clip is not None:
                 break
         seg = LineSeg(tuple(base), tuple(e), clip[0], clip[1])
-        out.append((seg, shadow_area(region, e) / norm))
+        shadow = shadow_area(region, e) if is_ball else _box_shadow(faces, e)
+        out.append((seg, shadow / norm))
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fitting
 from .beta import CarlesonReport, QuadratureSpec, midpoint_grid
-from .errors import DegenerateBox
+from .errors import BoundViolation, DegenerateBox
 from .funcmodel import FunctionField, lipschitz_estimate
 from .geometry import (AffineMap, DyadicParabolicBox, ParabolicBox, dyadic_levels,
                        parabolic_distance)
@@ -166,7 +166,7 @@ def combine_affine_bound(psi: FunctionField, pbox: ParabolicBox, quad: Quadratur
     b_bar = float(wt @ icepts / Wt)
     A = AffineMap(tuple(a_bar), b_bar)
     if L is not None and A.lipschitz > L * (1.0 + 1e-12):
-        raise AssertionError("time mean of L-Lipschitz maps exceeded L")
+        raise BoundViolation("time mean of L-Lipschitz maps exceeded L")
 
     means = vals @ wt / Wt
     beta_v = float(wx @ (((vals - means[:, None]) ** 2) @ wt / Wt)) / W

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import beta as betamod
 from .calibration import KAPPA_B, KAPPA_C
-from .beta import QuadratureSpec, beta_integralgeometric, beta_p_cube, beta_p_restricted
+from .beta import (QuadratureSpec, beta_integralgeometric, beta_p_cube, beta_p_restricted,
+                   restricted_line_betas)
 from .errors import BudgetExhausted, DegenerateSimplex, EmptyIntersection
 from .funcmodel import FunctionField
 from .geometry import (AffineMap, Box, Hyperplane, LineSeg, Simplex,
@@ -258,19 +259,14 @@ def _line_family_integral(fld, small, big, direction, quad, lines_per_axis=5):
     axes = [lo[i] + (hi[i] - lo[i]) / lines_per_axis * (np.arange(lines_per_axis) + 0.5)
             for i in range(n - 1)]
     U = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n - 1)
-    vals = []
+    segs = []
     for u in U:
         base = B @ u
         clip = clip_line_to_box(base, direction, big)
-        if clip is None:
-            continue
-        seg = LineSeg(tuple(base), tuple(direction), clip[0], clip[1])
-        try:
-            rec = beta_p_restricted(fld, big, seg, math.inf, quad)
-        except EmptyIntersection:
-            continue
-        vals.append(rec.value)
-    if not vals:
+        if clip is not None:
+            segs.append(LineSeg(tuple(base), tuple(direction), clip[0], clip[1]))
+    vals = restricted_line_betas(fld, big, segs, (math.inf,), quad)[1][math.inf]
+    if not vals.size:
         return 0.0
     # rectangle-shadow midpoint rule; the bounding rectangle over-covers the
     # true shadow, matching the >= direction of the comparison

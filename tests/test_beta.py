@@ -1,14 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from multibeta import beta as betamod
+from multibeta import fitting
 from multibeta.beta import (SELECTORS, QuadratureSpec, beta_integralgeometric,
                             beta_p_cube, beta_p_restricted, carleson_sum,
-                            combined_beta, midpoint_grid)
+                            combined_beta, midpoint_grid, restricted_line_betas)
 from multibeta.errors import EmptyIntersection
 from multibeta.funcmodel import make_field
-from multibeta.geometry import Box, DyadicCube, Hyperplane, LineSeg
+from multibeta.geometry import Box, DyadicCube, Hyperplane, LineSeg, sample_lines
 
 QUAD = QuadratureSpec()
 FINE = QuadratureSpec(nodes=257, restricted_nodes=257, mc_samples=64)
@@ -142,6 +147,118 @@ class TestIntegralGeometric:
         lines = beta_integralgeometric(fld, box, 1, math.inf, 2, quad).value
         assert both >= max(planes, lines) - 1e-12
         assert both <= planes + lines + 1e-12
+        # at n = 2 both parts come from the same line family
+        assert both == math.hypot(planes, lines)
+
+    def test_combined_draws_one_family_at_n2(self, monkeypatch):
+        calls = []
+
+        def counting(region, count, seed):
+            calls.append(seed)
+            return sample_lines(region, count, seed)
+
+        monkeypatch.setattr(betamod, "sample_lines", counting)
+        fld = make_field("cone", 2, x0=[0.4, 0.5])
+        combined_beta(fld, Box((0.0, 0.0), (1.0, 1.0)), QuadratureSpec(mc_samples=32, seed=3))
+        assert len(calls) == 1
+
+
+def _catalog_field(kind, n, rng):
+    if kind == "cone":
+        return make_field("cone", n, x0=rng.uniform(-0.5, 1.5, n))
+    if kind == "bump":
+        return make_field("bump", n, x0=rng.uniform(0.0, 1.0, n), scale=rng.uniform(0.2, 0.6))
+    return make_field("distset", n, points=rng.uniform(-0.5, 1.5, (3, n)))
+
+
+def _grazing_lines(box):
+    """Lines through or next to a corner: one touching only the corner, one
+    along an edge, the diagonal, and chords cutting ever smaller corners
+    (the smallest fail the rank check and take the scalar fallback)."""
+    lo, hi = box.lo_arr, box.hi
+    n = box.dim
+    out = [LineSeg(tuple(lo), tuple(np.r_[1.0, -np.ones(n - 1)]), 0.0, 0.0),
+           LineSeg(tuple(lo), tuple(np.eye(n)[0]), 0.0, 0.0),
+           LineSeg(tuple(lo), tuple(hi - lo), 0.0, 0.0)]
+    for gap in (1e-3, 1e-9, 1e-14):
+        base = hi - gap * np.asarray(box.sides)
+        out.append(LineSeg(tuple(base), tuple(np.r_[1.0, -np.ones(n - 1)]), 0.0, 0.0))
+    return out
+
+
+class TestBatchedLines:
+    """restricted_line_betas equals beta_p_restricted line by line, exactly."""
+
+    @given(n=st.sampled_from([2, 3]), kind=st.sampled_from(["cone", "bump", "distset"]),
+           seed=st.integers(0, 2 ** 31 - 1), block=st.sampled_from([5, betamod.LINE_BLOCK]))
+    def test_batched_equals_scalar(self, n, kind, seed, block):
+        rng = np.random.default_rng(seed)
+        fld = _catalog_field(kind, n, rng)
+        box = Box(tuple(rng.uniform(-1.0, 1.0, n)), tuple(rng.uniform(0.2, 2.0, n)))
+        quad = QuadratureSpec(restricted_nodes=int(rng.choice([3, 9, 17])))
+        # lines sampled for a larger box miss this one now and then
+        segs = [seg for seg, _ in sample_lines(box.dilate(1.5), 24, seed)]
+        segs += _grazing_lines(box)
+        ps = (2, math.inf)
+        with mock.patch.object(betamod, "LINE_BLOCK", block):
+            kept, values = restricted_line_betas(fld, box, segs, ps, quad)
+        expect = {p: [] for p in ps}
+        for i, seg in enumerate(segs):
+            try:
+                recs = [beta_p_restricted(fld, box, seg, p, quad) for p in ps]
+            except EmptyIntersection:
+                assert not kept[i]
+                continue
+            assert kept[i]
+            for p, rec in zip(ps, recs):
+                expect[p].append(rec.value)
+        for p in ps:
+            assert values[p].tolist() == expect[p]
+
+    @pytest.mark.parametrize("p, L", [(1, None), (2, 0.5), (math.inf, 0.5)])
+    def test_line_by_line_cases_match(self, p, L):
+        fld = make_field("cone", 2, x0=[0.3, 0.6])
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        segs = [seg for seg, _ in sample_lines(box.dilate(1.5), 12, 5)]
+        kept, values = restricted_line_betas(fld, box, segs, (p,), QUAD, L)
+        expect = []
+        for seg in segs:
+            try:
+                expect.append(beta_p_restricted(fld, box, seg, p, QUAD, L).value)
+            except EmptyIntersection:
+                pass
+        assert kept.sum() == len(expect)
+        assert values[p].tolist() == expect
+
+    def test_nothing_fitted_in_the_stack_falls_back(self, monkeypatch):
+        fld = make_field("cone", 2, x0=[0.3, 0.6])
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        segs = [seg for seg, _ in sample_lines(box, 8, 5)]
+        expect = {p: [beta_p_restricted(fld, box, seg, p, QUAD).value for seg in segs]
+                  for p in (2, math.inf)}
+        monkeypatch.setattr(fitting, "_fit_affine_l2_stack", lambda x, y, w: (
+            np.zeros(len(x), dtype=bool), np.zeros((len(x), 1)), np.zeros(len(x))))
+        _, values = restricted_line_betas(fld, box, segs, (2, math.inf), QUAD)
+        assert {p: v.tolist() for p, v in values.items()} == expect
+
+    def test_singular_stacked_solve_marks_every_row(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        s = np.linspace(0.0, 1.0, 5)
+        x = np.stack([s, 2.0 * s])[:, :, None]
+        y = np.stack([s, s * s])
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        ok, _, _ = fitting._fit_affine_l2_stack(x, y, np.ones_like(y))
+        assert not ok.any()
+
+    def test_family_missing_the_box(self):
+        fld = make_field("cone", 2, x0=[0.3, 0.6])
+        segs = [LineSeg((5.0, 0.0), (0.0, 1.0), 0.0, 1.0)]
+        kept, values = restricted_line_betas(fld, Box((0.0, 0.0), (1.0, 1.0)), segs,
+                                             (2, math.inf), QUAD)
+        assert not kept.any()
+        assert values[2].size == 0 and values[math.inf].size == 0
 
 
 class TestCarleson:

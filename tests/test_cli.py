@@ -218,6 +218,29 @@ class TestConfigErrors:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert '"ps"' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("L", ["abc", 0, -1.0, True])
+    def test_bad_parabolic_l_names_key(self, tmp_path, capsys, L):
+        cfg = write_config(tmp_path, "cfg.json", dict(self.PARABOLIC, selector="AL", L=L))
+        assert main(["parabolic", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert '"L"' in capsys.readouterr().err
+
+    def test_unsupported_m_names_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", dict(CONE_CFG, m=5))
+        assert main(["igbeta", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert '"m"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radii", [[0.1, 0.2], [0.2, 0.0], [], "abc"])
+    def test_bad_radii_names_key(self, tmp_path, capsys, radii):
+        cfg = write_config(tmp_path, "cfg.json", dict(CONE_CFG, radii=radii))
+        assert main(["rademacher", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert '"radii"' in capsys.readouterr().err
+
+    def test_missized_x0_names_key(self, tmp_path, capsys):
+        field = {"kind": "cone", "dim": 2, "params": {"x0": [0.4, 0.6, 0.5]}}
+        cfg = write_config(tmp_path, "cfg.json", dict(CONE_CFG, field=field))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert '"x0"' in capsys.readouterr().err
+
 
 class TestWalkOrder:
     def test_analyze_and_carleson_list_the_same_cubes(self, tmp_path):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from multibeta import fitting
 from multibeta.beta import QuadratureSpec
 from multibeta.calibration import C_HOLD
+from multibeta.errors import BoundViolation, MultibetaError
 from multibeta.funcmodel import make_field
-from multibeta.geometry import Box, DyadicParabolicBox, ParabolicBox
+from multibeta.geometry import AffineMap, Box, DyadicParabolicBox, ParabolicBox
 from multibeta.parabolic import (PARABOLIC_SELECTORS, coefficient_table,
                                  combine_affine_bound,
                                  dt_carleson_quotient, holder_exponent_check,
@@ -147,6 +149,16 @@ class TestCombine:
         psi = additive("affine", "zero", a=[2.0], b=0.0)
         A, _, _ = combine_affine_bound(psi, UNIT, QUAD, L=1.0)
         assert A.lipschitz <= 1.0 + 1e-9
+
+    def test_steep_slice_fits_are_a_numerical_failure(self, monkeypatch):
+        # slice fits that break |a| <= L make the time mean too steep; that
+        # is a package error (CLI exit 3), not an assertion
+        steep = fitting.AffineFit(AffineMap((5.0,), 0.0), 0.0, "l2", constraint=1.0)
+        monkeypatch.setattr(fitting, "affine_fit", lambda samples, p, L=None: steep)
+        psi = additive("affine", "zero", a=[2.0], b=0.0)
+        with pytest.raises(BoundViolation) as info:
+            combine_affine_bound(psi, UNIT, QUAD, L=1.0)
+        assert isinstance(info.value, MultibetaError)
 
 
 class TestDtQuotient:
