@@ -6,9 +6,9 @@ parametrize the slice (line interval or hyperplane patch), fit in slice
 coordinates, and report the fitted map in ambient coordinates.
 Integral-geometric coefficients are Monte Carlo averages of restricted
 coefficients against the weighted Grassmannian samplers. A sampled line
-family is scored in batched passes (``restricted_line_betas``: one field
-evaluation and one stacked L2 fit per block of lines); ``beta_p_restricted``
-is the scalar reference it matches bit for bit. Carleson sums walk the
+family takes one path, ``restricted_line_betas`` (one clip per line, one
+field call per block, a stacked L2 fit where it applies), which matches the
+scalar reference ``beta_p_restricted`` bit for bit. Carleson sums walk the
 dyadic tree and profile per-scale contributions.
 """
 
@@ -61,13 +61,22 @@ def box_tag(box: Box) -> tuple:
     return tuple(round(v, 12) for v in box.lo) + tuple(round(v, 12) for v in box.sides)
 
 
+def midpoint_nodes(lo, side, count: int) -> np.ndarray:
+    """Midpoint nodes lo + side / count * (k + 1/2), k < count; for arrays of
+    intervals (``lo`` and ``side`` broadcast) the nodes run along a new last axis."""
+    h = np.asarray(side, dtype=float) / count
+    return np.asarray(lo, dtype=float)[..., None] + h[..., None] * (np.arange(count) + 0.5)
+
+
+def midpoint_mesh(lo, sides, count: int) -> np.ndarray:
+    """Tensor grid of the midpoint nodes of each axis, (count^d, d), last axis fastest."""
+    axes = midpoint_nodes(lo, sides, count)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def midpoint_grid(box: Box, nodes: int):
     """Tensor midpoint rule: points (N, n), weights summing to |box|."""
-    axes = []
-    for lo, s in zip(box.lo, box.sides):
-        h = s / nodes
-        axes.append(lo + h * (np.arange(nodes) + 0.5))
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.dim)
+    mesh = midpoint_mesh(box.lo, box.sides, nodes)
     w = np.full(mesh.shape[0], box.volume / mesh.shape[0])
     return mesh, w
 
@@ -105,11 +114,10 @@ def _line_record(fld, box, seg: LineSeg, p, quad, L):
         raise EmptyIntersection("line does not meet the box")
     s0, s1 = clip
     nodes = quad.restricted_nodes
-    h = (s1 - s0) / nodes
-    s = s0 + h * (np.arange(nodes) + 0.5)
+    s = midpoint_nodes(s0, s1 - s0, nodes)
     pts = seg.points(s)
     y = fld.eval(pts)
-    w = np.full(nodes, h)
+    w = np.full(nodes, (s1 - s0) / nodes)
     fit = fitting.affine_fit(fitting.SampleSet(s[:, None], y, w), p, L)
     r = y - fit.map(s[:, None])
     value = _norm_value(r, w, p, box.diameter, 1)
@@ -131,8 +139,7 @@ def _plane_record(fld, box, plane: Hyperplane, p, quad, L):
     hi = u_corners.max(axis=0)
     nodes = quad.restricted_nodes
     mdim = box.dim - 1
-    axes = [lo[i] + (hi[i] - lo[i]) / nodes * (np.arange(nodes) + 0.5) for i in range(mdim)]
-    U = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, mdim)
+    U = midpoint_mesh(lo, hi - lo, nodes)
     X = x0 + U @ B.T
     cell = float(np.prod((hi - lo) / nodes))
     inside = box.contains(X, tol=1e-12)
@@ -171,26 +178,14 @@ def restricted_line_betas(fld: FunctionField, box: Box, segs, ps, quad: Quadratu
 
     Returns (kept, values): ``kept`` masks the lines that meet the box and
     ``values[p]`` holds their coefficients in order, for each p in ``ps``.
-    Without L and for p in {2, inf} the lines are clipped, then done in
-    blocks of LINE_BLOCK: one field evaluation on all nodes of the block and
-    one stacked L2 fit; p = 2 reads its values off that fit and p = inf
-    starts each line's 1-D exchange from it. Lines failing the rank check,
-    families with L and other p go through beta_p_restricted line by line.
-    Every value equals the scalar one exactly.
+    Each line is clipped once; each block of LINE_BLOCK clipped lines is
+    evaluated in one field call. Without L, p = 2 reads its values off one
+    stacked L2 fit of the block and p = inf starts each line's 1-D exchange
+    from it; every other line (a failed rank check, a given L, another p) is
+    fitted on its own by ``fitting.affine_fit``. Every value equals the
+    scalar one exactly.
     """
     kept = np.zeros(len(segs), dtype=bool)
-    if L is not None or not all(p == 2 or math.isinf(p) for p in ps):
-        values = {p: [] for p in ps}
-        for k, seg in enumerate(segs):
-            try:
-                recs = [beta_p_restricted(fld, box, seg, p, quad, L) for p in ps]
-            except EmptyIntersection:
-                continue
-            kept[k] = True
-            for p, rec in zip(ps, recs):
-                values[p].append(rec.value)
-        return kept, {p: np.asarray(v, dtype=float) for p, v in values.items()}
-
     lines, ends = [], []
     for k, seg in enumerate(segs):
         clip = clip_line_to_box(seg.base, seg.direction, box)
@@ -198,17 +193,17 @@ def restricted_line_betas(fld: FunctionField, box: Box, segs, ps, quad: Quadratu
             kept[k] = True
             lines.append(seg)
             ends.append(clip)
-    blocks = [_line_block_betas(fld, box, lines[i:i + LINE_BLOCK], ends[i:i + LINE_BLOCK], ps, quad)
+    blocks = [_line_block_betas(fld, box, lines[i:i + LINE_BLOCK], ends[i:i + LINE_BLOCK], ps, quad, L)
               for i in range(0, len(lines), LINE_BLOCK)]
     return kept, {p: np.concatenate([blk[p] for blk in blocks] or [np.zeros(0)]) for p in ps}
 
 
-def _line_block_betas(fld, box, lines, ends, ps, quad):
+def _line_block_betas(fld, box, lines, ends, ps, quad, L):
     """restricted_line_betas of lines that meet the box, clipped to (s0, s1) = ends."""
     nodes = quad.restricted_nodes
     s0, s1 = np.asarray(ends).T
     h = (s1 - s0) / nodes
-    s = s0[:, None] + h[:, None] * (np.arange(nodes) + 0.5)
+    s = midpoint_nodes(s0, s1 - s0, nodes)
     pts = s[:, :, None] * np.asarray([seg.direction for seg in lines])[:, None, :]
     pts += np.asarray([seg.base for seg in lines])[:, None, :]
     y = fld.eval(pts.reshape(-1, box.dim)).reshape(s.shape)
@@ -216,25 +211,26 @@ def _line_block_betas(fld, box, lines, ends, ps, quad):
     x = s[:, :, None]
     w = np.repeat(h[:, None], nodes, axis=1)
     ok, a, b = fitting._fit_affine_l2_stack(x, y, w)
+    ok &= L is None  # a given L needs each line's own constrained fit
     diam = box.diameter
     values = {}
     for p in ps:
-        a_p, b_p = a, b
-        if math.isinf(p):
-            # each line's 1-D exchange starts from its L2 map
-            a_p, b_p = a.copy(), b.copy()
-            for k in np.flatnonzero(ok):
+        a_p, b_p = a.copy(), b.copy()
+        for k in range(len(lines)):
+            if ok[k] and p == 2:
+                continue
+            if ok[k] and math.isinf(p):
+                # each line's 1-D exchange starts from its L2 map
                 amap = fitting._minimax_from_l2(x[k], y[k], w[k], AffineMap(tuple(a[k]), b[k])).map
-                a_p[k], b_p[k] = amap.a, amap.intercept
+            else:
+                amap = fitting.affine_fit(fitting.SampleSet(x[k], y[k], w[k]), p, L).map
+            a_p[k], b_p[k] = amap.a, amap.intercept
         r = np.abs(y - ((x @ a_p[:, :, None])[:, :, 0] + b_p[:, None]))
         if math.isinf(p):
-            vals = r.max(axis=1) / diam
+            values[p] = r.max(axis=1) / diam
         else:
-            vals = [_lp_value(float(i), p, diam, 1)
-                    for i in (w[:, None, :] @ (r ** p)[:, :, None])[:, 0, 0]]
-        values[p] = np.asarray(
-            [v if good else beta_p_restricted(fld, box, seg, p, quad).value
-             for v, good, seg in zip(vals, ok, lines)], dtype=float)
+            values[p] = np.asarray([_lp_value(float(i), p, diam, 1)
+                                    for i in (w[:, None, :] @ (r ** p)[:, :, None])[:, 0, 0]])
     return values
 
 

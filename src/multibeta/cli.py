@@ -71,11 +71,6 @@ class Config:
     def get(self, key, default=None):
         return self.data.get(key, default)
 
-    def require(self, key):
-        if key not in self.data:
-            raise ConfigError(f"{self.path}:0: missing required key \"{key}\"")
-        return self.data[key]
-
     def number(self, key, default=None, minimum=None, integer=False):
         val = self.data.get(key, default)
         if val is None:
@@ -127,9 +122,12 @@ def load_box(cfg: Config, dim: int) -> Box:
     if b is None:
         return Box((0.0,) * dim, (1.0,) * dim)
     try:
-        return Box(tuple(b["lo"]), tuple(b["sides"]))
+        box = Box(tuple(b["lo"]), tuple(b["sides"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{cfg.path}:{_key_line(cfg.text, 'box')}: bad box: {exc}") from exc
+    if len(box.lo) != dim or len(box.sides) != dim:
+        cfg.fail("box", f'needs "lo" and "sides" of {dim} entries for a field of dimension {dim}')
+    return box
 
 
 def load_root(cfg: Config, dim: int) -> DyadicCube:
@@ -333,6 +331,8 @@ def cmd_rademacher(cfg, args, seed):
     if fld.dim < 2:
         cfg.fail("field", "needs dim >= 2 for the differentiability probe")
     point = cfg.get("point", [0.5] * fld.dim)
+    if not (isinstance(point, list) and len(point) == fld.dim and all(map(_is_number, point))):
+        cfg.fail("point", f"must be a list of {fld.dim} numbers for a field of dimension {fld.dim}")
     radii = cfg.get("radii", [2.0 ** (-k) for k in range(3, 10)])
     if (not isinstance(radii, list) or not radii or not all(_is_number(r) and r > 0 for r in radii)
             or any(a <= b for a, b in zip(radii, radii[1:]))):

@@ -5,7 +5,8 @@ them exactly translation-equivariant). The gradient-norm constrained fit
 treats |a| <= L as a trust-region problem: exact multiplier found by
 bisection on the ridge path, intercept re-optimized. Discrete minimax uses
 a three-point exchange in one dimension and IRLS exponent escalation with
-an active-set LP polish otherwise.
+an active-set LP polish otherwise. A rank-deficient design falls back to
+the minimum-norm least-squares map in one place, ``affine_fit``.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ class SampleSet:
     w: np.ndarray
 
     def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        if self.x.shape[0] == 1 and self.x.shape[1] > 1 and np.asarray(self.y).size > 1:
-            self.x = self.x.T
+        self.x = np.asarray(self.x, dtype=float)
+        if self.x.ndim != 2:
+            raise ValueError(f"sample abscissas must be an (N, d) array, got shape {self.x.shape}")
         self.y = np.asarray(self.y, dtype=float).ravel()
         self.w = np.asarray(self.w, dtype=float).ravel()
         if self.x.shape[0] != self.y.size or self.y.size != self.w.size:
@@ -45,10 +46,6 @@ class SampleSet:
     @property
     def n(self) -> int:
         return self.y.size
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
 
     @property
     def total_weight(self) -> float:
@@ -64,9 +61,6 @@ class AffineFit:
     residual_sq: float
     norm: str
     constraint: float | None = None
-
-    def residuals(self, samples: SampleSet) -> np.ndarray:
-        return samples.y - self.map(samples.x)
 
 
 def _centered_moments(samples: SampleSet):
@@ -143,14 +137,8 @@ def fit_constant_l2(samples: SampleSet):
     return c, res
 
 
-def fit_affine_l2(samples: SampleSet, allow_degenerate: bool = False) -> AffineFit:
+def fit_affine_l2(samples: SampleSet) -> AffineFit:
     """Global minimizer of the weighted quadratic objective."""
-    if allow_degenerate:
-        sw = np.sqrt(samples.w)
-        design = np.hstack([samples.x, np.ones((samples.n, 1))]) * sw[:, None]
-        coef, *_ = np.linalg.lstsq(design, samples.y * sw, rcond=None)
-        amap = AffineMap(tuple(coef[:-1]), coef[-1])
-        return AffineFit(amap, _mean_sq_residual(samples, amap), "l2")
     _check_rank(samples)
     xbar, ybar, C, c = _centered_moments(samples)
     try:
@@ -196,7 +184,7 @@ def fit_affine_l2_constrained(samples: SampleSet, L: float) -> AffineFit:
     return AffineFit(amap, _mean_sq_residual(samples, amap), "l2", constraint=L)
 
 
-def fit_affine_lp(samples: SampleSet, p: float, iters: int = 40) -> AffineFit:
+def fit_affine_lp(samples: SampleSet, p: float) -> AffineFit:
     """Quasi-minimizer of the weighted L^p objective via IRLS, seeded at L2.
 
     Returns whichever of the IRLS iterates and the plain L2 fit has the
@@ -211,7 +199,7 @@ def fit_affine_lp(samples: SampleSet, p: float, iters: int = 40) -> AffineFit:
     best_map, best_obj = base.map, objective(base.map)
     amap = base.map
     scale = max(float(np.max(np.abs(samples.y))), 1.0)
-    for _ in range(iters):
+    for _ in range(40):
         r = np.abs(samples.y - amap(samples.x))
         if p < 2:
             wi = samples.w * np.maximum(r, 1e-9 * scale) ** (p - 2.0)
@@ -235,7 +223,7 @@ def fit_affine_lp(samples: SampleSet, p: float, iters: int = 40) -> AffineFit:
 # ---------------------------------------------------------------------------
 
 
-def _exchange_1d(x: np.ndarray, y: np.ndarray, max_iter: int = 100):
+def _exchange_1d(x: np.ndarray, y: np.ndarray):
     """Exact minimax line through 1-D data by three-point exchange."""
     order = np.argsort(x, kind="stable")
     x, y = x[order], y[order]
@@ -249,7 +237,7 @@ def _exchange_1d(x: np.ndarray, y: np.ndarray, max_iter: int = 100):
     while len(refs) < 3:
         extra = [i for i in range(x.size) if i not in refs]
         refs = sorted(refs + [extra[len(extra) // 2]])
-    for _ in range(max_iter):
+    for _ in range(100):
         i0, i1, i2 = refs
         M = np.array([[x[i0], 1.0, 1.0], [x[i1], 1.0, -1.0], [x[i2], 1.0, 1.0]])
         try:
@@ -277,16 +265,16 @@ def _exchange_1d(x: np.ndarray, y: np.ndarray, max_iter: int = 100):
     raise NonConvergence("1-D exchange did not settle")
 
 
-def _grad_constraint_rows(d: int, L: float, facets: int = 512):
-    """Linear outer approximation of the gradient ball |a| <= L."""
+def _grad_constraint_rows(d: int, L: float):
+    """Linear outer approximation of the gradient ball |a| <= L (512 facets in 2-D, 512 d above)."""
     if d == 1:
         U = np.array([[1.0], [-1.0]])
     elif d == 2:
-        ang = 2.0 * math.pi * np.arange(facets) / facets
+        ang = 2.0 * math.pi * np.arange(512) / 512
         U = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     else:
         rng = np.random.default_rng(12345)  # fixed facet set, deterministic
-        U = rng.standard_normal((facets * d, d))
+        U = rng.standard_normal((512 * d, d))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
     return U, np.full(U.shape[0], L)
 
@@ -312,8 +300,7 @@ def _minimax_lp(x: np.ndarray, y: np.ndarray, subset, L: float | None):
     return res.x[:d], float(res.x[d]), float(res.x[d + 1])
 
 
-def fit_affine_minimax(samples: SampleSet, L: float | None = None,
-                       max_iter: int = 200) -> AffineFit:
+def fit_affine_minimax(samples: SampleSet, L: float | None = None) -> AffineFit:
     """Minimize the max abs residual over affine maps (optionally |a| <= L).
 
     IRLS exponent escalation provides the warm start and the active
@@ -321,11 +308,11 @@ def fit_affine_minimax(samples: SampleSet, L: float | None = None,
     polishes to the discrete optimum.
     """
     base = fit_affine_l2(samples)
-    return _minimax_from_l2(samples.x, samples.y, samples.w, base.map, L, max_iter)
+    return _minimax_from_l2(samples.x, samples.y, samples.w, base.map, L)
 
 
 def _minimax_from_l2(x: np.ndarray, y: np.ndarray, w: np.ndarray, base: AffineMap,
-                     L: float | None = None, max_iter: int = 200) -> AffineFit:
+                     L: float | None = None) -> AffineFit:
     """fit_affine_minimax of the samples (x, y, w) after their L2 fit ``base``."""
     d = x.shape[1]
     r = np.abs(y - base(x))
@@ -343,12 +330,8 @@ def _minimax_from_l2(x: np.ndarray, y: np.ndarray, w: np.ndarray, base: AffineMa
     # IRLS with exponent escalation
     amap = base
     best_map, best_val = amap, float(np.max(np.abs(y - base(x))))
-    iters = 0
     for p in (4, 8, 16, 32, 64, 128, 256):
         for _ in range(3):
-            iters += 1
-            if iters > max_iter:
-                raise NonConvergence("IRLS exceeded the iteration budget")
             rr = np.abs(y - amap(x)) + 1e-14 * scale
             # scale to [0, 1] before powering so rr**254 cannot underflow to
             # an all-zero weight vector
@@ -401,8 +384,11 @@ def affine_fit(samples: SampleSet, p: float, L: float | None = None) -> AffineFi
             return fit_affine_l2(samples) if L is None else fit_affine_l2_constrained(samples, L)
         return fit_affine_lp(samples, p)
     except RankDeficient:
-        fit = fit_affine_l2(samples, allow_degenerate=True)
+        sw = np.sqrt(samples.w)
+        design = np.hstack([samples.x, np.ones((samples.n, 1))]) * sw[:, None]
+        coef, *_ = np.linalg.lstsq(design, samples.y * sw, rcond=None)
+        amap = AffineMap(tuple(coef[:-1]), coef[-1])
         if not math.isinf(p):
-            return fit
-        r = np.abs(fit.residuals(samples))
-        return AffineFit(fit.map, float(r.max()), "linf", constraint=L)
+            return AffineFit(amap, _mean_sq_residual(samples, amap), "l2")
+        r = np.abs(samples.y - amap(samples.x))
+        return AffineFit(amap, float(r.max()), "linf", constraint=L)

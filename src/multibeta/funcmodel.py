@@ -39,9 +39,6 @@ class FunctionField:
         vals = self.fn(pts)
         return float(vals[0]) if single else vals
 
-    def __call__(self, points):
-        return self.eval(points)
-
 
 class GridField(FunctionField):
     """Axis-aligned sample lattice evaluated by multilinear interpolation."""
@@ -110,9 +107,17 @@ def _time_part(name):
     raise ConfigError(f"unknown time part {name!r}")
 
 
+def _floats(params: dict, key: str, default) -> np.ndarray:
+    """params[key] (``default`` when absent) as a float array."""
+    try:
+        return np.asarray(params.get(key, default), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f'"{key}" must be numeric: {exc}') from exc
+
+
 def _point(params: dict, key: str, dim: int) -> np.ndarray:
     """params[key] as a point of R^dim (the origin when absent)."""
-    x = np.asarray(params.get(key, np.zeros(dim)), dtype=float)
+    x = _floats(params, key, np.zeros(dim))
     if x.shape != (dim,):
         raise ConfigError(f'"{key}" must have {dim} entries for a field of dimension {dim}')
     return x
@@ -122,14 +127,18 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
     """Catalog factory. Euclidean kinds: affine, pwlinear, cone, distset,
     bump, square. Parabolic kinds: p_additive, p_product."""
     if kind == "affine":
-        a = np.asarray(params.get("a", np.zeros(dim)), dtype=float)
+        a = _point(params, "a", dim)
         b = float(params.get("b", 0.0))
         return FunctionField(kind, dim, lambda pts: pts @ a + b, params,
                              lipschitz=float(np.linalg.norm(a)))
 
     if kind == "pwlinear":
-        xs = params.get("xs", [0.0, 0.25, 0.5, 0.75, 1.0])
-        ys = params.get("ys", [0.0, 0.3, -0.1, 0.2, 0.0])
+        xs = _floats(params, "xs", [0.0, 0.25, 0.5, 0.75, 1.0])
+        ys = _floats(params, "ys", [0.0, 0.3, -0.1, 0.2, 0.0])
+        if xs.ndim != 1 or xs.size < 2 or not np.all(np.diff(xs) > 0):
+            raise ConfigError('"xs" must be a strictly increasing list of at least 2 numbers')
+        if ys.shape != xs.shape:
+            raise ConfigError(f'"ys" must have {xs.size} entries, one per "xs" entry')
         L = float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
         return FunctionField(kind, dim, _pwlinear_eval(xs, ys), params, lipschitz=L)
 
@@ -138,7 +147,9 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
         return FunctionField(kind, dim, lambda pts: np.linalg.norm(pts - x0, axis=1), params, lipschitz=1.0)
 
     if kind == "distset":
-        pts0 = np.atleast_2d(np.asarray(params.get("points", [np.zeros(dim)]), dtype=float))
+        pts0 = np.atleast_2d(_floats(params, "points", [np.zeros(dim)]))
+        if pts0.ndim != 2 or pts0.shape[1] != dim:
+            raise ConfigError(f'"points" must be a list of points with {dim} entries each')
         return FunctionField(
             kind, dim,
             lambda pts: np.min(np.linalg.norm(pts[:, None, :] - pts0[None, :, :], axis=2), axis=1),
@@ -146,7 +157,10 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
 
     if kind == "bump":
         x0 = _point(params, "x0", dim)
-        scale = float(params.get("scale", 0.3))
+        scale = _floats(params, "scale", 0.3)
+        if scale.shape != () or not scale > 0:
+            raise ConfigError('"scale" must be a positive number')
+        scale = float(scale)
         amp = float(params.get("amp", 1.0))
         # max slope of amp*exp(-r^2/s^2) is amp*sqrt(2/e)/s
         L = amp * np.sqrt(2.0 / np.e) / scale

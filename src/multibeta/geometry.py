@@ -21,11 +21,6 @@ from .rng import stream
 DET_TOL = 1e-10
 
 
-def sphere_area(n: int) -> float:
-    """Surface measure of the unit sphere S^{n-1} in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
 def ball_volume(m: int) -> float:
     """Volume of the unit ball in R^m (m = 0 gives 1)."""
     return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
@@ -193,10 +188,6 @@ class ParabolicBox:
         return self.spatial.sides[0]
 
     @property
-    def t1(self) -> float:
-        return self.t0 + self.t_len
-
-    @property
     def volume(self) -> float:
         return self.spatial.volume * self.t_len
 
@@ -321,9 +312,6 @@ class Hyperplane:
     def e(self) -> np.ndarray:
         return np.asarray(self.normal)
 
-    def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(points) @ self.e - self.offset
-
     def frame(self) -> np.ndarray:
         """Orthonormal basis of the plane's direction space, shape (n, n-1)."""
         return orthonormal_complement(self.e)
@@ -365,10 +353,6 @@ class LineSeg:
     @property
     def dim(self) -> int:
         return len(self.base)
-
-    @property
-    def length(self) -> float:
-        return self.s1 - self.s0
 
     def points(self, s: np.ndarray) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -447,26 +431,6 @@ class Simplex:
         pts = np.atleast_2d(points)
         ok = np.all(pts @ A.T <= b + 1e-12 - margin, axis=1)
         return ok if np.asarray(points).ndim > 1 else bool(ok[0])
-
-    def boundary_crossings(self, base: np.ndarray, direction: np.ndarray):
-        """Entry/exit parameters of the line base + s*direction through the simplex."""
-        A, b = self.halfspaces()
-        num = b - A @ np.asarray(base)
-        den = A @ np.asarray(direction)
-        s_lo, s_hi = -np.inf, np.inf
-        for ni, di in zip(num, den):
-            if abs(di) < 1e-14:
-                if ni < 0:
-                    return None
-                continue
-            s = ni / di
-            if di > 0:
-                s_hi = min(s_hi, s)
-            else:
-                s_lo = max(s_lo, s)
-        if s_lo >= s_hi:
-            return None
-        return s_lo, s_hi
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fitting
-from .beta import CarlesonReport, QuadratureSpec, midpoint_grid
+from .beta import CarlesonReport, QuadratureSpec, midpoint_grid, midpoint_mesh, midpoint_nodes
 from .errors import BoundViolation, DegenerateBox
 from .funcmodel import FunctionField, lipschitz_estimate
 from .geometry import (AffineMap, DyadicParabolicBox, ParabolicBox, dyadic_levels,
@@ -58,10 +58,8 @@ def _space_time_nodes(pbox: ParabolicBox, quad: QuadratureSpec):
     if pbox.volume <= 0:
         raise DegenerateBox("empty parabolic box")
     X, wx = midpoint_grid(pbox.spatial, quad.nodes)
-    ht = pbox.t_len / quad.nodes
-    t = pbox.t0 + ht * (np.arange(quad.nodes) + 0.5)
-    wt = np.full(quad.nodes, ht)
-    return X, wx, t, wt
+    t = midpoint_nodes(pbox.t0, pbox.t_len, quad.nodes)
+    return X, wx, t, np.full(quad.nodes, pbox.t_len / quad.nodes)
 
 
 def _values(psi: FunctionField, X, t):
@@ -292,10 +290,6 @@ class HolderReport:
     c_hold: float              # smallest constant making every entry pass
     violations: list           # entries exceeding the supplied constant
 
-    @property
-    def max_ratio(self) -> float:
-        return max((e.ratio for e in self.entries), default=0.0)
-
 
 def holder_exponent_check(psi: FunctionField, boxes, L: float,
                           quad: QuadratureSpec,
@@ -316,8 +310,7 @@ def holder_exponent_check(psi: FunctionField, boxes, L: float,
     return HolderReport(exponent if exponent is not None else 0.0, entries, fitted, violations)
 
 
-def rademacher_probe(psi: FunctionField, p, radii, quad: QuadratureSpec,
-                     samples_per_radius: int = 256) -> DifferentiabilityProbe:
+def rademacher_probe(psi: FunctionField, p, radii, quad: QuadratureSpec) -> DifferentiabilityProbe:
     """Pointwise differentiability probe in the parabolic metric.
 
     Fits the horizontal linear map on the time slice through the base point
@@ -335,9 +328,7 @@ def rademacher_probe(psi: FunctionField, p, radii, quad: QuadratureSpec,
     f_p = psi.eval(p)
 
     r_fit = radii[-1]
-    axes = [x0[i] - r_fit + 2.0 * r_fit / quad.nodes * (np.arange(quad.nodes) + 0.5)
-            for i in range(n_space)]
-    Xs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n_space)
+    Xs = midpoint_mesh(x0 - r_fit, 2.0 * r_fit, quad.nodes)
     ys = psi.eval(np.concatenate([Xs, np.full((Xs.shape[0], 1), t0)], axis=1))
     fit = fitting.affine_fit(fitting.SampleSet(Xs, ys, np.ones(Xs.shape[0])), 2)
     a = fit.map.a
@@ -345,7 +336,7 @@ def rademacher_probe(psi: FunctionField, p, radii, quad: QuadratureSpec,
     eps_vals = []
     for i, r in enumerate(radii):
         rng = stream(quad.seed, "probe", i, round(r, 12))
-        per = samples_per_radius // 4
+        per = 64  # displacements of each of the four kinds below
         qs = []
         # horizontal displacements
         u = rng.standard_normal((per, n_space))

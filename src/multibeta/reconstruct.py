@@ -18,7 +18,7 @@ import numpy as np
 from . import beta as betamod
 from .calibration import KAPPA_B, KAPPA_C
 from .beta import (QuadratureSpec, beta_integralgeometric, beta_p_cube, beta_p_restricted,
-                   restricted_line_betas)
+                   midpoint_mesh, midpoint_nodes, restricted_line_betas)
 from .errors import BudgetExhausted, DegenerateSimplex, EmptyIntersection
 from .funcmodel import FunctionField
 from .geometry import (AffineMap, Box, Hyperplane, LineSeg, Simplex,
@@ -27,6 +27,7 @@ from .geometry import (AffineMap, Box, Hyperplane, LineSeg, Simplex,
 from .rng import stream
 
 ACCEPT_SLACK = 1e-12
+_DRAW_BUDGET = 64  # plane families drawn by select_transversal_planes
 
 
 @dataclass
@@ -131,7 +132,7 @@ def _perturb_planes(base_planes, eps, rng):
     return out
 
 
-def _evaluate_draw(fld, CQ, base_planes, planes, quad, reference, kappa_b, kappa_c):
+def _evaluate_draw(fld, CQ, base_planes, planes, quad, reference):
     metric_values = [plane_metric(b, p) for b, p in zip(base_planes, planes)]
     recs = [beta_p_restricted(fld, CQ, p, 2, quad) for p in planes]
     simplex = simplex_from_planes(planes)
@@ -151,16 +152,14 @@ def _evaluate_draw(fld, CQ, base_planes, planes, quad, reference, kappa_b, kappa
         "corners": corners,
         "mismatches": mism,
         "inside": inside,
-        "beta_ok": max(r.value for r in recs) <= kappa_b * reference + ACCEPT_SLACK,
+        "beta_ok": max(r.value for r in recs) <= KAPPA_B * reference + ACCEPT_SLACK,
         # mismatches carry a length unit; compare them per unit of diam(CQ)
-        "mism_ok": float(mism.max()) <= kappa_c * reference * CQ.diameter + ACCEPT_SLACK,
+        "mism_ok": float(mism.max()) <= KAPPA_C * reference * CQ.diameter + ACCEPT_SLACK,
     }
 
 
 def select_transversal_planes(fld: FunctionField, Q: Box, tau: float, eps: float,
-                              C: float, seed: int, quad: QuadratureSpec,
-                              budget: int = 64, kappa_b: float = KAPPA_B,
-                              kappa_c: float = KAPPA_C) -> PlaneSelection:
+                              C: float, seed: int, quad: QuadratureSpec) -> PlaneSelection:
     """Randomized draw-and-check search for a certified transversal family.
 
     Draw 0 is the unperturbed base family, so exactly affine inputs accept
@@ -179,7 +178,7 @@ def select_transversal_planes(fld: FunctionField, Q: Box, tau: float, eps: float
 
     best = None
     best_score = math.inf
-    for k in range(budget):
+    for k in range(_DRAW_BUDGET):
         if k == 0:
             planes = list(base_planes)
         else:
@@ -188,7 +187,7 @@ def select_transversal_planes(fld: FunctionField, Q: Box, tau: float, eps: float
         if transversality(planes) < 0.5 * tau:
             continue
         try:
-            ev = _evaluate_draw(fld, CQ, base_planes, planes, quad, ref, kappa_b, kappa_c)
+            ev = _evaluate_draw(fld, CQ, base_planes, planes, quad, ref)
         except (DegenerateSimplex, EmptyIntersection):
             continue
         metric_ok = max(ev["metric"]) <= eps
@@ -210,9 +209,9 @@ def select_transversal_planes(fld: FunctionField, Q: Box, tau: float, eps: float
             best, best_score = sel, score
     if best is None:
         raise BudgetExhausted("every draw degenerated", selection=None)
-    best.draws_used = budget
+    best.draws_used = _DRAW_BUDGET
     raise BudgetExhausted(
-        f"no draw certified within budget {budget}; best score {best_score:.3e}",
+        f"no draw certified within budget {_DRAW_BUDGET}; best score {best_score:.3e}",
         selection=best,
     )
 
@@ -245,20 +244,17 @@ def _cap_directions(e0, radius, count, seed):
     return dirs
 
 
-def _line_family_integral(fld, small, big, direction, quad, lines_per_axis=5):
+def _line_family_integral(fld, small, big, direction, quad):
     """Shadow-averaged squared sup-coefficient of lines through the small box.
 
     Approximates the integral over the projection of the small box of
-    beta_inf(big, line)^2, by a midpoint rule on the shadow.
+    beta_inf(big, line)^2, by a midpoint rule of 5 lines per axis on the shadow.
     """
-    n = small.dim
     B = orthonormal_complement(direction)
     corner_frame = small.corners() @ B
     lo = corner_frame.min(axis=0)
     hi = corner_frame.max(axis=0)
-    axes = [lo[i] + (hi[i] - lo[i]) / lines_per_axis * (np.arange(lines_per_axis) + 0.5)
-            for i in range(n - 1)]
-    U = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n - 1)
+    U = midpoint_mesh(lo, hi - lo, 5)
     segs = []
     for u in U:
         base = B @ u
@@ -290,15 +286,14 @@ def planar_beta2(fld: FunctionField, box: Box, direction, quad: QuadratureSpec) 
     strips = quad.restricted_nodes
     h_v = (v_hi - v_lo) / strips
     pts, wts = [], []
-    for i in range(strips):
-        v = v_lo + h_v * (i + 0.5)
+    for v in midpoint_nodes(v_lo, v_hi - v_lo, strips):
         base = (B * v).ravel()
         clip = clip_line_to_box(base, direction, box)
         if clip is None:
             continue
         s0, s1 = clip
         h_s = (s1 - s0) / quad.restricted_nodes
-        s = s0 + h_s * (np.arange(quad.restricted_nodes) + 0.5)
+        s = midpoint_nodes(s0, s1 - s0, quad.restricted_nodes)
         pts.append(base + s[:, None] * direction)
         wts.append(np.full(s.size, h_v * h_s))
     X = np.vstack(pts)
@@ -311,9 +306,7 @@ def planar_beta2(fld: FunctionField, box: Box, direction, quad: QuadratureSpec) 
 
 def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: float = 8.0,
                  tau: float = 0.25, eps: float = 0.05, seed: int = 0,
-                 quad: QuadratureSpec | None = None, budget: int = 64,
-                 kappa_b: float = KAPPA_B, kappa_c: float = KAPPA_C,
-                 cap_directions: int = 8) -> ReconstructionReport:
+                 quad: QuadratureSpec | None = None) -> ReconstructionReport:
     """End-to-end reconstruction check on one box.
 
     Selects planes, interpolates f at the simplex corners by a global affine
@@ -331,8 +324,7 @@ def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: 
     CQ = Q.dilate(C)
 
     try:
-        selection = select_transversal_planes(fld, Q, tau, eps, C, seed, quad,
-                                              budget=budget, kappa_b=kappa_b, kappa_c=kappa_c)
+        selection = select_transversal_planes(fld, Q, tau, eps, C, seed, quad)
     except BudgetExhausted as exc:
         if exc.selection is None:
             raise
@@ -358,7 +350,7 @@ def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: 
     e0 = _transversal_direction(selection.planes, Q.dim)
     best_integral = math.inf
     best_dir = e0
-    for d in _cap_directions(e0, 0.1, cap_directions, seed):
+    for d in _cap_directions(e0, 0.1, 8, seed):
         val = _line_family_integral(fld, cQ, CQ, d, quad)
         if val < best_integral:
             best_integral, best_dir = val, d
@@ -383,5 +375,5 @@ def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: 
         line_integral=best_integral,
         line_ratio=line_ratio,
         planar_value=planar,
-        meta={"direction": tuple(best_dir), "budget": budget},
+        meta={"direction": tuple(best_dir), "budget": _DRAW_BUDGET},
     )

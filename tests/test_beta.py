@@ -10,7 +10,8 @@ from multibeta import beta as betamod
 from multibeta import fitting
 from multibeta.beta import (SELECTORS, QuadratureSpec, beta_integralgeometric,
                             beta_p_cube, beta_p_restricted, carleson_sum,
-                            combined_beta, midpoint_grid, restricted_line_betas)
+                            combined_beta, midpoint_grid, midpoint_mesh,
+                            midpoint_nodes, restricted_line_betas)
 from multibeta.errors import EmptyIntersection
 from multibeta.funcmodel import make_field
 from multibeta.geometry import Box, DyadicCube, Hyperplane, LineSeg, sample_lines
@@ -230,6 +231,19 @@ class TestBatchedLines:
         assert kept.sum() == len(expect)
         assert values[p].tolist() == expect
 
+    @pytest.mark.parametrize("p, L", [(1, None), (3, None), (2, 0.5)])
+    def test_one_field_call_per_block(self, p, L):
+        fld = make_field("cone", 2, x0=[0.3, 0.6])
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        segs = [seg for seg, _ in sample_lines(box.dilate(1.5), 12, 5)]
+        with mock.patch.object(betamod, "LINE_BLOCK", 5), \
+                mock.patch.object(fld, "eval", wraps=fld.eval) as spy:
+            kept, values = restricted_line_betas(fld, box, segs, (p,), QUAD, L)
+        assert kept.sum() > 5 and spy.call_count == -(-int(kept.sum()) // 5)
+        expect = [beta_p_restricted(fld, box, seg, p, QUAD, L).value
+                  for seg, k in zip(segs, kept) if k]
+        assert values[p].tolist() == expect
+
     def test_nothing_fitted_in_the_stack_falls_back(self, monkeypatch):
         fld = make_field("cone", 2, x0=[0.3, 0.6])
         box = Box((0.0, 0.0), (1.0, 1.0))
@@ -259,6 +273,27 @@ class TestBatchedLines:
                                              (2, math.inf), QUAD)
         assert not kept.any()
         assert values[2].size == 0 and values[math.inf].size == 0
+
+
+class TestMidpointRule:
+    @given(lo=st.floats(-1e3, 1e3), side=st.floats(1e-6, 1e3), count=st.integers(1, 40))
+    def test_scalar_interval(self, lo, side, count):
+        expect = lo + side / count * (np.arange(count) + 0.5)
+        assert midpoint_nodes(lo, side, count).tolist() == expect.tolist()
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), k=st.integers(1, 6), count=st.integers(1, 20))
+    def test_stacked_intervals(self, seed, k, count):
+        rng = np.random.default_rng(seed)
+        lo, side = rng.uniform(-10.0, 10.0, k), rng.uniform(1e-3, 10.0, k)
+        nodes = midpoint_nodes(lo, side, count)
+        assert nodes.shape == (k, count)
+        for i in range(k):
+            assert nodes[i].tolist() == (lo[i] + side[i] / count * (np.arange(count) + 0.5)).tolist()
+
+    def test_mesh_runs_the_last_axis_fastest(self):
+        u, v = midpoint_nodes([0.0, 1.0], [1.0, 2.0], 3)
+        mesh = midpoint_mesh([0.0, 1.0], [1.0, 2.0], 3)
+        assert mesh.tolist() == [[a, b] for a in u for b in v]
 
 
 class TestCarleson:

@@ -241,6 +241,32 @@ class TestConfigErrors:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert '"x0"' in capsys.readouterr().err
 
+    def test_box_of_another_dimension_names_key(self, tmp_path, capsys):
+        box = {"lo": [0.0, 0.0, 0.0], "sides": [1.0, 1.0, 1.0]}
+        cfg = write_config(tmp_path, "cfg.json", dict(CONE_CFG, box=box))
+        assert main(["igbeta", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert '"box"' in capsys.readouterr().err
+
+    def test_point_of_another_dimension_names_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", dict(CONE_CFG, point=[0.5, 0.5, 0.5]))
+        assert main(["rademacher", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert '"point"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, params, key", [
+        ("affine", {"a": [1.0, 2.0, 3.0]}, "a"),
+        ("distset", {"points": [[0.1, 0.2, 0.3]]}, "points"),
+        ("pwlinear", {"xs": [0.0, 0.5, 1.0], "ys": [0.0, 1.0]}, "ys"),
+        ("pwlinear", {"xs": [0.0], "ys": [0.0]}, "xs"),
+        ("pwlinear", {"xs": [0.0, 1.0, 0.5], "ys": [0.0, 1.0, 0.0]}, "xs"),
+        ("bump", {"scale": "abc"}, "scale"),
+        ("bump", {"scale": 0}, "scale"),
+    ])
+    def test_bad_catalog_parameter_names_key(self, tmp_path, capsys, kind, params, key):
+        field = {"kind": kind, "dim": 2, "params": params}
+        cfg = write_config(tmp_path, "cfg.json", dict(CONE_CFG, field=field))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f'"{key}"' in capsys.readouterr().err
+
 
 class TestWalkOrder:
     def test_analyze_and_carleson_list_the_same_cubes(self, tmp_path):

@@ -71,6 +71,10 @@ class TestL2:
         for da, db in itertools.product((-1e-4, 0.0, 1e-4), repeat=2):
             assert obj(fit.map.a[0] + da, fit.map.intercept + db) >= base - 1e-15
 
+    def test_abscissas_must_be_two_dimensional(self):
+        with pytest.raises(ValueError):
+            SampleSet(np.linspace(0.0, 1.0, 5), np.zeros(5), np.ones(5))
+
     def test_repeated_abscissa(self):
         x = np.zeros((10, 1))
         with pytest.raises(RankDeficient):

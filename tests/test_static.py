@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "multibeta").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -23,6 +24,29 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def referenced_names(sources):
+    """Every name, attribute and imported name that occurs in ``sources``."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def unused_definitions(source: str, sources):
+    """(line, name) of every module-level function and class of ``source``
+    referenced nowhere in ``sources``."""
+    used = referenced_names(sources)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted((node.lineno, node.name) for node in ast.parse(source).body
+                  if isinstance(node, defs) and node.name not in used)
+
+
 def test_checker_flags_unused_import():
     source = "import os\nimport os.path as osp\nfrom sys import argv, exit\nexit(argv)\n"
     assert unused_imports(source) == [(1, "os"), (2, "osp")]
@@ -31,3 +55,15 @@ def test_checker_flags_unused_import():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_unused_definition():
+    source = "def used():\n    pass\n\ndef dead():\n    pass\n\nclass Kept:\n    pass\n\nclass Gone:\n    pass\n"
+    caller = "from pkg.mod import used\nimport pkg\npkg.mod.Kept()\n"
+    assert unused_definitions(source, [source, caller]) == [(4, "dead"), (10, "Gone")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_unused_definitions(path):
+    sources = [p.read_text() for p in SRC + TESTS]
+    assert unused_definitions(path.read_text(), sources) == []
