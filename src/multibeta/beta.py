@@ -81,7 +81,9 @@ def midpoint_grid(box: Box, nodes: int):
     return mesh, w
 
 
-def _norm_value(r: np.ndarray, w: np.ndarray, p: float, diam: float, m: int) -> float:
+def norm_value(r: np.ndarray, w: np.ndarray, p: float, diam: float, m: int) -> float:
+    """(sum w |r|^p / diam^m)^(1/p) / diam, the size of the residual r on an
+    m-dimensional set of diameter diam; max |r| / diam (0 if empty) for p = inf."""
     if math.isinf(p):
         return float(np.max(np.abs(r))) / diam if r.size else 0.0
     return _lp_value(float(w @ np.abs(r) ** p), p, diam, m)
@@ -103,7 +105,7 @@ def beta_p_cube(fld: FunctionField, box: Box, p: float, quad: QuadratureSpec,
     except RankDeficient as exc:
         raise DegenerateBox(str(exc)) from exc
     r = y - fit.map(X)
-    value = _norm_value(r, w, p, box.diameter, box.dim)
+    value = norm_value(r, w, p, box.diameter, box.dim)
     return BetaRecord(box, "cube", p, value, m=box.dim, fitted=fit.map,
                       meta={"nodes": quad.nodes, "L": L})
 
@@ -120,7 +122,7 @@ def _line_record(fld, box, seg: LineSeg, p, quad, L):
     w = np.full(nodes, (s1 - s0) / nodes)
     fit = fitting.affine_fit(fitting.SampleSet(s[:, None], y, w), p, L)
     r = y - fit.map(s[:, None])
-    value = _norm_value(r, w, p, box.diameter, 1)
+    value = norm_value(r, w, p, box.diameter, 1)
     a = fit.map.a[0]
     direction = np.asarray(seg.direction)
     amb = AffineMap(tuple(a * direction), fit.map.intercept - a * float(direction @ np.asarray(seg.base)))
@@ -150,7 +152,7 @@ def _plane_record(fld, box, plane: Hyperplane, p, quad, L):
     w = np.full(U.shape[0], cell)
     fit = fitting.affine_fit(fitting.SampleSet(U, y, w), p, L)
     r = y - fit.map(U)
-    value = _norm_value(r, w, p, box.diameter, mdim)
+    value = norm_value(r, w, p, box.diameter, mdim)
     grad = B @ fit.map.a
     amb = AffineMap(tuple(grad), fit.map.intercept - float(grad @ x0))
     return BetaRecord(box, "restricted", p, value, m=mdim, fitted=amb,

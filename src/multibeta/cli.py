@@ -19,7 +19,7 @@ from . import beta as betamod
 from . import parabolic as pbmod
 from . import reports, svgplot
 from .beta import QuadratureSpec
-from .errors import BudgetExhausted, ConfigError, MultibetaError
+from .errors import ConfigError, MultibetaError
 from .funcmodel import GridField, make_field
 from .geometry import Box, DyadicCube, DyadicParabolicBox, dyadic_levels
 from .reconstruct import verify_reconstruction
@@ -431,9 +431,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BudgetExhausted as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (MultibetaError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

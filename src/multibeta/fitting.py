@@ -1,12 +1,15 @@
 """Best-affine and best-constant approximation over weighted point sets.
 
-L2 fits solve the weighted normal equations after centering (which makes
-them exactly translation-equivariant). The gradient-norm constrained fit
-treats |a| <= L as a trust-region problem: exact multiplier found by
-bisection on the ridge path, intercept re-optimized. Discrete minimax uses
-a three-point exchange in one dimension and IRLS exponent escalation with
-an active-set LP polish otherwise. A rank-deficient design falls back to
-the minimum-norm least-squares map in one place, ``affine_fit``.
+Every affine L2 fit, single or stacked, takes its rank decision and its
+centered moments from one kernel, ``_affine_moments``, so a set's map has
+the same bits in a stack as alone. L2 fits solve the centered normal
+equations (which makes them exactly translation-equivariant). The
+gradient-norm constrained fit treats |a| <= L as a trust-region problem:
+exact multiplier found by bisection on the ridge path, intercept
+re-optimized. Discrete minimax uses a three-point exchange in one
+dimension and IRLS exponent escalation with an active-set LP polish
+otherwise. A rank-deficient design falls back to the minimum-norm
+least-squares map in one place, ``affine_fit``.
 """
 
 from __future__ import annotations
@@ -63,64 +66,67 @@ class AffineFit:
     constraint: float | None = None
 
 
-def _centered_moments(samples: SampleSet):
-    W = samples.total_weight
-    xbar = samples.w @ samples.x / W
-    ybar = float(samples.w @ samples.y / W)
-    xc = samples.x - xbar
-    yc = samples.y - ybar
-    C = (xc * samples.w[:, None]).T @ xc / W
-    c = (xc * samples.w[:, None]).T @ yc / W
-    return xbar, ybar, C, c
+def _weighted_design(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The weighted affine design [x, 1] * sqrt(w), with any leading axes."""
+    design = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    design[..., :-1] = x
+    design[..., -1] = 1.0
+    design *= np.sqrt(w)[..., None]
+    return design
 
 
-def _check_rank(samples: SampleSet):
-    design = np.hstack([samples.x, np.ones((samples.n, 1))]) * np.sqrt(samples.w)[:, None]
-    sv = np.linalg.svd(design, compute_uv=False)
-    if sv[0] == 0 or sv[-1] / sv[0] < RANK_TOL:
+def _affine_moments(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Rank decision and centered moments of one weighted sample set or a stack.
+
+    x is (..., N, d), y and w are (..., N). Returns ok (...), xbar (..., d),
+    ybar (...), C (..., d, d) and c (..., d); a set fails ok where its
+    design fails the relative singular-value test. Each set of a stack
+    meets the reductions and BLAS kernels it meets alone, so its bits do
+    not depend on the stack. LinAlgError if the SVD does not converge.
+    """
+    sv = np.linalg.svd(_weighted_design(x, w), compute_uv=False)
+    # weights are positive, so the design is non-zero and sv[..., 0] > 0
+    ok = ~(sv[..., -1] / sv[..., 0] < RANK_TOL)
+    W = w.sum(axis=-1, keepdims=True)
+    xbar = (w[..., None, :] @ x)[..., 0, :] / W
+    ybar = (w[..., None, :] @ y[..., :, None])[..., 0, 0] / W[..., 0]
+    xc = x - xbar[..., None, :]
+    yc = y - ybar[..., None]
+    xw = np.swapaxes(xc * w[..., None], -1, -2)
+    C = xw @ xc / W[..., None]
+    c = (xw @ yc[..., None])[..., 0] / W
+    return ok, xbar, ybar, C, c
+
+
+def _l2_map(ok, xbar, ybar, C, c) -> AffineMap:
+    """The L2 map of one set from its _affine_moments; RankDeficient if none."""
+    if not ok:
         raise RankDeficient("affine design matrix is rank deficient")
+    try:
+        a = np.linalg.solve(C, c)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient("centered covariance is numerically singular") from exc
+    return AffineMap(tuple(a), ybar - a @ xbar)
 
 
 def _fit_affine_l2_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     """fit_affine_l2 of each sample set in a stack: x (K, N, d), y and w (K, N).
 
-    Every step is the scalar path's numpy expression with a leading stack
-    axis, so each slice meets the same reductions and BLAS kernels and the
-    maps agree bit for bit. Returns (ok, a (K, d), b (K,)); a row is not ok
-    where the scalar fit would raise RankDeficient, and every row is not ok
-    when the stacked solve finds any covariance singular.
+    Returns (ok, a (K, d), b (K,)); a row is not ok where the scalar fit
+    would raise RankDeficient, and every row is not ok when the stacked
+    SVD or solve fails on any set.
     """
     K, N, d = x.shape
     not_ok = np.zeros(K, dtype=bool), np.zeros((K, d)), np.zeros(K)
-    design = np.empty((K, N, d + 1))
-    design[:, :, :d] = x
-    design[:, :, d] = 1.0
-    design *= np.sqrt(w)[:, :, None]
     try:
-        sv = np.linalg.svd(design, compute_uv=False)
-    except np.linalg.LinAlgError:
-        return not_ok
-    del design
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = (sv[:, 0] != 0) & ~(sv[:, -1] / sv[:, 0] < RANK_TOL)
-    if not ok.all():
-        x, y, w = x[ok], y[ok], w[ok]
-    W = w.sum(axis=1)
-    xbar = (w[:, None, :] @ x)[:, 0, :] / W[:, None]
-    ybar = (w[:, None, :] @ y[:, :, None])[:, 0, 0] / W
-    xc = x - xbar[:, None, :]
-    yc = y - ybar[:, None]
-    xw = np.swapaxes(xc * w[:, :, None], 1, 2)
-    C = xw @ xc / W[:, None, None]
-    c = xw @ yc[:, :, None] / W[:, None, None]
-    try:
-        a_ok = np.linalg.solve(C, c)[:, :, 0]
+        ok, xbar, ybar, C, c = _affine_moments(x, y, w)
+        a_ok = np.linalg.solve(C[ok], c[ok][:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         return not_ok
     a = np.zeros((K, d))
     b = np.zeros(K)
     a[ok] = a_ok
-    b[ok] = ybar - (a_ok[:, None, :] @ xbar[:, :, None])[:, 0, 0]
+    b[ok] = ybar[ok] - (a_ok[:, None, :] @ xbar[ok][:, :, None])[:, 0, 0]
     return ok, a, b
 
 
@@ -139,14 +145,7 @@ def fit_constant_l2(samples: SampleSet):
 
 def fit_affine_l2(samples: SampleSet) -> AffineFit:
     """Global minimizer of the weighted quadratic objective."""
-    _check_rank(samples)
-    xbar, ybar, C, c = _centered_moments(samples)
-    try:
-        a = np.linalg.solve(C, c)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient("centered covariance is numerically singular") from exc
-    b = ybar - a @ xbar
-    amap = AffineMap(tuple(a), b)
+    amap = _l2_map(*_affine_moments(samples.x, samples.y, samples.w))
     return AffineFit(amap, _mean_sq_residual(samples, amap), "l2")
 
 
@@ -154,10 +153,10 @@ def fit_affine_l2_constrained(samples: SampleSet, L: float) -> AffineFit:
     """L2 fit subject to |gradient| <= L, solved exactly on the ridge path."""
     if L <= 0:
         raise ValueError("L must be positive")
-    base = fit_affine_l2(samples)
-    if base.map.lipschitz <= L * (1.0 + 1e-12):
-        return AffineFit(base.map, base.residual_sq, "l2", constraint=L)
-    xbar, ybar, C, c = _centered_moments(samples)
+    ok, xbar, ybar, C, c = _affine_moments(samples.x, samples.y, samples.w)
+    base = _l2_map(ok, xbar, ybar, C, c)
+    if base.lipschitz <= L * (1.0 + 1e-12):
+        return AffineFit(base, _mean_sq_residual(samples, base), "l2", constraint=L)
     evals, evecs = np.linalg.eigh(C)
     proj = evecs.T @ c
 
@@ -207,7 +206,7 @@ def fit_affine_lp(samples: SampleSet, p: float) -> AffineFit:
             wi = samples.w * (r + 1e-14 * scale) ** (p - 2.0)
         wi = wi / wi.max() if wi.max() > 0 else samples.w
         try:
-            amap = fit_affine_l2(SampleSet(samples.x, samples.y, np.maximum(wi, 1e-300))).map
+            amap = _l2_map(*_affine_moments(samples.x, samples.y, np.maximum(wi, 1e-300)))
         except RankDeficient:
             break
         obj = objective(amap)
@@ -338,7 +337,7 @@ def _minimax_from_l2(x: np.ndarray, y: np.ndarray, w: np.ndarray, base: AffineMa
             wi = w * (rr / rr.max()) ** (p - 2.0)
             wi /= wi.max()
             try:
-                amap = fit_affine_l2(SampleSet(x, y, np.maximum(wi, 1e-300))).map
+                amap = _l2_map(*_affine_moments(x, y, np.maximum(wi, 1e-300)))
             except RankDeficient:
                 break
             val = float(np.max(np.abs(y - amap(x))))
@@ -384,9 +383,8 @@ def affine_fit(samples: SampleSet, p: float, L: float | None = None) -> AffineFi
             return fit_affine_l2(samples) if L is None else fit_affine_l2_constrained(samples, L)
         return fit_affine_lp(samples, p)
     except RankDeficient:
-        sw = np.sqrt(samples.w)
-        design = np.hstack([samples.x, np.ones((samples.n, 1))]) * sw[:, None]
-        coef, *_ = np.linalg.lstsq(design, samples.y * sw, rcond=None)
+        design = _weighted_design(samples.x, samples.w)
+        coef, *_ = np.linalg.lstsq(design, samples.y * np.sqrt(samples.w), rcond=None)
         amap = AffineMap(tuple(coef[:-1]), coef[-1])
         if not math.isinf(p):
             return AffineFit(amap, _mean_sq_residual(samples, amap), "l2")

@@ -41,6 +41,8 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
         object.__setattr__(self, "sides", tuple(float(v) for v in self.sides))
+        if len(self.lo) != len(self.sides):
+            raise ValueError("box lo and sides must have the same length")
         if any(s <= 0 for s in self.sides):
             raise ValueError("box sides must be positive")
 
@@ -539,11 +541,9 @@ def support_interval(region, e: np.ndarray):
     return t0, t1
 
 
-def shadow_area(region, e: np.ndarray) -> float:
-    """(n-1)-volume of the orthogonal projection of the region onto e^perp."""
-    if isinstance(region, Ball):
-        return ball_volume(region.dim - 1) * region.radius ** (region.dim - 1)
-    return _box_shadow(_face_areas(region), e)
+def shadow_area(box: Box, e: np.ndarray) -> float:
+    """(n-1)-volume of the orthogonal projection of the box onto e^perp."""
+    return _box_shadow(_face_areas(box), e)
 
 
 def _face_areas(box: Box) -> list:
@@ -596,48 +596,35 @@ def sample_hyperplanes(region, count: int, seed: int):
     return out
 
 
-def sample_lines(region, count: int, seed: int):
-    """Weighted line samples for Monte Carlo integration over A_1(region).
+def sample_lines(box: Box, count: int, seed: int):
+    """Weighted line samples for Monte Carlo integration over A_1(box).
 
-    Base points are uniform on the shadow of the region on e^perp
-    (rejection from its bounding rectangle); the weight is the exact shadow
-    area divided by the unit-ball normalizer.
+    Base points are uniform on the shadow of the box on e^perp (rejection
+    from its bounding rectangle); the weight is the exact shadow area
+    divided by the unit-ball normalizer.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = region.dim
+    n = box.dim
     rng = stream(seed, "lines")
     norm = ball_volume(n - 1)
-    # invariants of the region, hoisted out of the per-line loop
-    is_ball = isinstance(region, Ball)
-    if is_ball:
-        center = np.asarray(region.center)
-    else:
-        corners, faces = region.corners(), _face_areas(region)
+    # invariants of the box, hoisted out of the per-line loop
+    corners, faces = box.corners(), _face_areas(box)
     out = []
     for _ in range(count):
         e = _unit_vectors(rng, 1, n)[0]
         B = orthonormal_complement(e)
-        if is_ball:
-            c_frame = B.T @ center
-            lo = c_frame - region.radius
-            hi = c_frame + region.radius
-        else:
-            corner_frame = corners @ B
-            lo = corner_frame.min(axis=0)
-            hi = corner_frame.max(axis=0)
+        corner_frame = corners @ B
+        lo = corner_frame.min(axis=0)
+        hi = corner_frame.max(axis=0)
         while True:
             u = rng.uniform(lo, hi)
             base = B @ u
-            if is_ball:
-                clip = clip_line_to_ball(base, e, region)
-            else:
-                clip = clip_line_to_box(base, e, region)
+            clip = clip_line_to_box(base, e, box)
             if clip is not None:
                 break
         seg = LineSeg(tuple(base), tuple(e), clip[0], clip[1])
-        shadow = shadow_area(region, e) if is_ball else _box_shadow(faces, e)
-        out.append((seg, shadow / norm))
+        out.append((seg, _box_shadow(faces, e) / norm))
     return out
 
 

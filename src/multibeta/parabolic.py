@@ -70,6 +70,16 @@ def _values(psi: FunctionField, X, t):
     return psi.eval(pts).reshape(Ns, Nt)
 
 
+def _slice_fits(X, vals, wx, L):
+    """(map, weighted squared residual sum) of the L2 fit of each time slice vals[:, k]."""
+    out = []
+    for k in range(vals.shape[1]):
+        fit = fitting.affine_fit(fitting.SampleSet(X, vals[:, k], wx), 2, L)
+        r = vals[:, k] - fit.map(X)
+        out.append((fit.map, float(wx @ (r * r))))
+    return out
+
+
 def horizontal_affinity(psi: FunctionField, pbox: ParabolicBox,
                         quad: QuadratureSpec, L: float | None = None) -> float:
     """Time average of per-time affine misfit, relative to the spatial diameter."""
@@ -78,10 +88,8 @@ def horizontal_affinity(psi: FunctionField, pbox: ParabolicBox,
     d1 = pbox.spatial.diameter
     W = wx.sum()
     acc = 0.0
-    for k in range(t.size):
-        fit = fitting.affine_fit(fitting.SampleSet(X, vals[:, k], wx), 2, L)
-        r = vals[:, k] - fit.map(X)
-        acc += wt[k] * float(wx @ (r * r)) / W
+    for k, (_, sq) in enumerate(_slice_fits(X, vals, wx, L)):
+        acc += wt[k] * sq / W
     return math.sqrt(acc / wt.sum()) / d1
 
 
@@ -153,12 +161,10 @@ def combine_affine_bound(psi: FunctionField, pbox: ParabolicBox, quad: Quadratur
     grads = np.zeros((t.size, X.shape[1]))
     icepts = np.zeros(t.size)
     beta_h = 0.0
-    for k in range(t.size):
-        fit = fitting.affine_fit(fitting.SampleSet(X, vals[:, k], wx), 2, L)
-        grads[k] = fit.map.a
-        icepts[k] = fit.map.intercept
-        r = vals[:, k] - fit.map(X)
-        beta_h += wt[k] / Wt * float(wx @ (r * r)) / W
+    for k, (amap, sq) in enumerate(_slice_fits(X, vals, wx, L)):
+        grads[k] = amap.a
+        icepts[k] = amap.intercept
+        beta_h += wt[k] / Wt * sq / W
 
     a_bar = wt @ grads / Wt
     b_bar = float(wt @ icepts / Wt)

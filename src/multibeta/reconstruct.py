@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import beta as betamod
+from . import fitting
 from .calibration import KAPPA_B, KAPPA_C
 from .beta import (QuadratureSpec, beta_integralgeometric, beta_p_cube, beta_p_restricted,
-                   midpoint_mesh, midpoint_nodes, restricted_line_betas)
+                   midpoint_grid, midpoint_mesh, midpoint_nodes, norm_value, restricted_line_betas)
 from .errors import BudgetExhausted, DegenerateSimplex, EmptyIntersection
 from .funcmodel import FunctionField
 from .geometry import (AffineMap, Box, Hyperplane, LineSeg, Simplex,
@@ -299,9 +299,9 @@ def planar_beta2(fld: FunctionField, box: Box, direction, quad: QuadratureSpec) 
     X = np.vstack(pts)
     w = np.concatenate(wts)
     y = fld.eval(X)
-    fit = betamod.fitting.fit_affine_l2(betamod.fitting.SampleSet(X, y, w))
+    fit = fitting.fit_affine_l2(fitting.SampleSet(X, y, w))
     r = y - fit.map(X)
-    return betamod._norm_value(r, w, 2, box.diameter, 2)
+    return norm_value(r, w, 2, box.diameter, 2)
 
 
 def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: float = 8.0,
@@ -337,9 +337,9 @@ def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: 
     A = build_global_affine(corners, fld.eval(corners))
 
     direct_rec = beta_p_cube(fld, cQ, 2, quad)
-    X, w = betamod.midpoint_grid(cQ, quad.nodes)
+    X, w = midpoint_grid(cQ, quad.nodes)
     r = fld.eval(X) - A(X)
-    via = betamod._norm_value(r, w, 2, cQ.diameter, cQ.dim)
+    via = norm_value(r, w, 2, cQ.diameter, cQ.dim)
 
     plane_rec = beta_integralgeometric(fld, CQ, Q.dim - 1 if Q.dim > 1 else 1, 2, 2,
                                        quad, seed_tags=("reconstruct", seed))

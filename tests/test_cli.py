@@ -1,9 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from multibeta import cli
 from multibeta.cli import main
+from multibeta.errors import BudgetExhausted, RankDeficient
 from multibeta.reports import config_hash
 
 
@@ -38,6 +41,18 @@ class TestExitCodes:
         assert main(["analyze", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [BudgetExhausted("solver gave up"),
+                                     RankDeficient("solver gave up"),
+                                     np.linalg.LinAlgError("solver gave up")])
+    def test_numerical_failures_exit_3(self, tmp_path, capsys, monkeypatch, exc):
+        def failing(cfg, args, seed):
+            raise exc
+
+        monkeypatch.setitem(cli.COMMANDS, "analyze", failing)
+        cfg = write_config(tmp_path, "cfg.json", CONE_CFG)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "numerical failure: solver gave up\n"
 
     def test_invalid_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

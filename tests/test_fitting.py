@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from multibeta import fitting
 from multibeta.errors import RankDeficient
 from multibeta.fitting import (SampleSet, fit_affine_l2,
                                fit_affine_l2_constrained, fit_affine_lp,
@@ -238,3 +241,108 @@ class TestLp:
         y = 2 * x[:, 0] + 1
         fit = fit_affine_lp(SampleSet(x, y, np.ones(20)), 4.0)
         assert fit.residual_sq <= 1e-20
+
+
+def random_sets(seed, d, K, N):
+    """K weighted sets of N samples in d variables; some rows are rank deficient."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(K, N, d)) * rng.uniform(0.01, 100.0, (K, 1, 1))
+    y = rng.normal(size=(K, N)) + np.einsum("knd,kd->kn", x, rng.normal(size=(K, d)))
+    w = rng.uniform(0.01, 2.0, (K, N))
+    for k in range(K):
+        kind = rng.integers(4)
+        if kind == 0:
+            x[k] = x[k, 0]  # one repeated abscissa
+        elif kind == 1:
+            x[k, :, -1] = x[k, 0, -1]  # one coordinate never varies
+    return x, y, w
+
+
+def parent_constrained(samples, L):
+    """The two-pass constrained fit as it was written before the shared moments kernel."""
+    x, y, w = samples.x, samples.y, samples.w
+    W = float(w.sum())
+
+    def moments():
+        xbar = w @ x / W
+        ybar = float(w @ y / W)
+        xc = x - xbar
+        yc = y - ybar
+        return xbar, ybar, (xc * w[:, None]).T @ xc / W, (xc * w[:, None]).T @ yc / W
+
+    def residual(a, b):
+        r = y - (x @ a + b)
+        return float(w @ (r * r) / W)
+
+    design = np.hstack([x, np.ones((samples.n, 1))]) * np.sqrt(w)[:, None]
+    sv = np.linalg.svd(design, compute_uv=False)
+    if sv[0] == 0 or sv[-1] / sv[0] < fitting.RANK_TOL:
+        raise RankDeficient("rank")
+    xbar, ybar, C, c = moments()
+    try:
+        a = np.linalg.solve(C, c)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient("singular") from exc
+    a = np.array([float(v) for v in a])
+    b = float(ybar - a @ xbar)
+    if float(np.linalg.norm(a)) <= L * (1.0 + 1e-12):
+        return a, b, residual(a, b)
+    xbar, ybar, C, c = moments()
+    evals, evecs = np.linalg.eigh(C)
+    proj = evecs.T @ c
+
+    def grad_norm(lam):
+        return float(np.linalg.norm(proj / (evals + lam)))
+
+    lo, hi = 0.0, max(float(np.linalg.norm(c)) / L, 1e-30)
+    while grad_norm(hi) > L:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if grad_norm(mid) > L:
+            lo = mid
+        else:
+            hi = mid
+        if abs(grad_norm(hi) - L) <= fitting.GRAD_BISECT_TOL:
+            break
+    a = evecs @ (proj / (evals + hi))
+    if np.linalg.norm(a) > L:
+        a *= L / np.linalg.norm(a)
+    a = np.array([float(v) for v in a])
+    b = float(ybar - a @ xbar)
+    return a, b, residual(a, b)
+
+
+class TestOneMomentsKernel:
+    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), K=st.integers(2, 6),
+           N=st.integers(2, 30))
+    def test_stack_rows_equal_scalar_fits(self, seed, d, K, N):
+        x, y, w = random_sets(seed, d, K, N)
+        ok, a, b = fitting._fit_affine_l2_stack(x, y, w)
+        for k in range(K):
+            try:
+                amap = fit_affine_l2(SampleSet(x[k], y[k], w[k])).map
+            except RankDeficient:
+                assert not ok[k]
+                continue
+            if not ok.any():
+                continue  # a singular stacked solve gives up on the whole block
+            assert ok[k]
+            assert amap.gradient == tuple(a[k]) and amap.intercept == b[k]
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=st.integers(2, 30),
+           factor=st.sampled_from([0.3, 2.0]))
+    def test_constrained_equals_two_pass_reference(self, seed, d, N, factor):
+        x, y, w = random_sets(seed, d, 1, N)
+        s = SampleSet(x[0], y[0], w[0])
+        try:
+            free = fit_affine_l2(s).map.lipschitz
+        except RankDeficient:
+            with pytest.raises(RankDeficient):
+                fit_affine_l2_constrained(s, 1.0)
+            return
+        L = max(free, 1e-3) * factor
+        a, b, res = parent_constrained(s, L)
+        fit = fit_affine_l2_constrained(s, L)
+        assert fit.map.gradient == tuple(a) and fit.map.intercept == b
+        assert fit.residual_sq == res

@@ -163,6 +163,12 @@ class TestBoxes:
         assert np.allclose(big.center, box.center)
         assert big.diameter == pytest.approx(3.0 * box.diameter)
 
+    def test_lo_and_sides_must_have_one_length(self):
+        with pytest.raises(ValueError):
+            Box((0.0, 0.0), (1.0, 2.0, 3.0))
+        with pytest.raises(ValueError):
+            Box((0.0, 0.0, 0.0), (1.0, 2.0))
+
     def test_parabolic_diameter_metric(self):
         pbox = ParabolicBox(Box((0.0,), (1.0,)), 0.0, 1.0)
         assert pbox.diameter == pytest.approx(parabolic_distance((0.0, 0.0), (1.0, 1.0)))
