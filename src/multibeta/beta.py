@@ -1,9 +1,11 @@
 """Multiscale affine-approximation coefficients on cubes, slices and trees.
 
-Cube coefficients discretize the defining integral on a midpoint tensor
-grid and normalize by diam(Q)^n (not |Q|). Restricted coefficients
-parametrize the slice (line interval or hyperplane patch), fit in slice
-coordinates, and report the fitted map in ambient coordinates.
+A cube or slice coefficient is ``norm_value`` of one residual: the field's
+values on the set's quadrature nodes minus the affine map that ``fitting``
+returns for them. Cube coefficients discretize the defining integral on a
+midpoint tensor grid and normalize by diam(Q)^n (not |Q|). Restricted
+coefficients parametrize the slice (line interval or hyperplane patch), fit
+in slice coordinates, and report the fitted map in ambient coordinates.
 Integral-geometric coefficients are Monte Carlo averages of restricted
 coefficients against the weighted Grassmannian samplers. A sampled line
 family takes one path, ``restricted_line_betas`` (one clip per line, one
@@ -46,12 +48,7 @@ class QuadratureSpec:
 
 @dataclass
 class BetaRecord:
-    box: Box
-    kind: str
-    p: float
     value: float
-    q: float | None = None
-    m: int | None = None
     fitted: AffineMap | None = None
     stderr: float | None = None
     meta: dict = field(default_factory=dict)
@@ -101,13 +98,10 @@ def beta_p_cube(fld: FunctionField, box: Box, p: float, quad: QuadratureSpec,
     X, w = midpoint_grid(box, quad.nodes)
     y = fld.eval(X)
     try:
-        fit = fitting.affine_fit(fitting.SampleSet(X, y, w), p, L)
+        amap = fitting.affine_fit(fitting.SampleSet(X, y, w), p, L)
     except RankDeficient as exc:
         raise DegenerateBox(str(exc)) from exc
-    r = y - fit.map(X)
-    value = norm_value(r, w, p, box.diameter, box.dim)
-    return BetaRecord(box, "cube", p, value, m=box.dim, fitted=fit.map,
-                      meta={"nodes": quad.nodes, "L": L})
+    return BetaRecord(norm_value(y - amap(X), w, p, box.diameter, box.dim), amap)
 
 
 def _line_record(fld, box, seg: LineSeg, p, quad, L):
@@ -120,14 +114,12 @@ def _line_record(fld, box, seg: LineSeg, p, quad, L):
     pts = seg.points(s)
     y = fld.eval(pts)
     w = np.full(nodes, (s1 - s0) / nodes)
-    fit = fitting.affine_fit(fitting.SampleSet(s[:, None], y, w), p, L)
-    r = y - fit.map(s[:, None])
-    value = norm_value(r, w, p, box.diameter, 1)
-    a = fit.map.a[0]
+    amap = fitting.affine_fit(fitting.SampleSet(s[:, None], y, w), p, L)
+    value = norm_value(y - amap(s[:, None]), w, p, box.diameter, 1)
+    a = amap.a[0]
     direction = np.asarray(seg.direction)
-    amb = AffineMap(tuple(a * direction), fit.map.intercept - a * float(direction @ np.asarray(seg.base)))
-    return BetaRecord(box, "restricted", p, value, m=1, fitted=amb,
-                      meta={"nodes": nodes, "L": L})
+    amb = AffineMap(tuple(a * direction), amap.intercept - a * float(direction @ np.asarray(seg.base)))
+    return BetaRecord(value, amb)
 
 
 def _plane_record(fld, box, plane: Hyperplane, p, quad, L):
@@ -140,7 +132,6 @@ def _plane_record(fld, box, plane: Hyperplane, p, quad, L):
     lo = u_corners.min(axis=0)
     hi = u_corners.max(axis=0)
     nodes = quad.restricted_nodes
-    mdim = box.dim - 1
     U = midpoint_mesh(lo, hi - lo, nodes)
     X = x0 + U @ B.T
     cell = float(np.prod((hi - lo) / nodes))
@@ -150,13 +141,10 @@ def _plane_record(fld, box, plane: Hyperplane, p, quad, L):
     U, X = U[inside], X[inside]
     y = fld.eval(X)
     w = np.full(U.shape[0], cell)
-    fit = fitting.affine_fit(fitting.SampleSet(U, y, w), p, L)
-    r = y - fit.map(U)
-    value = norm_value(r, w, p, box.diameter, mdim)
-    grad = B @ fit.map.a
-    amb = AffineMap(tuple(grad), fit.map.intercept - float(grad @ x0))
-    return BetaRecord(box, "restricted", p, value, m=mdim, fitted=amb,
-                      meta={"nodes": nodes, "L": L})
+    amap = fitting.affine_fit(fitting.SampleSet(U, y, w), p, L)
+    value = norm_value(y - amap(U), w, p, box.diameter, box.dim - 1)
+    grad = B @ amap.a
+    return BetaRecord(value, AffineMap(tuple(grad), amap.intercept - float(grad @ x0)))
 
 
 def beta_p_restricted(fld: FunctionField, box: Box, slice_obj, p: float,
@@ -223,9 +211,9 @@ def _line_block_betas(fld, box, lines, ends, ps, quad, L):
                 continue
             if ok[k] and math.isinf(p):
                 # each line's 1-D exchange starts from its L2 map
-                amap = fitting._minimax_from_l2(x[k], y[k], w[k], AffineMap(tuple(a[k]), b[k])).map
+                amap = fitting._minimax_from_l2(x[k], y[k], w[k], AffineMap(tuple(a[k]), b[k]))
             else:
-                amap = fitting.affine_fit(fitting.SampleSet(x[k], y[k], w[k]), p, L).map
+                amap = fitting.affine_fit(fitting.SampleSet(x[k], y[k], w[k]), p, L)
             a_p[k], b_p[k] = amap.a, amap.intercept
         r = np.abs(y - ((x @ a_p[:, :, None])[:, :, 0] + b_p[:, None]))
         if math.isinf(p):
@@ -261,7 +249,7 @@ def _ig_family(fld, box, m, ps, quad, L, seed_tags):
     return np.asarray(weights), {p: np.asarray(v) for p, v in vals.items()}
 
 
-def _ig_record(box, m, p, q, L, weights, vals) -> BetaRecord:
+def _ig_record(q, weights, vals) -> BetaRecord:
     """L^q Monte Carlo mean of restricted coefficients, with its standard error."""
     if not vals.size:
         raise EmptyIntersection("no sampled plane met the box")
@@ -271,8 +259,7 @@ def _ig_record(box, m, p, q, L, weights, vals) -> BetaRecord:
     contrib = weights * vals ** q / weights.mean()
     se_mean = float(contrib.std(ddof=1) / math.sqrt(len(vals)))
     stderr = se_mean * value ** (1.0 - q) / q if value > 0 else se_mean
-    return BetaRecord(box, "ig", p, value, q=q, m=m, stderr=stderr,
-                      meta={"mc": len(vals), "L": L})
+    return BetaRecord(value, stderr=stderr, meta={"mc": len(vals)})
 
 
 def beta_integralgeometric(fld: FunctionField, box: Box, m: int, p: float, q: float,
@@ -282,11 +269,11 @@ def beta_integralgeometric(fld: FunctionField, box: Box, m: int, p: float, q: fl
     n = box.dim
     if m == n:
         rec = beta_p_cube(fld, box, p, quad, L)
-        return BetaRecord(box, "ig", p, rec.value, q=q, m=m, fitted=rec.fitted, stderr=0.0)
+        return BetaRecord(rec.value, rec.fitted, stderr=0.0)
     if m not in (1, n - 1):
         raise ValueError("only m in {1, n-1, n} is supported")
     weights, values = _ig_family(fld, box, m, (p,), quad, L, seed_tags)
-    return _ig_record(box, m, p, q, L, weights, values[p])
+    return _ig_record(q, weights, values[p])
 
 
 def combined_beta(fld: FunctionField, box: Box, quad: QuadratureSpec,
@@ -300,24 +287,24 @@ def combined_beta(fld: FunctionField, box: Box, quad: QuadratureSpec,
         raise ValueError("combined coefficient needs n >= 2")
     if box.dim == 2:
         weights, values = _ig_family(fld, box, 1, (2, math.inf), quad, None, seed_tags)
-        b_planes = _ig_record(box, 1, 2, 2, None, weights, values[2])
-        b_lines = _ig_record(box, 1, math.inf, 2, None, weights, values[math.inf])
+        b_planes = _ig_record(2, weights, values[2])
+        b_lines = _ig_record(2, weights, values[math.inf])
     else:
         b_planes = beta_integralgeometric(fld, box, box.dim - 1, 2, 2, quad, seed_tags=seed_tags)
         b_lines = beta_integralgeometric(fld, box, 1, math.inf, 2, quad, seed_tags=seed_tags)
     return math.hypot(b_planes.value, b_lines.value)
 
 
-# name -> (coefficient of a dilated cube, power, needs L). Entries call the
-# coefficient functions through their module-level names, so a rebound name
-# (instrumentation, monkeypatching) is seen by the table as well.
+# name -> coefficient of a dilated cube; carleson_sum squares it. Entries
+# call the coefficient functions through their module-level names, so a
+# rebound name (instrumentation, monkeypatching) is seen by the table as well.
 SELECTORS = {
-    "beta2": (lambda fld, box, quad: beta_p_cube(fld, box, 2, quad).value, 2.0, False),
-    "ig_line_inf2": (lambda fld, box, quad: beta_integralgeometric(
-        fld, box, 1, math.inf, 2, quad).value, 2.0, False),
-    "ig_plane_22": (lambda fld, box, quad: beta_integralgeometric(
-        fld, box, max(box.dim - 1, 1), 2, 2, quad).value, 2.0, False),
-    "combined": (lambda fld, box, quad: combined_beta(fld, box, quad), 2.0, False),
+    "beta2": lambda fld, box, quad: beta_p_cube(fld, box, 2, quad).value,
+    "ig_line_inf2": lambda fld, box, quad: beta_integralgeometric(
+        fld, box, 1, math.inf, 2, quad).value,
+    "ig_plane_22": lambda fld, box, quad: beta_integralgeometric(
+        fld, box, max(box.dim - 1, 1), 2, 2, quad).value,
+    "combined": lambda fld, box, quad: combined_beta(fld, box, quad),
 }
 
 
@@ -376,7 +363,7 @@ def carleson_sum(fld: FunctionField, root: DyadicCube, dilation: float, depth: i
         raise ValueError("depth must be >= 0")
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
-    coefficient, power, _ = SELECTORS[selector]
+    coefficient = SELECTORS[selector]
     root_box = root.as_box()
     Lhat = fld.lipschitz
     if Lhat is None:
@@ -386,5 +373,5 @@ def carleson_sum(fld: FunctionField, root: DyadicCube, dilation: float, depth: i
         vals = [coefficient(fld, cube.as_box().dilate(dilation), quad) for cube in frontier]
         # val * val, not val ** 2.0: the two round differently for some doubles
         walk.append([(cube, v, v * v * cube.volume) for cube, v in zip(frontier, vals)])
-    return CarlesonReport.tally(selector, dilation, power, Lhat,
+    return CarlesonReport.tally(selector, dilation, 2.0, Lhat,
                                 max(Lhat, 1e-300) * root.volume, walk)

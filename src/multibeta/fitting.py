@@ -1,15 +1,16 @@
 """Best-affine and best-constant approximation over weighted point sets.
 
-Every affine L2 fit, single or stacked, takes its rank decision and its
-centered moments from one kernel, ``_affine_moments``, so a set's map has
-the same bits in a stack as alone. L2 fits solve the centered normal
-equations (which makes them exactly translation-equivariant). The
-gradient-norm constrained fit treats |a| <= L as a trust-region problem:
-exact multiplier found by bisection on the ridge path, intercept
-re-optimized. Discrete minimax uses a three-point exchange in one
-dimension and IRLS exponent escalation with an active-set LP polish
-otherwise. A rank-deficient design falls back to the minimum-norm
-least-squares map in one place, ``affine_fit``.
+An affine fit returns its ``AffineMap`` and nothing else; a caller
+measures the residual it needs. Every affine L2 fit, single or stacked,
+takes its rank decision and its centered moments from one kernel,
+``_affine_moments``, so a set's map has the same bits in a stack as alone.
+L2 fits solve the centered normal equations (which makes them exactly
+translation-equivariant). The gradient-norm constrained fit treats
+|a| <= L as a trust-region problem: exact multiplier found by bisection on
+the ridge path, intercept re-optimized. Discrete minimax uses a three-point
+exchange in one dimension and IRLS exponent escalation with an active-set
+LP polish otherwise. A rank-deficient design falls back to the
+minimum-norm least-squares map in one place, ``affine_fit``.
 """
 
 from __future__ import annotations
@@ -53,17 +54,6 @@ class SampleSet:
     @property
     def total_weight(self) -> float:
         return float(self.w.sum())
-
-
-@dataclass
-class AffineFit:
-    """Fit result; residual_sq is the weighted mean square (L2) or the
-    max abs residual (Linf)."""
-
-    map: AffineMap
-    residual_sq: float
-    norm: str
-    constraint: float | None = None
 
 
 def _weighted_design(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -130,11 +120,6 @@ def _fit_affine_l2_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     return ok, a, b
 
 
-def _mean_sq_residual(samples: SampleSet, amap: AffineMap) -> float:
-    r = samples.y - amap(samples.x)
-    return float(samples.w @ (r * r) / samples.total_weight)
-
-
 def fit_constant_l2(samples: SampleSet):
     """Weighted mean and weighted variance (the mean minimizes L2)."""
     W = samples.total_weight
@@ -143,20 +128,19 @@ def fit_constant_l2(samples: SampleSet):
     return c, res
 
 
-def fit_affine_l2(samples: SampleSet) -> AffineFit:
+def fit_affine_l2(samples: SampleSet) -> AffineMap:
     """Global minimizer of the weighted quadratic objective."""
-    amap = _l2_map(*_affine_moments(samples.x, samples.y, samples.w))
-    return AffineFit(amap, _mean_sq_residual(samples, amap), "l2")
+    return _l2_map(*_affine_moments(samples.x, samples.y, samples.w))
 
 
-def fit_affine_l2_constrained(samples: SampleSet, L: float) -> AffineFit:
+def fit_affine_l2_constrained(samples: SampleSet, L: float) -> AffineMap:
     """L2 fit subject to |gradient| <= L, solved exactly on the ridge path."""
     if L <= 0:
         raise ValueError("L must be positive")
     ok, xbar, ybar, C, c = _affine_moments(samples.x, samples.y, samples.w)
     base = _l2_map(ok, xbar, ybar, C, c)
     if base.lipschitz <= L * (1.0 + 1e-12):
-        return AffineFit(base, _mean_sq_residual(samples, base), "l2", constraint=L)
+        return base
     evals, evecs = np.linalg.eigh(C)
     proj = evecs.T @ c
 
@@ -164,39 +148,38 @@ def fit_affine_l2_constrained(samples: SampleSet, L: float) -> AffineFit:
         return float(np.linalg.norm(proj / (evals + lam)))
 
     lo, hi = 0.0, max(float(np.linalg.norm(c)) / L, 1e-30)
-    while grad_norm(hi) > L:
+    g_hi = grad_norm(hi)
+    while g_hi > L:
         hi *= 2.0
+        g_hi = grad_norm(hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if grad_norm(mid) > L:
+        g_mid = grad_norm(mid)
+        if g_mid > L:
             lo = mid
         else:
-            hi = mid
-        if abs(grad_norm(hi) - L) <= GRAD_BISECT_TOL:
+            hi, g_hi = mid, g_mid
+        if abs(g_hi - L) <= GRAD_BISECT_TOL:
             break
-    lam = hi
-    a = evecs @ (proj / (evals + lam))
+    a = evecs @ (proj / (evals + hi))
     if np.linalg.norm(a) > L:
         a *= L / np.linalg.norm(a)
-    b = ybar - a @ xbar
-    amap = AffineMap(tuple(a), b)
-    return AffineFit(amap, _mean_sq_residual(samples, amap), "l2", constraint=L)
+    return AffineMap(tuple(a), ybar - a @ xbar)
 
 
-def fit_affine_lp(samples: SampleSet, p: float) -> AffineFit:
+def fit_affine_lp(samples: SampleSet, p: float) -> AffineMap:
     """Quasi-minimizer of the weighted L^p objective via IRLS, seeded at L2.
 
     Returns whichever of the IRLS iterates and the plain L2 fit has the
     smaller L^p objective, so the result never does worse than L2.
     """
-    base = fit_affine_l2(samples)
+    amap = fit_affine_l2(samples)
 
     def objective(amap):
         r = np.abs(samples.y - amap(samples.x))
         return float(samples.w @ r ** p / samples.total_weight)
 
-    best_map, best_obj = base.map, objective(base.map)
-    amap = base.map
+    best_map, best_obj = amap, objective(amap)
     scale = max(float(np.max(np.abs(samples.y))), 1.0)
     for _ in range(40):
         r = np.abs(samples.y - amap(samples.x))
@@ -214,7 +197,7 @@ def fit_affine_lp(samples: SampleSet, p: float) -> AffineFit:
             best_map, best_obj = amap, obj
         elif abs(obj - best_obj) < 1e-15 * max(best_obj, 1e-300):
             break
-    return AffineFit(best_map, best_obj, f"l{p:g}")
+    return best_map
 
 
 # ---------------------------------------------------------------------------
@@ -299,36 +282,35 @@ def _minimax_lp(x: np.ndarray, y: np.ndarray, subset, L: float | None):
     return res.x[:d], float(res.x[d]), float(res.x[d + 1])
 
 
-def fit_affine_minimax(samples: SampleSet, L: float | None = None) -> AffineFit:
+def fit_affine_minimax(samples: SampleSet, L: float | None = None) -> AffineMap:
     """Minimize the max abs residual over affine maps (optionally |a| <= L).
 
     IRLS exponent escalation provides the warm start and the active
     constraint set; an exact LP on that set, grown cutting-plane style,
     polishes to the discrete optimum.
     """
-    base = fit_affine_l2(samples)
-    return _minimax_from_l2(samples.x, samples.y, samples.w, base.map, L)
+    return _minimax_from_l2(samples.x, samples.y, samples.w, fit_affine_l2(samples), L)
 
 
 def _minimax_from_l2(x: np.ndarray, y: np.ndarray, w: np.ndarray, base: AffineMap,
-                     L: float | None = None) -> AffineFit:
+                     L: float | None = None) -> AffineMap:
     """fit_affine_minimax of the samples (x, y, w) after their L2 fit ``base``."""
     d = x.shape[1]
     r = np.abs(y - base(x))
     scale = max(float(np.max(np.abs(y))), 1.0)
     if r.max() <= 1e-13 * scale and (L is None or base.lipschitz <= L * (1 + 1e-12)):
-        return AffineFit(base, float(r.max()), "linf", constraint=L)
+        return base
 
     if d == 1 and L is None:
         try:
-            a, b, h = _exchange_1d(x[:, 0].copy(), y.copy())
-            return AffineFit(AffineMap((a,), b), h, "linf", constraint=None)
+            a, b, _ = _exchange_1d(x[:, 0].copy(), y.copy())
+            return AffineMap((a,), b)
         except (NonConvergence, RankDeficient):
             pass  # duplicated abscissas or cycling: fall through to the LP path
 
     # IRLS with exponent escalation
     amap = base
-    best_map, best_val = amap, float(np.max(np.abs(y - base(x))))
+    best_map, best_val = amap, float(r.max())
     for p in (4, 8, 16, 32, 64, 128, 256):
         for _ in range(3):
             rr = np.abs(y - amap(x)) + 1e-14 * scale
@@ -348,7 +330,6 @@ def _minimax_from_l2(x: np.ndarray, y: np.ndarray, w: np.ndarray, base: AffineMa
     r = np.abs(y - best_map(x))
     k = max(3 * (d + 2), 8)
     subset = list(np.argsort(r)[-k:])
-    a, b, mval = best_map.a, best_map.intercept, best_val
     for _ in range(60):
         a, b, mval = _minimax_lp(x, y, subset, L)
         r = np.abs(y - (x @ a + b))
@@ -366,15 +347,13 @@ def _minimax_from_l2(x: np.ndarray, y: np.ndarray, w: np.ndarray, base: AffineMa
         a = a * (L / np.linalg.norm(a))
         rr = y - x @ a
         b = 0.5 * (rr.max() + rr.min())
-    amap = AffineMap(tuple(np.atleast_1d(a)), b)
-    return AffineFit(amap, float(np.max(np.abs(y - amap(x)))), "linf", constraint=L)
+    return AffineMap(tuple(np.atleast_1d(a)), b)
 
 
-def affine_fit(samples: SampleSet, p: float, L: float | None = None) -> AffineFit:
-    """Best affine fit in the weighted Lp norm (p = 2 and inf honour |a| <= L).
+def affine_fit(samples: SampleSet, p: float, L: float | None = None) -> AffineMap:
+    """Best affine map in the weighted Lp norm (p = 2 and inf honour |a| <= L).
 
-    A rank-deficient design falls back to the minimum-norm least-squares
-    map, scored by its max residual when p = inf.
+    A rank-deficient design falls back to the minimum-norm least-squares map.
     """
     try:
         if math.isinf(p):
@@ -385,8 +364,4 @@ def affine_fit(samples: SampleSet, p: float, L: float | None = None) -> AffineFi
     except RankDeficient:
         design = _weighted_design(samples.x, samples.w)
         coef, *_ = np.linalg.lstsq(design, samples.y * np.sqrt(samples.w), rcond=None)
-        amap = AffineMap(tuple(coef[:-1]), coef[-1])
-        if not math.isinf(p):
-            return AffineFit(amap, _mean_sq_residual(samples, amap), "l2")
-        r = np.abs(samples.y - amap(samples.x))
-        return AffineFit(amap, float(r.max()), "linf", constraint=L)
+        return AffineMap(tuple(coef[:-1]), coef[-1])

@@ -53,38 +53,40 @@ class DifferentiabilityProbe:
         self.gradient = tuple(float(v) for v in self.gradient)
 
 
-def _space_time_nodes(pbox: ParabolicBox, quad: QuadratureSpec):
-    """Midpoint nodes: X (Ns, n-1) spatial, t (Nt,), per-cell weights."""
+def _sample(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec):
+    """Midpoint rule on the box: spatial nodes X (Ns, n-1) and weights wx, time
+    nodes t (Nt,) and weights wt, and psi on their tensor product, vals (Ns, Nt)."""
     if pbox.volume <= 0:
         raise DegenerateBox("empty parabolic box")
     X, wx = midpoint_grid(pbox.spatial, quad.nodes)
     t = midpoint_nodes(pbox.t0, pbox.t_len, quad.nodes)
-    return X, wx, t, np.full(quad.nodes, pbox.t_len / quad.nodes)
-
-
-def _values(psi: FunctionField, X, t):
-    """psi on the tensor product of spatial nodes and time nodes, (Ns, Nt)."""
     Ns, Nt = X.shape[0], t.shape[0]
     pts = np.concatenate(
         [np.repeat(X, Nt, axis=0), np.tile(t, Ns)[:, None]], axis=1)
-    return psi.eval(pts).reshape(Ns, Nt)
+    return X, wx, t, np.full(quad.nodes, pbox.t_len / quad.nodes), psi.eval(pts).reshape(Ns, Nt)
 
 
 def _slice_fits(X, vals, wx, L):
     """(map, weighted squared residual sum) of the L2 fit of each time slice vals[:, k]."""
     out = []
     for k in range(vals.shape[1]):
-        fit = fitting.affine_fit(fitting.SampleSet(X, vals[:, k], wx), 2, L)
-        r = vals[:, k] - fit.map(X)
-        out.append((fit.map, float(wx @ (r * r))))
+        amap = fitting.affine_fit(fitting.SampleSet(X, vals[:, k], wx), 2, L)
+        r = vals[:, k] - amap(X)
+        out.append((amap, float(wx @ (r * r))))
     return out
+
+
+def _time_variance(vals, wx, wt) -> float:
+    """Spatial mean of the time variance of vals at each spatial node."""
+    Wt = wt.sum()
+    means = vals @ wt / Wt
+    return float(wx @ (((vals - means[:, None]) ** 2) @ wt / Wt) / wx.sum())
 
 
 def horizontal_affinity(psi: FunctionField, pbox: ParabolicBox,
                         quad: QuadratureSpec, L: float | None = None) -> float:
     """Time average of per-time affine misfit, relative to the spatial diameter."""
-    X, wx, t, wt = _space_time_nodes(pbox, quad)
-    vals = _values(psi, X, t)
+    X, wx, t, wt, vals = _sample(psi, pbox, quad)
     d1 = pbox.spatial.diameter
     W = wx.sum()
     acc = 0.0
@@ -95,20 +97,8 @@ def horizontal_affinity(psi: FunctionField, pbox: ParabolicBox,
 
 def vertical_osc(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec) -> float:
     """Spatial average of per-point time variance, relative to |I2|."""
-    X, wx, t, wt = _space_time_nodes(pbox, quad)
-    vals = _values(psi, X, t)
-    means = vals @ wt / wt.sum()
-    var = ((vals - means[:, None]) ** 2) @ wt / wt.sum()
-    return math.sqrt(float(wx @ var) / wx.sum() / pbox.t_len)
-
-
-def _cloud(pbox, quad, psi):
-    X, wx, t, wt = _space_time_nodes(pbox, quad)
-    vals = _values(psi, X, t)
-    Ns, Nt = vals.shape
-    Xrep = np.repeat(X, Nt, axis=0)
-    w = np.outer(wx, wt).ravel()
-    return Xrep, vals.ravel(), w
+    X, wx, t, wt, vals = _sample(psi, pbox, quad)
+    return math.sqrt(_time_variance(vals, wx, wt) / pbox.t_len)
 
 
 def parabolic_beta2(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec,
@@ -118,9 +108,11 @@ def parabolic_beta2(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec
     Normalized by diam(Q)^(n+1) inside and diam(Q) outside, with the
     diameter taken in the parabolic metric.
     """
-    X, y, w = _cloud(pbox, quad, psi)
-    fit = fitting.affine_fit(fitting.SampleSet(X, y, w), 2, L)
-    r = y - fit.map(X)
+    X, wx, t, wt, vals = _sample(psi, pbox, quad)
+    X = np.repeat(X, t.size, axis=0)
+    y = vals.ravel()
+    w = np.outer(wx, wt).ravel()
+    r = y - fitting.affine_fit(fitting.SampleSet(X, y, w), 2, L)(X)
     diam = pbox.diameter
     return math.sqrt(float(w @ (r * r)) / diam ** (pbox.dim + 1)) / diam
 
@@ -128,17 +120,15 @@ def parabolic_beta2(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec
 def parabolic_beta_inf(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec,
                        L: float | None = None) -> float:
     """Sup version of the space-only misfit, relative to the parabolic diameter."""
-    X, wx, t, wt = _space_time_nodes(pbox, quad)
-    vals = _values(psi, X, t)
+    X, wx, t, wt, vals = _sample(psi, pbox, quad)
     # the sup over times at fixed x only sees the upper and lower envelopes
     upper = vals.max(axis=1)
     lower = vals.min(axis=1)
     Xe = np.vstack([X, X])
     ye = np.concatenate([upper, lower])
     we = np.ones(ye.size)
-    fit = fitting.affine_fit(fitting.SampleSet(Xe, ye, we), math.inf, L)
-    r = ye - fit.map(Xe)
-    return float(np.max(np.abs(r))) / pbox.diameter
+    amap = fitting.affine_fit(fitting.SampleSet(Xe, ye, we), math.inf, L)
+    return float(np.max(np.abs(ye - amap(Xe)))) / pbox.diameter
 
 
 def combine_affine_bound(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec,
@@ -154,8 +144,7 @@ def combine_affine_bound(psi: FunctionField, pbox: ParabolicBox, quad: Quadratur
     variance of A_t, itself at most 2 beta_h + beta_v away from the data.
     When L is given every slice fit, hence also A, is L-Lipschitz.
     """
-    X, wx, t, wt = _space_time_nodes(pbox, quad)
-    vals = _values(psi, X, t)
+    X, wx, t, wt, vals = _sample(psi, pbox, quad)
     W = wx.sum()
     Wt = wt.sum()
     grads = np.zeros((t.size, X.shape[1]))
@@ -172,12 +161,11 @@ def combine_affine_bound(psi: FunctionField, pbox: ParabolicBox, quad: Quadratur
     if L is not None and A.lipschitz > L * (1.0 + 1e-12):
         raise BoundViolation("time mean of L-Lipschitz maps exceeded L")
 
-    means = vals @ wt / Wt
-    beta_v = float(wx @ (((vals - means[:, None]) ** 2) @ wt / Wt)) / W
+    beta_v = _time_variance(vals, wx, wt)
 
     r_all = vals - (X @ a_bar)[:, None] - b_bar
     residual_sq = float(wx @ ((r_all ** 2) @ wt / Wt)) / W
-    beta_h, beta_v = float(beta_h), float(beta_v)
+    beta_h = float(beta_h)
     certificate = {
         "beta_h": beta_h,
         "beta_v": beta_v,
@@ -196,12 +184,10 @@ def dt_carleson_quotient(psi: FunctionField, pbox: ParabolicBox, quad: Quadratur
     (value, band) where band is the replaced-band contribution contained in
     value.
     """
-    X, wx, t, wt = _space_time_nodes(pbox, quad)
-    vals = _values(psi, X, t)
+    X, wx, t, wt, vals = _sample(psi, pbox, quad)
     Nt = t.size
     h = pbox.t_len / Nt
     diff_t = t[:, None] - t[None, :]
-    quot = np.zeros((X.shape[0], Nt, Nt))
     off = np.abs(diff_t) >= h * (1.0 - 1e-12)
     dv = vals[:, :, None] - vals[:, None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -336,8 +322,7 @@ def rademacher_probe(psi: FunctionField, p, radii, quad: QuadratureSpec) -> Diff
     r_fit = radii[-1]
     Xs = midpoint_mesh(x0 - r_fit, 2.0 * r_fit, quad.nodes)
     ys = psi.eval(np.concatenate([Xs, np.full((Xs.shape[0], 1), t0)], axis=1))
-    fit = fitting.affine_fit(fitting.SampleSet(Xs, ys, np.ones(Xs.shape[0])), 2)
-    a = fit.map.a
+    a = fitting.affine_fit(fitting.SampleSet(Xs, ys, np.ones(Xs.shape[0])), 2).a
 
     eps_vals = []
     for i, r in enumerate(radii):

@@ -299,9 +299,8 @@ def planar_beta2(fld: FunctionField, box: Box, direction, quad: QuadratureSpec) 
     X = np.vstack(pts)
     w = np.concatenate(wts)
     y = fld.eval(X)
-    fit = fitting.fit_affine_l2(fitting.SampleSet(X, y, w))
-    r = y - fit.map(X)
-    return norm_value(r, w, 2, box.diameter, 2)
+    amap = fitting.fit_affine_l2(fitting.SampleSet(X, y, w))
+    return norm_value(y - amap(X), w, 2, box.diameter, 2)
 
 
 def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: float = 8.0,

@@ -21,6 +21,23 @@ def line_samples(lo, hi, n, f):
     return SampleSet(x[:, None], f(x), np.full(n, h))
 
 
+def mean_sq(s, amap):
+    """Weighted mean square residual of amap on the samples."""
+    r = s.y - amap(s.x)
+    return float(s.w @ (r * r) / s.total_weight)
+
+
+def max_abs(s, amap):
+    """Largest absolute residual of amap on the samples."""
+    return float(np.max(np.abs(s.y - amap(s.x))))
+
+
+def lp_objective(s, amap, p):
+    """Weighted mean p-th power of the absolute residual of amap on the samples."""
+    r = np.abs(s.y - amap(s.x))
+    return float(s.w @ r ** p / s.total_weight)
+
+
 def lp_minimax_oracle(x, y, L=None):
     """Full LP over every point: minimize h s.t. |y - (a.x + b)| <= h."""
     d = x.shape[1]
@@ -48,19 +65,20 @@ class TestL2:
         rng = stream(9, "l2")
         x = rng.uniform(-1, 1, (40, 3))
         y = x @ np.array([1.5, -2.0, 0.25]) + 0.7
-        fit = fit_affine_l2(SampleSet(x, y, np.ones(40)))
-        assert np.allclose(fit.map.a, [1.5, -2.0, 0.25], atol=1e-12)
-        assert fit.map.intercept == pytest.approx(0.7, abs=1e-12)
-        assert fit.residual_sq <= 1e-24
+        s = SampleSet(x, y, np.ones(40))
+        fit = fit_affine_l2(s)
+        assert np.allclose(fit.a, [1.5, -2.0, 0.25], atol=1e-12)
+        assert fit.intercept == pytest.approx(0.7, abs=1e-12)
+        assert mean_sq(s, fit) <= 1e-24
 
     def test_parabola_closed_form(self):
         # best affine fit to x^2 on [-1, 1]: a = 0, b = 1/3,
         # mean-square residual = (1/2) * integral (x^2 - 1/3)^2 = 4/45
         s = line_samples(-1.0, 1.0, 4001, lambda x: x * x)
         fit = fit_affine_l2(s)
-        assert fit.map.a[0] == pytest.approx(0.0, abs=1e-10)
-        assert fit.map.intercept == pytest.approx(1.0 / 3.0, rel=1e-6)
-        assert fit.residual_sq == pytest.approx(4.0 / 45.0, rel=1e-5)
+        assert fit.a[0] == pytest.approx(0.0, abs=1e-10)
+        assert fit.intercept == pytest.approx(1.0 / 3.0, rel=1e-6)
+        assert mean_sq(s, fit) == pytest.approx(4.0 / 45.0, rel=1e-5)
 
     def test_local_optimality(self):
         s = line_samples(0.0, 1.0, 500, lambda x: np.abs(x - 0.3))
@@ -70,9 +88,9 @@ class TestL2:
             r = s.y - (s.x[:, 0] * a + b)
             return float(s.w @ (r * r) / s.w.sum())
 
-        base = obj(fit.map.a[0], fit.map.intercept)
+        base = obj(fit.a[0], fit.intercept)
         for da, db in itertools.product((-1e-4, 0.0, 1e-4), repeat=2):
-            assert obj(fit.map.a[0] + da, fit.map.intercept + db) >= base - 1e-15
+            assert obj(fit.a[0] + da, fit.intercept + db) >= base - 1e-15
 
     def test_abscissas_must_be_two_dimensional(self):
         with pytest.raises(ValueError):
@@ -89,12 +107,13 @@ class TestL2:
         y = np.abs(x[:, 0] - 0.4) + x[:, 1] ** 2
         w = rng.uniform(0.5, 1.5, 60)
         shift = np.array([13.0, -7.0])
-        f0 = fit_affine_l2(SampleSet(x, y, w))
-        f1 = fit_affine_l2(SampleSet(x + shift, y, w))
-        assert np.allclose(f0.map.a, f1.map.a, atol=1e-9)
-        assert f1.map.intercept == pytest.approx(
-            f0.map.intercept - f0.map.a @ shift, abs=1e-9)
-        assert f1.residual_sq == pytest.approx(f0.residual_sq, abs=1e-12)
+        s0, s1 = SampleSet(x, y, w), SampleSet(x + shift, y, w)
+        f0 = fit_affine_l2(s0)
+        f1 = fit_affine_l2(s1)
+        assert np.allclose(f0.a, f1.a, atol=1e-9)
+        assert f1.intercept == pytest.approx(
+            f0.intercept - f0.a @ shift, abs=1e-9)
+        assert mean_sq(s1, f1) == pytest.approx(mean_sq(s0, f0), abs=1e-12)
 
 
 class TestConstant:
@@ -117,9 +136,9 @@ class TestConstrained:
         # mean-square residual = var(x) = 1/12
         s = line_samples(0.0, 1.0, 4001, lambda x: 2.0 * x)
         fit = fit_affine_l2_constrained(s, 1.0)
-        assert fit.map.a[0] == pytest.approx(1.0, abs=1e-8)
-        assert fit.map.intercept == pytest.approx(0.5, rel=1e-6)
-        assert fit.residual_sq == pytest.approx(1.0 / 12.0, rel=1e-5)
+        assert fit.a[0] == pytest.approx(1.0, abs=1e-8)
+        assert fit.intercept == pytest.approx(0.5, rel=1e-6)
+        assert mean_sq(s, fit) == pytest.approx(1.0 / 12.0, rel=1e-5)
 
     def test_grid_search_oracle(self):
         s = line_samples(0.0, 1.0, 801, lambda x: 2.0 * x)
@@ -132,29 +151,29 @@ class TestConstrained:
         best = min(obj(a, b)
                    for a in np.linspace(-1.0, 1.0, 241)
                    for b in np.linspace(-0.5, 1.5, 241))
-        assert fit.residual_sq <= best + 1e-12
+        assert mean_sq(s, fit) <= best + 1e-12
 
     def test_feasible_equals_unconstrained(self):
         s = line_samples(0.0, 1.0, 500, lambda x: 0.3 * x + 0.1)
         fit = fit_affine_l2_constrained(s, 1.0)
         free = fit_affine_l2(s)
-        assert np.allclose(fit.map.a, free.map.a, atol=1e-12)
+        assert np.allclose(fit.a, free.a, atol=1e-12)
 
     def test_tiny_l_approaches_constant(self):
         s = line_samples(0.0, 1.0, 500, lambda x: 2.0 * x)
         fit = fit_affine_l2_constrained(s, 1e-9)
         c, res = fit_constant_l2(s)
-        assert fit.map.intercept == pytest.approx(c, abs=1e-6)
-        assert fit.residual_sq == pytest.approx(res, rel=1e-6)
+        assert fit.intercept == pytest.approx(c, abs=1e-6)
+        assert mean_sq(s, fit) == pytest.approx(res, rel=1e-6)
 
     def test_residual_nonincreasing_in_l(self):
         s = line_samples(0.0, 1.0, 500, lambda x: np.abs(x - 0.37) * 3.0)
         prev = np.inf
         for L in (0.1, 0.5, 1.0, 2.0, 5.0):
             fit = fit_affine_l2_constrained(s, L)
-            assert fit.map.lipschitz <= L * (1.0 + 1e-9)
-            assert fit.residual_sq <= prev + 1e-12
-            prev = fit.residual_sq
+            assert fit.lipschitz <= L * (1.0 + 1e-9)
+            assert mean_sq(s, fit) <= prev + 1e-12
+            prev = mean_sq(s, fit)
 
 
 class TestMinimax:
@@ -162,22 +181,22 @@ class TestMinimax:
         # minimax line for x^2 on [-1, 1] is b = 1/2 with deviation 1/2
         s = line_samples(-1.0, 1.0, 2001, lambda x: x * x)
         fit = fit_affine_minimax(s)
-        assert fit.map.a[0] == pytest.approx(0.0, abs=1e-6)
-        assert fit.map.intercept == pytest.approx(0.5, abs=1e-3)
-        assert fit.residual_sq == pytest.approx(0.5, rel=1e-3)
+        assert fit.a[0] == pytest.approx(0.0, abs=1e-6)
+        assert fit.intercept == pytest.approx(0.5, abs=1e-3)
+        assert max_abs(s, fit) == pytest.approx(0.5, rel=1e-3)
 
     def test_vee(self):
         s = line_samples(-1.0, 1.0, 2001, np.abs)
         fit = fit_affine_minimax(s)
-        assert fit.map.a[0] == pytest.approx(0.0, abs=1e-6)
-        assert fit.residual_sq == pytest.approx(0.5, rel=1e-3)
+        assert fit.a[0] == pytest.approx(0.0, abs=1e-6)
+        assert max_abs(s, fit) == pytest.approx(0.5, rel=1e-3)
 
     def test_affine_is_zero(self):
         rng = stream(9, "mm")
         x = rng.uniform(0, 1, (50, 2))
         y = x @ np.array([0.4, -0.2]) + 0.1
-        fit = fit_affine_minimax(SampleSet(x, y, np.ones(50)))
-        assert fit.residual_sq <= 1e-10
+        s = SampleSet(x, y, np.ones(50))
+        assert max_abs(s, fit_affine_minimax(s)) <= 1e-10
 
     def test_lp_oracle_2d(self):
         rng = stream(9, "mm2")
@@ -186,7 +205,7 @@ class TestMinimax:
         s = SampleSet(x, y, np.ones(120))
         fit = fit_affine_minimax(s)
         _, _, h = lp_minimax_oracle(x, y)
-        assert fit.residual_sq == pytest.approx(h, rel=1e-8, abs=1e-12)
+        assert max_abs(s, fit) == pytest.approx(h, rel=1e-8, abs=1e-12)
 
     def test_lp_oracle_1d(self):
         rng = stream(9, "mm1")
@@ -195,14 +214,40 @@ class TestMinimax:
         s = SampleSet(x, y, np.ones(80))
         fit = fit_affine_minimax(s)
         _, _, h = lp_minimax_oracle(x, y)
-        assert fit.residual_sq == pytest.approx(h, rel=1e-10, abs=1e-13)
+        assert max_abs(s, fit) == pytest.approx(h, rel=1e-10, abs=1e-13)
 
     def test_constrained_lp_oracle(self):
         s = line_samples(0.0, 1.0, 301, lambda x: 2.0 * x)
         fit = fit_affine_minimax(s, L=1.0)
-        assert fit.map.lipschitz <= 1.0 + 1e-12
+        assert fit.lipschitz <= 1.0 + 1e-12
         _, _, h = lp_minimax_oracle(s.x, s.y, L=1.0)
-        assert fit.residual_sq == pytest.approx(h, rel=1e-6)
+        assert max_abs(s, fit) == pytest.approx(h, rel=1e-6)
+
+    @pytest.mark.parametrize("factor", [0.1, 0.4, 0.8])
+    def test_constrained_lp_oracle_2d(self, factor, monkeypatch):
+        # the 512 facets standing in for |a| <= L let the LP slope leave the
+        # ball; the fit snaps it back inside and stays within the residual of
+        # the 4096-facet oracle
+        solve = fitting._minimax_lp
+        overshoots = []
+
+        def spy(x, y, subset, L):
+            a, b, h = solve(x, y, subset, L)
+            overshoots.append(bool(np.linalg.norm(a) > L))
+            return a, b, h
+
+        monkeypatch.setattr(fitting, "_minimax_lp", spy)
+        for draw in range(4):
+            rng = stream(9, "mmL2", draw)
+            x = rng.uniform(0, 1, (60, 2))
+            y = 2.0 * x @ rng.normal(size=2) + np.abs(x[:, 0] - 0.4) + 0.3 * np.sin(4 * x[:, 1])
+            s = SampleSet(x, y, np.ones(60))
+            L = factor * fit_affine_l2(s).lipschitz
+            fit = fit_affine_minimax(s, L=L)
+            assert fit.lipschitz <= L * (1.0 + 1e-12)
+            _, _, h = lp_minimax_oracle(x, y, L=L)
+            assert abs(max_abs(s, fit) - h) <= 1e-4 * h
+        assert any(overshoots)
 
     def test_dominates_rms(self):
         rng = stream(9, "rms")
@@ -212,15 +257,15 @@ class TestMinimax:
         s = SampleSet(x, y, w)
         mm = fit_affine_minimax(s)
         l2 = fit_affine_l2(s)
-        assert mm.residual_sq >= np.sqrt(l2.residual_sq) - 1e-12
+        assert max_abs(s, mm) >= np.sqrt(mean_sq(s, l2)) - 1e-12
 
     def test_duplicated_abscissas_fall_through(self):
         # envelope-style cloud: repeated x with different y still has a
         # well-defined minimax line
         x = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
-        fit = fit_affine_minimax(SampleSet(x, y, np.ones(4)))
-        assert fit.residual_sq == pytest.approx(0.5, abs=1e-9)
+        s = SampleSet(x, y, np.ones(4))
+        assert max_abs(s, fit_affine_minimax(s)) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestLp:
@@ -232,15 +277,15 @@ class TestLp:
         for p in (1.0, 1.5, 3.0, 6.0):
             fit = fit_affine_lp(s, p)
             l2 = fit_affine_l2(s)
-            r = np.abs(s.y - l2.map(s.x))
+            r = np.abs(s.y - l2(s.x))
             l2_obj = float(s.w @ r ** p / s.w.sum())
-            assert fit.residual_sq <= l2_obj + 1e-15
+            assert lp_objective(s, fit, p) <= l2_obj + 1e-15
 
     def test_exact_affine(self):
         x = np.linspace(0, 1, 20)[:, None]
         y = 2 * x[:, 0] + 1
-        fit = fit_affine_lp(SampleSet(x, y, np.ones(20)), 4.0)
-        assert fit.residual_sq <= 1e-20
+        s = SampleSet(x, y, np.ones(20))
+        assert lp_objective(s, fit_affine_lp(s, 4.0), 4.0) <= 1e-20
 
 
 def random_sets(seed, d, K, N):
@@ -321,7 +366,7 @@ class TestOneMomentsKernel:
         ok, a, b = fitting._fit_affine_l2_stack(x, y, w)
         for k in range(K):
             try:
-                amap = fit_affine_l2(SampleSet(x[k], y[k], w[k])).map
+                amap = fit_affine_l2(SampleSet(x[k], y[k], w[k]))
             except RankDeficient:
                 assert not ok[k]
                 continue
@@ -336,7 +381,7 @@ class TestOneMomentsKernel:
         x, y, w = random_sets(seed, d, 1, N)
         s = SampleSet(x[0], y[0], w[0])
         try:
-            free = fit_affine_l2(s).map.lipschitz
+            free = fit_affine_l2(s).lipschitz
         except RankDeficient:
             with pytest.raises(RankDeficient):
                 fit_affine_l2_constrained(s, 1.0)
@@ -344,5 +389,5 @@ class TestOneMomentsKernel:
         L = max(free, 1e-3) * factor
         a, b, res = parent_constrained(s, L)
         fit = fit_affine_l2_constrained(s, L)
-        assert fit.map.gradient == tuple(a) and fit.map.intercept == b
-        assert fit.residual_sq == res
+        assert fit.gradient == tuple(a) and fit.intercept == b
+        assert mean_sq(s, fit) == res

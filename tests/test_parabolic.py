@@ -153,7 +153,7 @@ class TestCombine:
     def test_steep_slice_fits_are_a_numerical_failure(self, monkeypatch):
         # slice fits that break |a| <= L make the time mean too steep; that
         # is a package error (CLI exit 3), not an assertion
-        steep = fitting.AffineFit(AffineMap((5.0,), 0.0), 0.0, "l2", constraint=1.0)
+        steep = AffineMap((5.0,), 0.0)
         monkeypatch.setattr(fitting, "affine_fit", lambda samples, p, L=None: steep)
         psi = additive("affine", "zero", a=[2.0], b=0.0)
         with pytest.raises(BoundViolation) as info:
