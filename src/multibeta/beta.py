@@ -10,19 +10,21 @@ Integral-geometric coefficients are Monte Carlo averages of restricted
 coefficients against the weighted Grassmannian samplers. A sampled line
 family takes one path, ``restricted_line_betas`` (one clip per line, one
 field call per block, a stacked L2 fit where it applies), which matches the
-scalar reference ``beta_p_restricted`` bit for bit. Carleson sums walk the
-dyadic tree and profile per-scale contributions.
+scalar reference ``beta_p_restricted`` bit for bit. The combined
+coefficient is the hypot of its two ``combined_parts``; at n = 2 they
+share one sampled line family. Carleson sums walk the dyadic tree and
+profile per-scale contributions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fitting
-from .errors import DegenerateBox, EmptyIntersection, RankDeficient
+from .errors import DegenerateBox, EmptyIntersection
 from .funcmodel import FunctionField, lipschitz_estimate
 from .geometry import (AffineMap, Box, DyadicCube, Hyperplane, LineSeg,
                        clip_line_to_box, dyadic_levels, sample_hyperplanes,
@@ -51,7 +53,7 @@ class BetaRecord:
     value: float
     fitted: AffineMap | None = None
     stderr: float | None = None
-    meta: dict = field(default_factory=dict)
+    mc: int = 0  # Monte Carlo samples that met the set; 0 for a cube coefficient
 
 
 def box_tag(box: Box) -> tuple:
@@ -97,14 +99,11 @@ def beta_p_cube(fld: FunctionField, box: Box, p: float, quad: QuadratureSpec,
         raise DegenerateBox("empty box")
     X, w = midpoint_grid(box, quad.nodes)
     y = fld.eval(X)
-    try:
-        amap = fitting.affine_fit(fitting.SampleSet(X, y, w), p, L)
-    except RankDeficient as exc:
-        raise DegenerateBox(str(exc)) from exc
+    amap = fitting.affine_fit(fitting.SampleSet(X, y, w), p, L)
     return BetaRecord(norm_value(y - amap(X), w, p, box.diameter, box.dim), amap)
 
 
-def _line_record(fld, box, seg: LineSeg, p, quad, L):
+def _line_record(fld, box, seg: LineSeg, p, quad):
     clip = clip_line_to_box(np.asarray(seg.base), np.asarray(seg.direction), box)
     if clip is None:
         raise EmptyIntersection("line does not meet the box")
@@ -114,7 +113,7 @@ def _line_record(fld, box, seg: LineSeg, p, quad, L):
     pts = seg.points(s)
     y = fld.eval(pts)
     w = np.full(nodes, (s1 - s0) / nodes)
-    amap = fitting.affine_fit(fitting.SampleSet(s[:, None], y, w), p, L)
+    amap = fitting.affine_fit(fitting.SampleSet(s[:, None], y, w), p)
     value = norm_value(y - amap(s[:, None]), w, p, box.diameter, 1)
     a = amap.a[0]
     direction = np.asarray(seg.direction)
@@ -122,7 +121,7 @@ def _line_record(fld, box, seg: LineSeg, p, quad, L):
     return BetaRecord(value, amb)
 
 
-def _plane_record(fld, box, plane: Hyperplane, p, quad, L):
+def _plane_record(fld, box, plane: Hyperplane, p, quad):
     t0, t1 = support_interval(box, plane.e)
     if not (t0 <= plane.offset <= t1):
         raise EmptyIntersection("plane does not meet the box")
@@ -141,19 +140,19 @@ def _plane_record(fld, box, plane: Hyperplane, p, quad, L):
     U, X = U[inside], X[inside]
     y = fld.eval(X)
     w = np.full(U.shape[0], cell)
-    amap = fitting.affine_fit(fitting.SampleSet(U, y, w), p, L)
+    amap = fitting.affine_fit(fitting.SampleSet(U, y, w), p)
     value = norm_value(y - amap(U), w, p, box.diameter, box.dim - 1)
     grad = B @ amap.a
     return BetaRecord(value, AffineMap(tuple(grad), amap.intercept - float(grad @ x0)))
 
 
 def beta_p_restricted(fld: FunctionField, box: Box, slice_obj, p: float,
-                      quad: QuadratureSpec, L: float | None = None) -> BetaRecord:
+                      quad: QuadratureSpec) -> BetaRecord:
     """beta_p of f restricted to (box intersect plane-or-line)."""
     if isinstance(slice_obj, LineSeg):
-        return _line_record(fld, box, slice_obj, p, quad, L)
+        return _line_record(fld, box, slice_obj, p, quad)
     if isinstance(slice_obj, Hyperplane):
-        return _plane_record(fld, box, slice_obj, p, quad, L)
+        return _plane_record(fld, box, slice_obj, p, quad)
     raise TypeError(f"cannot restrict to {type(slice_obj).__name__}")
 
 
@@ -162,18 +161,16 @@ def beta_p_restricted(fld: FunctionField, box: Box, slice_obj, p: float,
 LINE_BLOCK = 512
 
 
-def restricted_line_betas(fld: FunctionField, box: Box, segs, ps, quad: QuadratureSpec,
-                          L: float | None = None):
-    """beta_p_restricted(fld, box, seg, p, quad, L).value for a family of lines.
+def restricted_line_betas(fld: FunctionField, box: Box, segs, ps, quad: QuadratureSpec):
+    """beta_p_restricted(fld, box, seg, p, quad).value for a family of lines.
 
     Returns (kept, values): ``kept`` masks the lines that meet the box and
     ``values[p]`` holds their coefficients in order, for each p in ``ps``.
     Each line is clipped once; each block of LINE_BLOCK clipped lines is
-    evaluated in one field call. Without L, p = 2 reads its values off one
-    stacked L2 fit of the block and p = inf starts each line's 1-D exchange
-    from it; every other line (a failed rank check, a given L, another p) is
-    fitted on its own by ``fitting.affine_fit``. Every value equals the
-    scalar one exactly.
+    evaluated in one field call. p = 2 reads its values off one stacked L2
+    fit of the block and p = inf starts each line's 1-D exchange from it;
+    every other line (a failed rank check, another p) is fitted on its own
+    by ``fitting.affine_fit``. Every value equals the scalar one exactly.
     """
     kept = np.zeros(len(segs), dtype=bool)
     lines, ends = [], []
@@ -183,12 +180,12 @@ def restricted_line_betas(fld: FunctionField, box: Box, segs, ps, quad: Quadratu
             kept[k] = True
             lines.append(seg)
             ends.append(clip)
-    blocks = [_line_block_betas(fld, box, lines[i:i + LINE_BLOCK], ends[i:i + LINE_BLOCK], ps, quad, L)
+    blocks = [_line_block_betas(fld, box, lines[i:i + LINE_BLOCK], ends[i:i + LINE_BLOCK], ps, quad)
               for i in range(0, len(lines), LINE_BLOCK)]
     return kept, {p: np.concatenate([blk[p] for blk in blocks] or [np.zeros(0)]) for p in ps}
 
 
-def _line_block_betas(fld, box, lines, ends, ps, quad, L):
+def _line_block_betas(fld, box, lines, ends, ps, quad):
     """restricted_line_betas of lines that meet the box, clipped to (s0, s1) = ends."""
     nodes = quad.restricted_nodes
     s0, s1 = np.asarray(ends).T
@@ -201,7 +198,6 @@ def _line_block_betas(fld, box, lines, ends, ps, quad, L):
     x = s[:, :, None]
     w = np.repeat(h[:, None], nodes, axis=1)
     ok, a, b = fitting._fit_affine_l2_stack(x, y, w)
-    ok &= L is None  # a given L needs each line's own constrained fit
     diam = box.diameter
     values = {}
     for p in ps:
@@ -213,7 +209,7 @@ def _line_block_betas(fld, box, lines, ends, ps, quad, L):
                 # each line's 1-D exchange starts from its L2 map
                 amap = fitting._minimax_from_l2(x[k], y[k], w[k], AffineMap(tuple(a[k]), b[k]))
             else:
-                amap = fitting.affine_fit(fitting.SampleSet(x[k], y[k], w[k]), p, L)
+                amap = fitting.affine_fit(fitting.SampleSet(x[k], y[k], w[k]), p)
             a_p[k], b_p[k] = amap.a, amap.intercept
         r = np.abs(y - ((x @ a_p[:, :, None])[:, :, 0] + b_p[:, None]))
         if math.isinf(p):
@@ -224,7 +220,7 @@ def _line_block_betas(fld, box, lines, ends, ps, quad, L):
     return values
 
 
-def _ig_family(fld, box, m, ps, quad, L, seed_tags):
+def _ig_family(fld, box, m, ps, quad, seed_tags):
     """Sample the m-planes meeting the box once and score them in every p of ps.
 
     Returns (weights, values) over the samples that met the box.
@@ -234,13 +230,13 @@ def _ig_family(fld, box, m, ps, quad, L, seed_tags):
         # for n = 2 the line and hyperplane measures coincide, so the line
         # sampler covers both m = 1 and m = n - 1
         samples = sample_lines(box, quad.mc_samples, rng_seed)
-        kept, values = restricted_line_betas(fld, box, [seg for seg, _ in samples], ps, quad, L)
+        kept, values = restricted_line_betas(fld, box, [seg for seg, _ in samples], ps, quad)
         return np.asarray([w for _, w in samples])[kept], values
     samples = sample_hyperplanes(box, quad.mc_samples, rng_seed)
     vals, weights = {p: [] for p in ps}, []
     for obj, w in samples:
         try:
-            recs = [beta_p_restricted(fld, box, obj, p, quad, L) for p in ps]
+            recs = [beta_p_restricted(fld, box, obj, p, quad) for p in ps]
         except EmptyIntersection:
             continue
         for p, rec in zip(ps, recs):
@@ -259,26 +255,25 @@ def _ig_record(q, weights, vals) -> BetaRecord:
     contrib = weights * vals ** q / weights.mean()
     se_mean = float(contrib.std(ddof=1) / math.sqrt(len(vals)))
     stderr = se_mean * value ** (1.0 - q) / q if value > 0 else se_mean
-    return BetaRecord(value, stderr=stderr, meta={"mc": len(vals)})
+    return BetaRecord(value, stderr=stderr, mc=len(vals))
 
 
 def beta_integralgeometric(fld: FunctionField, box: Box, m: int, p: float, q: float,
-                           quad: QuadratureSpec, L: float | None = None,
-                           seed_tags: tuple = ()) -> BetaRecord:
+                           quad: QuadratureSpec, seed_tags: tuple = ()) -> BetaRecord:
     """L^q average of restricted beta_p over m-planes meeting the box."""
     n = box.dim
     if m == n:
-        rec = beta_p_cube(fld, box, p, quad, L)
+        rec = beta_p_cube(fld, box, p, quad)
         return BetaRecord(rec.value, rec.fitted, stderr=0.0)
     if m not in (1, n - 1):
         raise ValueError("only m in {1, n-1, n} is supported")
-    weights, values = _ig_family(fld, box, m, (p,), quad, L, seed_tags)
+    weights, values = _ig_family(fld, box, m, (p,), quad, seed_tags)
     return _ig_record(q, weights, values[p])
 
 
-def combined_beta(fld: FunctionField, box: Box, quad: QuadratureSpec,
-                  seed_tags: tuple = ()) -> float:
-    """Root-sum-of-squares of the hyperplane L2 and line sup coefficients.
+def combined_parts(fld: FunctionField, box: Box, quad: QuadratureSpec,
+                   seed_tags: tuple = ()) -> tuple:
+    """The hyperplane L2 and line sup parts of the combined coefficient.
 
     At n = 2 hyperplanes are lines and both parts share one sampled family,
     scored once in each norm.
@@ -286,13 +281,16 @@ def combined_beta(fld: FunctionField, box: Box, quad: QuadratureSpec,
     if box.dim < 2:
         raise ValueError("combined coefficient needs n >= 2")
     if box.dim == 2:
-        weights, values = _ig_family(fld, box, 1, (2, math.inf), quad, None, seed_tags)
-        b_planes = _ig_record(2, weights, values[2])
-        b_lines = _ig_record(2, weights, values[math.inf])
-    else:
-        b_planes = beta_integralgeometric(fld, box, box.dim - 1, 2, 2, quad, seed_tags=seed_tags)
-        b_lines = beta_integralgeometric(fld, box, 1, math.inf, 2, quad, seed_tags=seed_tags)
-    return math.hypot(b_planes.value, b_lines.value)
+        weights, values = _ig_family(fld, box, 1, (2, math.inf), quad, seed_tags)
+        return tuple(_ig_record(2, weights, values[p]).value for p in (2, math.inf))
+    return (beta_integralgeometric(fld, box, box.dim - 1, 2, 2, quad, seed_tags=seed_tags).value,
+            beta_integralgeometric(fld, box, 1, math.inf, 2, quad, seed_tags=seed_tags).value)
+
+
+def combined_beta(fld: FunctionField, box: Box, quad: QuadratureSpec,
+                  seed_tags: tuple = ()) -> float:
+    """Root-sum-of-squares of the two ``combined_parts``."""
+    return math.hypot(*combined_parts(fld, box, quad, seed_tags))
 
 
 # name -> coefficient of a dilated cube; carleson_sum squares it. Entries
@@ -318,7 +316,6 @@ class CarlesonReport:
     """
 
     selector: str
-    dilation: float
     power: float
     levels: list
     counts: list
@@ -333,7 +330,7 @@ class CarlesonReport:
         return self.cumulative[-1] if self.cumulative else 0.0
 
     @classmethod
-    def tally(cls, selector, dilation, power, lipschitz, denominator, walk):
+    def tally(cls, selector, power, lipschitz, denominator, walk):
         """Report of a walk given as one list of (node, value, term) per level.
 
         Level sums accumulate the terms one by one in visit order, so a
@@ -352,7 +349,7 @@ class CarlesonReport:
             per_scale.append(level_sum)
             cumulative.append(running)
             ratios.append(running / denominator)
-        return cls(selector, dilation, power, levels, counts, per_scale, cumulative,
+        return cls(selector, power, levels, counts, per_scale, cumulative,
                    lipschitz, ratios, nodes)
 
 
@@ -373,5 +370,5 @@ def carleson_sum(fld: FunctionField, root: DyadicCube, dilation: float, depth: i
         vals = [coefficient(fld, cube.as_box().dilate(dilation), quad) for cube in frontier]
         # val * val, not val ** 2.0: the two round differently for some doubles
         walk.append([(cube, v, v * v * cube.volume) for cube, v in zip(frontier, vals)])
-    return CarlesonReport.tally(selector, dilation, 2.0, Lhat,
+    return CarlesonReport.tally(selector, 2.0, Lhat,
                                 max(Lhat, 1e-300) * root.volume, walk)

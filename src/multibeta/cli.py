@@ -254,7 +254,7 @@ def cmd_igbeta(cfg, args, seed):
     path = _out(args, "igbeta.csv")
     reports.write_csv(path, ["m", "p", "q", "value", "stderr", "samples"],
                       [[m, "inf" if math.isinf(p) else p, q, rec.value,
-                        rec.stderr, rec.meta.get("mc", quad.mc_samples)]])
+                        rec.stderr, rec.mc]])
     reports.write_manifest(_out(args, "manifest.json"), cfg.data, seed, [path])
     _say(args, f"beta^{m}_{{{p},{q}}} = {rec.value!r} +- {rec.stderr!r}")
     return EXIT_OK
@@ -278,7 +278,7 @@ def cmd_reconstruct(cfg, args, seed):
          "beta2_small_direct", "beta2_small_via_affine", "plane_part", "line_part",
          "combined_large", "ratio_direct", "ratio_via", "line_integral", "line_ratio",
          "planar_value", "gradient", "intercept"],
-        [[c, C, eps, rep.constants["tau"], seed, rep.selection.accepted,
+        [[c, C, eps, rep.selection.tau, seed, rep.selection.accepted,
           rep.selection.draw_index, rep.beta2_small_direct, rep.beta2_small_via_affine,
           rep.plane_part, rep.line_part, rep.combined_large, rep.ratio_direct,
           rep.ratio_via, rep.line_integral, rep.line_ratio, rep.planar_value,

@@ -355,6 +355,8 @@ def affine_fit(samples: SampleSet, p: float, L: float | None = None) -> AffineMa
 
     A rank-deficient design falls back to the minimum-norm least-squares map.
     """
+    if L is not None and p != 2 and not math.isinf(p):
+        raise ValueError(f"a gradient bound L needs p = 2 or inf, got p = {p}")
     try:
         if math.isinf(p):
             return fit_affine_minimax(samples, L=L)

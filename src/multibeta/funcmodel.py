@@ -8,7 +8,7 @@ Lipschitz estimation can use the parabolic metric.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -25,8 +25,6 @@ class FunctionField:
     kind: str
     dim: int
     fn: callable
-    params: dict = field(default_factory=dict)
-    region: Box | None = None
     lipschitz: float | None = None  # declared bound, Euclidean or parabolic
     parabolic: bool = False
 
@@ -58,7 +56,7 @@ class GridField(FunctionField):
             except ValueError as exc:
                 raise OutOfDomain(f"point outside grid hull {region.lo}..{tuple(region.hi)}") from exc
 
-        super().__init__(kind="grid", dim=len(counts), fn=fn, region=region)
+        super().__init__(kind="grid", dim=len(counts), fn=fn)
         self.values = values
         self.origin = origin
         self.steps = steps
@@ -129,7 +127,7 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
     if kind == "affine":
         a = _point(params, "a", dim)
         b = float(params.get("b", 0.0))
-        return FunctionField(kind, dim, lambda pts: pts @ a + b, params,
+        return FunctionField(kind, dim, lambda pts: pts @ a + b,
                              lipschitz=float(np.linalg.norm(a)))
 
     if kind == "pwlinear":
@@ -140,11 +138,11 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
         if ys.shape != xs.shape:
             raise ConfigError(f'"ys" must have {xs.size} entries, one per "xs" entry')
         L = float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
-        return FunctionField(kind, dim, _pwlinear_eval(xs, ys), params, lipschitz=L)
+        return FunctionField(kind, dim, _pwlinear_eval(xs, ys), lipschitz=L)
 
     if kind == "cone":
         x0 = _point(params, "x0", dim)
-        return FunctionField(kind, dim, lambda pts: np.linalg.norm(pts - x0, axis=1), params, lipschitz=1.0)
+        return FunctionField(kind, dim, lambda pts: np.linalg.norm(pts - x0, axis=1), lipschitz=1.0)
 
     if kind == "distset":
         pts0 = np.atleast_2d(_floats(params, "points", [np.zeros(dim)]))
@@ -153,7 +151,7 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
         return FunctionField(
             kind, dim,
             lambda pts: np.min(np.linalg.norm(pts[:, None, :] - pts0[None, :, :], axis=2), axis=1),
-            params, lipschitz=1.0)
+            lipschitz=1.0)
 
     if kind == "bump":
         x0 = _point(params, "x0", dim)
@@ -167,12 +165,11 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
         return FunctionField(
             kind, dim,
             lambda pts: amp * np.exp(-np.sum((pts - x0) ** 2, axis=1) / scale ** 2),
-            params, lipschitz=float(L))
+            lipschitz=float(L))
 
     if kind == "square":
-        region = Box((-1.0,) * dim, (2.0,) * dim)
-        return FunctionField(kind, dim, lambda pts: np.sum(pts ** 2, axis=1), params,
-                             region=region, lipschitz=2.0 * np.sqrt(dim))
+        return FunctionField(kind, dim, lambda pts: np.sum(pts ** 2, axis=1),
+                             lipschitz=2.0 * np.sqrt(dim))
 
     if kind == "p_additive":
         # psi(x, t) = g(x) + h(t), horizontally Lipschitz via g
@@ -183,7 +180,7 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
             return space.eval(pts[:, :-1]) + h(pts[:, -1])
 
         L = (space.lipschitz or 1.0) + h_lip
-        return FunctionField(kind, dim, fn, params, lipschitz=L, parabolic=True)
+        return FunctionField(kind, dim, fn, lipschitz=L, parabolic=True)
 
     if kind == "p_product":
         # psi(x, t) = a(t) . x + b(t) with smooth a, b
@@ -196,7 +193,7 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
             a_t = a0[None, :] + a1[None, :] * np.sin(t)[:, None]
             return np.sum(a_t * x, axis=1) + b1 * np.cos(t)
 
-        return FunctionField(kind, dim, fn, params, parabolic=True)
+        return FunctionField(kind, dim, fn, parabolic=True)
 
     raise ConfigError(f"unknown catalog kind {kind!r}")
 

@@ -12,7 +12,7 @@ good as the two directional quantities promise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .rng import stream
 
 @dataclass
 class ParabolicCoefficients:
-    box: ParabolicBox
     affinity: float            # horizontal affinity A(Q)
     osc: float                 # vertical oscillation osc(Q)
     beta2: float
@@ -37,7 +36,6 @@ class ParabolicCoefficients:
     beta_inf_L: float | None = None
     dt_quotient: float | None = None
     dt_band: float | None = None
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -208,7 +206,6 @@ def coefficient_table(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSp
                       L: float | None = None) -> ParabolicCoefficients:
     dt_val, dt_band = dt_carleson_quotient(psi, pbox, quad)
     return ParabolicCoefficients(
-        box=pbox,
         affinity=horizontal_affinity(psi, pbox, quad),
         osc=vertical_osc(psi, pbox, quad),
         beta2=parabolic_beta2(psi, pbox, quad),
@@ -218,7 +215,6 @@ def coefficient_table(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSp
         beta_inf_L=None if L is None else parabolic_beta_inf(psi, pbox, quad, L),
         dt_quotient=dt_val,
         dt_band=dt_band,
-        meta={"nodes": quad.nodes, "L": L},
     )
 
 
@@ -264,15 +260,13 @@ def parabolic_carleson_sum(psi: FunctionField, root: DyadicParabolicBox,
         vals = [coefficient(psi, node.as_parabolic_box().dilate(dilation), quad, L)
                 for node in frontier]
         walk.append([(node, v, v ** power * node.volume) for node, v in zip(frontier, vals)])
-    return CarlesonReport.tally(selector, dilation, power, Lhat, root.volume, walk)
+    return CarlesonReport.tally(selector, power, Lhat, root.volume, walk)
 
 
 @dataclass
 class HolderEntry:
-    box: ParabolicBox
-    beta2_double: float        # L-restricted value on the doubled box
     beta_inf: float            # L-restricted sup value on the box itself
-    ratio: float               # beta_inf / beta2_double^(2/(n+3))
+    ratio: float               # beta_inf / (beta_2^L of the doubled box)^(2/(n+3))
 
 
 @dataclass
@@ -296,7 +290,7 @@ def holder_exponent_check(psi: FunctionField, boxes, L: float,
         b2 = parabolic_beta2(psi, pbox.dilate(2.0), quad, L)
         binf = parabolic_beta_inf(psi, pbox, quad, L)
         ratio = binf / b2 ** exponent if b2 > 1e-14 else (0.0 if binf <= 1e-12 else math.inf)
-        entries.append(HolderEntry(pbox, b2, binf, ratio))
+        entries.append(HolderEntry(binf, ratio))
     fitted = max((e.ratio for e in entries if math.isfinite(e.ratio)), default=0.0)
     violations = [] if c_hold is None else [e for e in entries if e.ratio > c_hold]
     return HolderReport(exponent if exponent is not None else 0.0, entries, fitted, violations)

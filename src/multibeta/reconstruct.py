@@ -5,7 +5,10 @@ its face planes within a metric budget until the sliced affine fits and the
 corner mismatches certify a good draw, interpolate the function at the
 simplex corners by a single global affine map, and compare the small-box
 coefficient of that map against the directly fitted one and against the
-combined integral-geometric coefficient of the large box.
+combined integral-geometric coefficient of the large box. A draw is one
+``PlaneSelection`` holding its simplex and the field's values at the
+corners; the report builds the global map from those, and takes the two
+parts of the combined coefficient from ``beta.combined_parts``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 from . import fitting
 from .calibration import KAPPA_B, KAPPA_C
 from .beta import (QuadratureSpec, beta_integralgeometric, beta_p_cube, beta_p_restricted,
-                   midpoint_grid, midpoint_mesh, midpoint_nodes, norm_value, restricted_line_betas)
+                   combined_parts, midpoint_grid, midpoint_mesh, midpoint_nodes, norm_value,
+                   restricted_line_betas)
 from .errors import BudgetExhausted, DegenerateSimplex, EmptyIntersection
 from .funcmodel import FunctionField
 from .geometry import (AffineMap, Box, Hyperplane, LineSeg, Simplex,
@@ -34,27 +38,21 @@ _DRAW_BUDGET = 64  # plane families drawn by select_transversal_planes
 class PlaneSelection:
     """An accepted (or best-found) draw of perturbed planes with its certificate."""
 
-    base_planes: list
     planes: list
-    fits: list                 # ambient AffineMap quasi-minimizer per plane
-    restricted_values: list    # beta_2(CQ, V'_j) per plane
-    metric_values: list        # plane_metric(V_j, V'_j) per plane
-    corner_points: np.ndarray  # (n+1, n); row j opposite plane j
+    simplex: Simplex
+    corner_values: np.ndarray  # f at simplex.v; corner j lies opposite plane j
     mismatches: np.ndarray     # (n+1, n+1); [j, i] = |f(x_j) - A_i(x_j)|, i != j
+    max_restricted: float      # max over the planes of beta_2(CQ, V'_j)
+    max_metric: float          # max over the planes of plane_metric(V_j, V'_j)
     reference: float           # hyperplane-averaged beta_2 of CQ
     tau: float
-    epsilon: float
     accepted: bool
     draw_index: int
     draws_used: int
 
     @property
-    def max_metric(self) -> float:
-        return max(self.metric_values)
-
-    @property
-    def max_restricted(self) -> float:
-        return max(self.restricted_values)
+    def corner_points(self) -> np.ndarray:
+        return self.simplex.v
 
     @property
     def max_mismatch(self) -> float:
@@ -71,8 +69,6 @@ class ReconstructionReport:
     line_part: float
     ratio_direct: float
     ratio_via: float
-    constants: dict               # c, C, epsilon, tau
-    seed: int
     selection: PlaneSelection
     simplex: Simplex
     line_integral: float          # best directional sup-coefficient integral over the shadow
@@ -132,8 +128,8 @@ def _perturb_planes(base_planes, eps, rng):
     return out
 
 
-def _evaluate_draw(fld, CQ, base_planes, planes, quad, reference):
-    metric_values = [plane_metric(b, p) for b, p in zip(base_planes, planes)]
+def _evaluate_draw(fld, CQ, base_planes, planes, quad, reference, eps, tau, k):
+    """The selection record of draw k, accepted when it passes every check."""
     recs = [beta_p_restricted(fld, CQ, p, 2, quad) for p in planes]
     simplex = simplex_from_planes(planes)
     corners = simplex.v
@@ -144,18 +140,14 @@ def _evaluate_draw(fld, CQ, base_planes, planes, quad, reference):
         for i in range(n + 1):
             if i != j:
                 mism[j, i] = abs(f_at[j] - recs[i].fitted(corners[j]))
-    inside = bool(np.all(CQ.contains(corners, tol=1e-12)))
-    return {
-        "metric": metric_values,
-        "recs": recs,
-        "simplex": simplex,
-        "corners": corners,
-        "mismatches": mism,
-        "inside": inside,
-        "beta_ok": max(r.value for r in recs) <= KAPPA_B * reference + ACCEPT_SLACK,
-        # mismatches carry a length unit; compare them per unit of diam(CQ)
-        "mism_ok": float(mism.max()) <= KAPPA_C * reference * CQ.diameter + ACCEPT_SLACK,
-    }
+    max_restricted = max(r.value for r in recs)
+    max_metric = max(plane_metric(b, p) for b, p in zip(base_planes, planes))
+    # mismatches carry a length unit; compare them per unit of diam(CQ)
+    accepted = (max_metric <= eps and bool(np.all(CQ.contains(corners, tol=1e-12)))
+                and max_restricted <= KAPPA_B * reference + ACCEPT_SLACK
+                and float(mism.max()) <= KAPPA_C * reference * CQ.diameter + ACCEPT_SLACK)
+    return PlaneSelection(planes, simplex, f_at, mism, max_restricted, max_metric,
+                          reference, tau, accepted, k, k + 1)
 
 
 def select_transversal_planes(fld: FunctionField, Q: Box, tau: float, eps: float,
@@ -187,24 +179,12 @@ def select_transversal_planes(fld: FunctionField, Q: Box, tau: float, eps: float
         if transversality(planes) < 0.5 * tau:
             continue
         try:
-            ev = _evaluate_draw(fld, CQ, base_planes, planes, quad, ref)
+            sel = _evaluate_draw(fld, CQ, base_planes, planes, quad, ref, eps, tau0, k)
         except (DegenerateSimplex, EmptyIntersection):
             continue
-        metric_ok = max(ev["metric"]) <= eps
-        accepted = metric_ok and ev["inside"] and ev["beta_ok"] and ev["mism_ok"]
-        score = max(max(r.value for r in ev["recs"]),
-                    float(ev["mismatches"].max()) / CQ.diameter)
-        sel = PlaneSelection(
-            base_planes=base_planes, planes=planes,
-            fits=[r.fitted for r in ev["recs"]],
-            restricted_values=[r.value for r in ev["recs"]],
-            metric_values=ev["metric"],
-            corner_points=ev["corners"], mismatches=ev["mismatches"],
-            reference=ref, tau=tau0, epsilon=eps,
-            accepted=accepted, draw_index=k, draws_used=k + 1,
-        )
-        if accepted:
+        if sel.accepted:
             return sel
+        score = max(sel.max_restricted, sel.max_mismatch / CQ.diameter)
         if score < best_score:
             best, best_score = sel, score
     if best is None:
@@ -329,22 +309,17 @@ def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: 
             raise
         selection = exc.selection
 
-    simplex = simplex_from_planes(selection.planes)
+    simplex = selection.simplex
     if not np.all(simplex.contains(Q.dilate(2.0 * c).corners())):
         raise DegenerateSimplex("small box escaped the reconstruction simplex")
-    corners = simplex.v
-    A = build_global_affine(corners, fld.eval(corners))
+    A = build_global_affine(simplex.v, selection.corner_values)
 
-    direct_rec = beta_p_cube(fld, cQ, 2, quad)
+    direct = beta_p_cube(fld, cQ, 2, quad).value
     X, w = midpoint_grid(cQ, quad.nodes)
-    r = fld.eval(X) - A(X)
-    via = norm_value(r, w, 2, cQ.diameter, cQ.dim)
+    via = norm_value(fld.eval(X) - A(X), w, 2, cQ.diameter, cQ.dim)
 
-    plane_rec = beta_integralgeometric(fld, CQ, Q.dim - 1 if Q.dim > 1 else 1, 2, 2,
-                                       quad, seed_tags=("reconstruct", seed))
-    line_rec = beta_integralgeometric(fld, CQ, 1, math.inf, 2, quad,
-                                      seed_tags=("reconstruct", seed))
-    combined = math.hypot(plane_rec.value, line_rec.value)
+    plane_part, line_part = combined_parts(fld, CQ, quad, ("reconstruct", seed))
+    combined = math.hypot(plane_part, line_part)
 
     e0 = _transversal_direction(selection.planes, Q.dim)
     best_integral = math.inf
@@ -353,26 +328,24 @@ def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: 
         val = _line_family_integral(fld, cQ, CQ, d, quad)
         if val < best_integral:
             best_integral, best_dir = val, d
-    line_ratio = best_integral / line_rec.value ** 2 if line_rec.value > 0 else 0.0
+    line_ratio = best_integral / line_part ** 2 if line_part > 0 else 0.0
 
     planar = planar_beta2(fld, cQ, best_dir, quad) if Q.dim == 2 else None
 
     denom = combined if combined > 0 else math.inf
     return ReconstructionReport(
         affine=A,
-        beta2_small_direct=direct_rec.value,
+        beta2_small_direct=direct,
         beta2_small_via_affine=via,
         combined_large=combined,
-        plane_part=plane_rec.value,
-        line_part=line_rec.value,
-        ratio_direct=direct_rec.value / denom,
+        plane_part=plane_part,
+        line_part=line_part,
+        ratio_direct=direct / denom,
         ratio_via=via / denom,
-        constants={"c": c, "C": C, "epsilon": eps, "tau": selection.tau},
-        seed=seed,
         selection=selection,
         simplex=simplex,
         line_integral=best_integral,
         line_ratio=line_ratio,
         planar_value=planar,
-        meta={"direction": tuple(best_dir), "budget": _DRAW_BUDGET},
+        meta={"direction": tuple(best_dir)},
     )

@@ -287,6 +287,13 @@ class TestLp:
         s = SampleSet(x, y, np.ones(20))
         assert lp_objective(s, fit_affine_lp(s, 4.0), 4.0) <= 1e-20
 
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_slope_bound_rejected(self, p):
+        # the Lp fit has no slope bound; an L given with it must not be dropped
+        s = SampleSet(np.linspace(0, 1, 20)[:, None], np.linspace(0, 2, 20), np.ones(20))
+        with pytest.raises(ValueError, match="p = 2 or inf"):
+            fitting.affine_fit(s, p, L=0.5)
+
 
 def random_sets(seed, d, K, N):
     """K weighted sets of N samples in d variables; some rows are rank deficient."""

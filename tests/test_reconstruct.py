@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from multibeta.beta import QuadratureSpec, combined_beta
+from multibeta import beta as betamod
+from multibeta.beta import QuadratureSpec, combined_beta, combined_parts
 from multibeta.calibration import KAPPA_C
 from multibeta.errors import DegenerateSimplex
 from multibeta.funcmodel import make_field
@@ -27,6 +28,13 @@ class TestCombined:
         quad = QuadratureSpec(seed=7)
         val = combined_beta(fld, UNIT2, quad)
         assert val == pytest.approx(0.10157754044111342, abs=1e-15)
+
+    def test_combined_is_hypot_of_parts(self):
+        for n, box in ((2, UNIT2), (3, UNIT3)):
+            fld = make_field("cone", n, x0=[0.4] * n)
+            quad = QuadratureSpec(nodes=5, restricted_nodes=9, mc_samples=64, seed=3)
+            parts = combined_parts(fld, box, quad, ("tag", 1))
+            assert combined_beta(fld, box, quad, ("tag", 1)) == math.hypot(*parts)
 
     def test_dominates_rms_average(self):
         fld = make_field("cone", 2, x0=[0.4, 0.6])
@@ -152,6 +160,29 @@ class TestVerify:
         fld = make_field("cone", 2, x0=[0.5, 0.5])
         with pytest.raises(ValueError):
             verify_reconstruction(fld, UNIT2, c=0.3, quad=QUAD)
+
+    @pytest.mark.parametrize("n, seed", [(2, 7), (3, 5)])
+    def test_parts_come_from_combined_parts(self, n, seed):
+        fld = make_field("cone", n, x0=[0.45] * n)
+        quad = QuadratureSpec(nodes=5, restricted_nodes=9, mc_samples=64, seed=3)
+        Q = UNIT2 if n == 2 else UNIT3
+        rep = verify_reconstruction(fld, Q, seed=seed, quad=quad)
+        parts = combined_parts(fld, Q.dilate(8.0), quad, ("reconstruct", seed))
+        assert (rep.plane_part, rep.line_part) == parts
+        assert rep.combined_large == math.hypot(*parts)
+
+    def test_one_line_family_at_n2(self, monkeypatch):
+        tags = []
+
+        def counting(fld, box, m, ps, quad, seed_tags):
+            tags.append(seed_tags)
+            return family(fld, box, m, ps, quad, seed_tags)
+
+        family = betamod._ig_family
+        monkeypatch.setattr(betamod, "_ig_family", counting)
+        fld = make_field("cone", 2, x0=[0.45, 0.55])
+        verify_reconstruction(fld, UNIT2, seed=7, quad=QUAD)
+        assert tags.count(("reconstruct", 7)) == 1
 
 
 class TestPlanarRoute:

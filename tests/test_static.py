@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "multibeta").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "multibeta").glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -47,6 +49,27 @@ def unused_definitions(source: str, sources):
                   if isinstance(node, defs) and node.name not in used)
 
 
+def _is_dataclass(node) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(source: str, sources):
+    """(line, "Class.field") of every annotated field of a module-level
+    dataclass of ``source`` whose name no attribute load in ``sources`` reads."""
+    read = {node.attr for text in sources for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((stmt.lineno, f"{node.name}.{stmt.target.id}")
+                  for node in ast.parse(source).body
+                  if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                  for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in read)
+
+
 def test_checker_flags_unused_import():
     source = "import os\nimport os.path as osp\nfrom sys import argv, exit\nexit(argv)\n"
     assert unused_imports(source) == [(1, "os"), (2, "osp")]
@@ -67,3 +90,19 @@ def test_checker_flags_unused_definition():
 def test_no_unused_definitions(path):
     sources = [p.read_text() for p in SRC + TESTS]
     assert unused_definitions(path.read_text(), sources) == []
+
+
+def test_checker_flags_unread_field():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n\n@dataclass\n"
+              "class Rec:\n    kept: int\n    dropped: int\n    written: int = 0\n\n"
+              "@dataclasses.dataclass(frozen=True)\nclass Frozen:\n    lost: float\n\n"
+              "class Plain:\n    ignored: int\n")
+    caller = "rec = Rec(1, 2)\nrec.written = rec.kept\n"
+    assert unread_fields(source, [source, caller]) == [
+        (7, "Rec.dropped"), (8, "Rec.written"), (12, "Frozen.lost")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_unread_fields(path):
+    sources = [p.read_text() for p in SRC + TESTS + PERFBENCH]
+    assert unread_fields(path.read_text(), sources) == []
