@@ -99,7 +99,7 @@ def beta_p_cube(fld: FunctionField, box: Box, p: float, quad: QuadratureSpec,
         raise DegenerateBox("empty box")
     X, w = midpoint_grid(box, quad.nodes)
     y = fld.eval(X)
-    amap = fitting.affine_fit(fitting.SampleSet(X, y, w), p, L)
+    amap = fitting.affine_fit(X, y, w, p, L)
     return BetaRecord(norm_value(y - amap(X), w, p, box.diameter, box.dim), amap)
 
 
@@ -113,7 +113,7 @@ def _line_record(fld, box, seg: LineSeg, p, quad):
     pts = seg.points(s)
     y = fld.eval(pts)
     w = np.full(nodes, (s1 - s0) / nodes)
-    amap = fitting.affine_fit(fitting.SampleSet(s[:, None], y, w), p)
+    amap = fitting.affine_fit(s[:, None], y, w, p)
     value = norm_value(y - amap(s[:, None]), w, p, box.diameter, 1)
     a = amap.a[0]
     direction = np.asarray(seg.direction)
@@ -140,7 +140,7 @@ def _plane_record(fld, box, plane: Hyperplane, p, quad):
     U, X = U[inside], X[inside]
     y = fld.eval(X)
     w = np.full(U.shape[0], cell)
-    amap = fitting.affine_fit(fitting.SampleSet(U, y, w), p)
+    amap = fitting.affine_fit(U, y, w, p)
     value = norm_value(y - amap(U), w, p, box.diameter, box.dim - 1)
     grad = B @ amap.a
     return BetaRecord(value, AffineMap(tuple(grad), amap.intercept - float(grad @ x0)))
@@ -197,7 +197,7 @@ def _line_block_betas(fld, box, lines, ends, ps, quad):
     del pts
     x = s[:, :, None]
     w = np.repeat(h[:, None], nodes, axis=1)
-    ok, a, b = fitting._fit_affine_l2_stack(x, y, w)
+    ok, a, b = fitting.fit_affine_l2_stack(x, y, w)
     diam = box.diameter
     values = {}
     for p in ps:
@@ -207,9 +207,10 @@ def _line_block_betas(fld, box, lines, ends, ps, quad):
                 continue
             if ok[k] and math.isinf(p):
                 # each line's 1-D exchange starts from its L2 map
-                amap = fitting._minimax_from_l2(x[k], y[k], w[k], AffineMap(tuple(a[k]), b[k]))
+                amap = fitting.fit_affine_minimax(x[k], y[k], w[k],
+                                                  base=AffineMap(tuple(a[k]), b[k]))
             else:
-                amap = fitting.affine_fit(fitting.SampleSet(x[k], y[k], w[k]), p)
+                amap = fitting.affine_fit(x[k], y[k], w[k], p)
             a_p[k], b_p[k] = amap.a, amap.intercept
         r = np.abs(y - ((x @ a_p[:, :, None])[:, :, 0] + b_p[:, None]))
         if math.isinf(p):

@@ -40,7 +40,11 @@ def _key_line(text: str, key: str) -> int:
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) < math.inf
+
+
+def _is_count(val) -> bool:
+    return isinstance(val, int) and _is_number(val) and val >= 1
 
 
 class Config:
@@ -86,8 +90,8 @@ class Config:
 
 def load_field(cfg: Config):
     spec = cfg.get("field")
-    if spec is None:
-        cfg.fail("field", "is required")
+    if not isinstance(spec, dict):
+        cfg.fail("field", "is required and must be an object")
     if "grid_csv" in spec:
         path = spec["grid_csv"]
         if not os.path.exists(path):
@@ -98,21 +102,28 @@ def load_field(cfg: Config):
     dim = spec.get("dim")
     if kind is None or dim is None:
         cfg.fail("field", "needs \"kind\" and \"dim\" (or \"grid_csv\")")
+    if not _is_count(dim):
+        cfg.fail("dim", "must be a positive integer")
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        cfg.fail("params", "must be an object")
     try:
-        return make_field(kind, int(dim), **spec.get("params", {}))
+        return make_field(kind, dim, **params)
     except ConfigError as exc:
         raise ConfigError(f"{cfg.path}:{_key_line(cfg.text, 'field')}: {exc}") from exc
 
 
 def load_quad(cfg: Config, seed: int) -> QuadratureSpec:
     q = cfg.get("quad", {})
+    if not isinstance(q, dict):
+        cfg.fail("quad", "must be an object")
+    counts = {key: q.get(key, default)
+              for key, default in (("nodes", 9), ("restricted_nodes", 17), ("mc_samples", 2048))}
+    for key, val in counts.items():
+        if not _is_count(val):
+            cfg.fail("quad", f'"{key}" must be a positive integer')
     try:
-        return QuadratureSpec(
-            nodes=int(q.get("nodes", 9)),
-            restricted_nodes=int(q.get("restricted_nodes", 17)),
-            mc_samples=int(q.get("mc_samples", 2048)),
-            seed=seed,
-        )
+        return QuadratureSpec(**counts, seed=seed)
     except ValueError as exc:
         raise ConfigError(f"{cfg.path}:{_key_line(cfg.text, 'quad')}: {exc}") from exc
 
@@ -133,20 +144,27 @@ def load_box(cfg: Config, dim: int) -> Box:
 def load_root(cfg: Config, dim: int) -> DyadicCube:
     r = cfg.get("root", {"level": 0, "index": [0] * dim})
     try:
-        return DyadicCube(int(r["level"]), tuple(r["index"]))
+        cube = DyadicCube(int(r["level"]), tuple(r["index"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{cfg.path}:{_key_line(cfg.text, 'root')}: bad root: {exc}") from exc
+    if cube.dim != dim:
+        cfg.fail("root", f'needs an "index" of {dim} entries for a field of dimension {dim}')
+    return cube
 
 
 def load_parabolic_root(cfg: Config, dim: int) -> DyadicParabolicBox:
     r = cfg.get("parabolic_root",
                 {"level": 0, "spatial_index": [0] * (dim - 1), "time_index": 0})
     try:
-        return DyadicParabolicBox(int(r["level"]), tuple(r["spatial_index"]),
+        node = DyadicParabolicBox(int(r["level"]), tuple(r["spatial_index"]),
                                   int(r["time_index"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{cfg.path}:{_key_line(cfg.text, 'parabolic_root')}: "
                           f"bad parabolic root: {exc}") from exc
+    if node.spatial_dim != dim - 1:
+        cfg.fail("parabolic_root", f'needs a "spatial_index" of {dim - 1} entries '
+                                   f"for a field of dimension {dim}")
+    return node
 
 
 def _out(args, name):
@@ -160,9 +178,11 @@ def _say(args, message):
 
 
 def _parse_p(raw):
-    if raw in ("inf", "infinity", math.inf):
-        return math.inf
-    return float(raw)
+    """An exponent p >= 1 or inf; ValueError otherwise."""
+    p = math.inf if raw in ("inf", "infinity", math.inf) else float(raw)
+    if not p >= 1:
+        raise ValueError(f"p = {p} is below 1")
+    return p
 
 
 def _write_packing(cfg, args, seed, dim, rep, prefix, node_csv, columns, outputs=()):
@@ -209,7 +229,7 @@ def cmd_analyze(cfg, args, seed):
     try:
         ps = [_parse_p(p) for p in cfg.get("ps", [1, 2, "inf"])]
     except (TypeError, ValueError):
-        cfg.fail("ps", 'must be a list of numbers or "inf"')
+        cfg.fail("ps", 'must be a list of numbers >= 1 or "inf"')
     rows = []
     for frontier in dyadic_levels(root, depth):
         for cube in frontier:
@@ -231,7 +251,7 @@ def cmd_carleson(cfg, args, seed):
     depth = int(cfg.number("depth", default=4, minimum=0, integer=True))
     dilation = cfg.number("dilation", default=3.0, minimum=1.0)
     selector = cfg.get("selector", "beta2")
-    if selector not in betamod.SELECTORS:
+    if not isinstance(selector, str) or selector not in betamod.SELECTORS:
         cfg.fail("selector", f"must be one of {tuple(betamod.SELECTORS)}")
     rep = betamod.carleson_sum(fld, root, dilation, depth, selector, quad)
     return _write_packing(cfg, args, seed, fld.dim, rep, "carleson", "carleson_cubes.csv",
@@ -248,7 +268,7 @@ def cmd_igbeta(cfg, args, seed):
     try:
         p = _parse_p(cfg.get("p", 2))
     except (TypeError, ValueError):
-        cfg.fail("p", 'must be a number or "inf"')
+        cfg.fail("p", 'must be a number >= 1 or "inf"')
     q = cfg.number("q", default=2, minimum=1)
     rec = betamod.beta_integralgeometric(fld, box, m, p, q, quad)
     path = _out(args, "igbeta.csv")
@@ -267,6 +287,8 @@ def cmd_reconstruct(cfg, args, seed):
         cfg.fail("field", "needs dim >= 2 for reconstruction")
     box = load_box(cfg, fld.dim)
     c = cfg.number("c", default=1.0 / 20.0, minimum=1e-6)
+    if c > 0.25:
+        cfg.fail("c", "must be <= 1/4")
     C = cfg.number("C", default=8.0, minimum=1.0)
     tau = cfg.number("tau", default=0.25, minimum=0.0)
     eps = cfg.number("epsilon", default=0.05, minimum=1e-9)
@@ -304,7 +326,7 @@ def cmd_parabolic(cfg, args, seed):
     depth = int(cfg.number("depth", default=3, minimum=0, integer=True))
     dilation = cfg.number("dilation", default=3.0, minimum=1.0)
     selector = cfg.get("selector", "beta2")
-    if selector not in pbmod.PARABOLIC_SELECTORS:
+    if not isinstance(selector, str) or selector not in pbmod.PARABOLIC_SELECTORS:
         cfg.fail("selector", f"must be one of {tuple(pbmod.PARABOLIC_SELECTORS)}")
     L = cfg.get("L")
     if L is None and pbmod.PARABOLIC_SELECTORS[selector][2]:
@@ -426,7 +448,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = Config(args.config, {"seed": args.seed})
-        seed = int(cfg.get("seed", 0))
+        seed = cfg.number("seed", default=0, integer=True)
         code = COMMANDS[args.command](cfg, args, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

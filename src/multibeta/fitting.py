@@ -1,22 +1,24 @@
-"""Best-affine and best-constant approximation over weighted point sets.
+"""Best affine approximation over weighted point sets.
 
-An affine fit returns its ``AffineMap`` and nothing else; a caller
+Every fit takes one sample set as arrays, abscissas x (N, d), values y (N,)
+and positive weights w (N,), and returns its ``AffineMap``; a caller
 measures the residual it needs. Every affine L2 fit, single or stacked,
-takes its rank decision and its centered moments from one kernel,
+takes its rank decision and centered moments from one kernel,
 ``_affine_moments``, so a set's map has the same bits in a stack as alone.
-L2 fits solve the centered normal equations (which makes them exactly
-translation-equivariant). The gradient-norm constrained fit treats
-|a| <= L as a trust-region problem: exact multiplier found by bisection on
-the ridge path, intercept re-optimized. Discrete minimax uses a three-point
-exchange in one dimension and IRLS exponent escalation with an active-set
-LP polish otherwise. A rank-deficient design falls back to the
-minimum-norm least-squares map in one place, ``affine_fit``.
+The kernel owns the memory layout: it reduces C-contiguous arrays, so a
+strided column fits with the bits of its contiguous copy. L2 fits solve the
+centered normal equations (exactly translation-equivariant). The fit with
+|a| <= L is a trust-region problem: exact multiplier by bisection on the
+ridge path, intercept re-optimized. Discrete minimax starts from the L2 map
+``base`` (the caller's, if it has one): a three-point exchange in one
+dimension, else IRLS exponent escalation and an active-set LP polish. A
+rank-deficient design falls back to the minimum-norm least-squares map in
+one place, ``affine_fit``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -28,32 +30,9 @@ RANK_TOL = 1e-12
 GRAD_BISECT_TOL = 1e-10
 
 
-@dataclass
-class SampleSet:
-    """Weighted samples: abscissas x (N, d), values y (N,), weights w (N,)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        if self.x.ndim != 2:
-            raise ValueError(f"sample abscissas must be an (N, d) array, got shape {self.x.shape}")
-        self.y = np.asarray(self.y, dtype=float).ravel()
-        self.w = np.asarray(self.w, dtype=float).ravel()
-        if self.x.shape[0] != self.y.size or self.y.size != self.w.size:
-            raise ValueError("inconsistent sample array lengths")
-        if np.any(self.w <= 0):
-            raise ValueError("weights must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.y.size
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.w.sum())
+def _arrays(x, y, w):
+    """x, y and w as C-contiguous float arrays (no copy when they already are)."""
+    return tuple(np.ascontiguousarray(v, dtype=float) for v in (x, y, w))
 
 
 def _weighted_design(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -74,6 +53,7 @@ def _affine_moments(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     meets the reductions and BLAS kernels it meets alone, so its bits do
     not depend on the stack. LinAlgError if the SVD does not converge.
     """
+    x, y, w = _arrays(x, y, w)
     sv = np.linalg.svd(_weighted_design(x, w), compute_uv=False)
     # weights are positive, so the design is non-zero and sv[..., 0] > 0
     ok = ~(sv[..., -1] / sv[..., 0] < RANK_TOL)
@@ -99,7 +79,7 @@ def _l2_map(ok, xbar, ybar, C, c) -> AffineMap:
     return AffineMap(tuple(a), ybar - a @ xbar)
 
 
-def _fit_affine_l2_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+def fit_affine_l2_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     """fit_affine_l2 of each sample set in a stack: x (K, N, d), y and w (K, N).
 
     Returns (ok, a (K, d), b (K,)); a row is not ok where the scalar fit
@@ -107,37 +87,27 @@ def _fit_affine_l2_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     SVD or solve fails on any set.
     """
     K, N, d = x.shape
-    not_ok = np.zeros(K, dtype=bool), np.zeros((K, d)), np.zeros(K)
+    a, b = np.zeros((K, d)), np.zeros(K)
     try:
         ok, xbar, ybar, C, c = _affine_moments(x, y, w)
         a_ok = np.linalg.solve(C[ok], c[ok][:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        return not_ok
-    a = np.zeros((K, d))
-    b = np.zeros(K)
+        return np.zeros(K, dtype=bool), a, b
     a[ok] = a_ok
     b[ok] = ybar[ok] - (a_ok[:, None, :] @ xbar[ok][:, :, None])[:, 0, 0]
     return ok, a, b
 
 
-def fit_constant_l2(samples: SampleSet):
-    """Weighted mean and weighted variance (the mean minimizes L2)."""
-    W = samples.total_weight
-    c = float(samples.w @ samples.y / W)
-    res = float(samples.w @ (samples.y - c) ** 2 / W)
-    return c, res
-
-
-def fit_affine_l2(samples: SampleSet) -> AffineMap:
+def fit_affine_l2(x, y, w) -> AffineMap:
     """Global minimizer of the weighted quadratic objective."""
-    return _l2_map(*_affine_moments(samples.x, samples.y, samples.w))
+    return _l2_map(*_affine_moments(x, y, w))
 
 
-def fit_affine_l2_constrained(samples: SampleSet, L: float) -> AffineMap:
+def fit_affine_l2_constrained(x, y, w, L: float) -> AffineMap:
     """L2 fit subject to |gradient| <= L, solved exactly on the ridge path."""
     if L <= 0:
         raise ValueError("L must be positive")
-    ok, xbar, ybar, C, c = _affine_moments(samples.x, samples.y, samples.w)
+    ok, xbar, ybar, C, c = _affine_moments(x, y, w)
     base = _l2_map(ok, xbar, ybar, C, c)
     if base.lipschitz <= L * (1.0 + 1e-12):
         return base
@@ -167,32 +137,30 @@ def fit_affine_l2_constrained(samples: SampleSet, L: float) -> AffineMap:
     return AffineMap(tuple(a), ybar - a @ xbar)
 
 
-def fit_affine_lp(samples: SampleSet, p: float) -> AffineMap:
+def fit_affine_lp(x, y, w, p: float) -> AffineMap:
     """Quasi-minimizer of the weighted L^p objective via IRLS, seeded at L2.
 
     Returns whichever of the IRLS iterates and the plain L2 fit has the
     smaller L^p objective, so the result never does worse than L2.
     """
-    amap = fit_affine_l2(samples)
-
-    def objective(amap):
-        r = np.abs(samples.y - amap(samples.x))
-        return float(samples.w @ r ** p / samples.total_weight)
-
-    best_map, best_obj = amap, objective(amap)
-    scale = max(float(np.max(np.abs(samples.y))), 1.0)
+    x, y, w = _arrays(x, y, w)
+    amap = fit_affine_l2(x, y, w)
+    W = float(w.sum())
+    r = np.abs(y - amap(x))  # the residual of the current iterate
+    best_map, best_obj = amap, float(w @ r ** p / W)
+    scale = max(float(np.max(np.abs(y))), 1.0)
     for _ in range(40):
-        r = np.abs(samples.y - amap(samples.x))
         if p < 2:
-            wi = samples.w * np.maximum(r, 1e-9 * scale) ** (p - 2.0)
+            wi = w * np.maximum(r, 1e-9 * scale) ** (p - 2.0)
         else:
-            wi = samples.w * (r + 1e-14 * scale) ** (p - 2.0)
-        wi = wi / wi.max() if wi.max() > 0 else samples.w
+            wi = w * (r + 1e-14 * scale) ** (p - 2.0)
+        wi = wi / wi.max() if wi.max() > 0 else w
         try:
-            amap = _l2_map(*_affine_moments(samples.x, samples.y, np.maximum(wi, 1e-300)))
+            amap = _l2_map(*_affine_moments(x, y, np.maximum(wi, 1e-300)))
         except RankDeficient:
             break
-        obj = objective(amap)
+        r = np.abs(y - amap(x))
+        obj = float(w @ r ** p / W)
         if obj < best_obj:
             best_map, best_obj = amap, obj
         elif abs(obj - best_obj) < 1e-15 * max(best_obj, 1e-300):
@@ -282,19 +250,17 @@ def _minimax_lp(x: np.ndarray, y: np.ndarray, subset, L: float | None):
     return res.x[:d], float(res.x[d]), float(res.x[d + 1])
 
 
-def fit_affine_minimax(samples: SampleSet, L: float | None = None) -> AffineMap:
+def fit_affine_minimax(x, y, w, L: float | None = None,
+                       base: AffineMap | None = None) -> AffineMap:
     """Minimize the max abs residual over affine maps (optionally |a| <= L).
 
-    IRLS exponent escalation provides the warm start and the active
-    constraint set; an exact LP on that set, grown cutting-plane style,
-    polishes to the discrete optimum.
+    ``base`` is the samples' L2 map when the caller has it; by default it
+    is ``fit_affine_l2(x, y, w)``. IRLS exponent escalation from it
+    provides the warm start and the active constraint set; an exact LP on
+    that set, grown cutting-plane style, polishes to the discrete optimum.
     """
-    return _minimax_from_l2(samples.x, samples.y, samples.w, fit_affine_l2(samples), L)
-
-
-def _minimax_from_l2(x: np.ndarray, y: np.ndarray, w: np.ndarray, base: AffineMap,
-                     L: float | None = None) -> AffineMap:
-    """fit_affine_minimax of the samples (x, y, w) after their L2 fit ``base``."""
+    x, y, w = _arrays(x, y, w)
+    base = fit_affine_l2(x, y, w) if base is None else base
     d = x.shape[1]
     r = np.abs(y - base(x))
     scale = max(float(np.max(np.abs(y))), 1.0)
@@ -308,12 +274,11 @@ def _minimax_from_l2(x: np.ndarray, y: np.ndarray, w: np.ndarray, base: AffineMa
         except (NonConvergence, RankDeficient):
             pass  # duplicated abscissas or cycling: fall through to the LP path
 
-    # IRLS with exponent escalation
-    amap = base
-    best_map, best_val = amap, float(r.max())
+    # IRLS with exponent escalation; r is the residual of the last iterate
+    best_map, best_val, best_r = base, float(r.max()), r
     for p in (4, 8, 16, 32, 64, 128, 256):
         for _ in range(3):
-            rr = np.abs(y - amap(x)) + 1e-14 * scale
+            rr = r + 1e-14 * scale
             # scale to [0, 1] before powering so rr**254 cannot underflow to
             # an all-zero weight vector
             wi = w * (rr / rr.max()) ** (p - 2.0)
@@ -322,14 +287,14 @@ def _minimax_from_l2(x: np.ndarray, y: np.ndarray, w: np.ndarray, base: AffineMa
                 amap = _l2_map(*_affine_moments(x, y, np.maximum(wi, 1e-300)))
             except RankDeficient:
                 break
-            val = float(np.max(np.abs(y - amap(x))))
+            r = np.abs(y - amap(x))
+            val = float(np.max(r))
             if val < best_val:
-                best_map, best_val = amap, val
+                best_map, best_val, best_r = amap, val, r
 
     # active-set LP polish
-    r = np.abs(y - best_map(x))
     k = max(3 * (d + 2), 8)
-    subset = list(np.argsort(r)[-k:])
+    subset = list(np.argsort(best_r)[-k:])
     for _ in range(60):
         a, b, mval = _minimax_lp(x, y, subset, L)
         r = np.abs(y - (x @ a + b))
@@ -350,7 +315,7 @@ def _minimax_from_l2(x: np.ndarray, y: np.ndarray, w: np.ndarray, base: AffineMa
     return AffineMap(tuple(np.atleast_1d(a)), b)
 
 
-def affine_fit(samples: SampleSet, p: float, L: float | None = None) -> AffineMap:
+def affine_fit(x, y, w, p: float, L: float | None = None) -> AffineMap:
     """Best affine map in the weighted Lp norm (p = 2 and inf honour |a| <= L).
 
     A rank-deficient design falls back to the minimum-norm least-squares map.
@@ -359,11 +324,10 @@ def affine_fit(samples: SampleSet, p: float, L: float | None = None) -> AffineMa
         raise ValueError(f"a gradient bound L needs p = 2 or inf, got p = {p}")
     try:
         if math.isinf(p):
-            return fit_affine_minimax(samples, L=L)
+            return fit_affine_minimax(x, y, w, L=L)
         if p == 2:
-            return fit_affine_l2(samples) if L is None else fit_affine_l2_constrained(samples, L)
-        return fit_affine_lp(samples, p)
+            return fit_affine_l2(x, y, w) if L is None else fit_affine_l2_constrained(x, y, w, L)
+        return fit_affine_lp(x, y, w, p)
     except RankDeficient:
-        design = _weighted_design(samples.x, samples.w)
-        coef, *_ = np.linalg.lstsq(design, samples.y * np.sqrt(samples.w), rcond=None)
+        coef, *_ = np.linalg.lstsq(_weighted_design(x, w), y * np.sqrt(w), rcond=None)
         return AffineMap(tuple(coef[:-1]), coef[-1])

@@ -108,16 +108,27 @@ def _time_part(name):
 def _floats(params: dict, key: str, default) -> np.ndarray:
     """params[key] (``default`` when absent) as a float array."""
     try:
-        return np.asarray(params.get(key, default), dtype=float)
-    except (TypeError, ValueError) as exc:
+        x = np.asarray(params.get(key, default), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f'"{key}" must be numeric: {exc}') from exc
+    if not np.isfinite(x).all():
+        raise ConfigError(f'"{key}" must be finite numbers')
+    return x
 
 
-def _point(params: dict, key: str, dim: int) -> np.ndarray:
-    """params[key] as a point of R^dim (the origin when absent)."""
-    x = _floats(params, key, np.zeros(dim))
+def _number(params: dict, key: str, default: float) -> float:
+    """params[key] (``default`` when absent) as one float."""
+    x = _floats(params, key, default)
+    if x.shape != ():
+        raise ConfigError(f'"{key}" must be a number')
+    return float(x)
+
+
+def _point(params: dict, key: str, dim: int, fill: float = 0.0) -> np.ndarray:
+    """params[key] as a point of R^dim (every coordinate ``fill`` when absent)."""
+    x = _floats(params, key, np.full(dim, fill))
     if x.shape != (dim,):
-        raise ConfigError(f'"{key}" must have {dim} entries for a field of dimension {dim}')
+        raise ConfigError(f'"{key}" must be a list of {dim} numbers')
     return x
 
 
@@ -126,7 +137,7 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
     bump, square. Parabolic kinds: p_additive, p_product."""
     if kind == "affine":
         a = _point(params, "a", dim)
-        b = float(params.get("b", 0.0))
+        b = _number(params, "b", 0.0)
         return FunctionField(kind, dim, lambda pts: pts @ a + b,
                              lipschitz=float(np.linalg.norm(a)))
 
@@ -155,11 +166,10 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
 
     if kind == "bump":
         x0 = _point(params, "x0", dim)
-        scale = _floats(params, "scale", 0.3)
-        if scale.shape != () or not scale > 0:
+        scale = _number(params, "scale", 0.3)
+        if not scale > 0:
             raise ConfigError('"scale" must be a positive number')
-        scale = float(scale)
-        amp = float(params.get("amp", 1.0))
+        amp = _number(params, "amp", 1.0)
         # max slope of amp*exp(-r^2/s^2) is amp*sqrt(2/e)/s
         L = amp * np.sqrt(2.0 / np.e) / scale
         return FunctionField(
@@ -173,7 +183,10 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
 
     if kind == "p_additive":
         # psi(x, t) = g(x) + h(t), horizontally Lipschitz via g
-        space = make_field(params.get("space", "cone"), dim - 1, **params.get("space_params", {}))
+        space_params = params.get("space_params", {})
+        if not isinstance(space_params, dict):
+            raise ConfigError('"space_params" must be an object')
+        space = make_field(params.get("space", "cone"), dim - 1, **space_params)
         h, h_lip = _time_part(params.get("time", "sin"))
 
         def fn(pts):
@@ -184,9 +197,9 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
 
     if kind == "p_product":
         # psi(x, t) = a(t) . x + b(t) with smooth a, b
-        a0 = np.asarray(params.get("a0", np.ones(dim - 1)), dtype=float)
-        a1 = np.asarray(params.get("a1", 0.5 * np.ones(dim - 1)), dtype=float)
-        b1 = float(params.get("b1", 1.0))
+        a0 = _point(params, "a0", dim - 1, 1.0)
+        a1 = _point(params, "a1", dim - 1, 0.5)
+        b1 = _number(params, "b1", 1.0)
 
         def fn(pts):
             x, t = pts[:, :-1], pts[:, -1]

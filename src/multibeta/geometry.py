@@ -166,19 +166,16 @@ class ParabolicBox:
     """Rectangle I1 x I2 in R^{n-1} x R.
 
     The dyadic family has |I2| = side(I1)^2; concentric dilations break
-    that relation, recorded by ``strict``.
+    that relation.
     """
 
     spatial: Box
     t0: float
     t_len: float
-    strict: bool = True
 
     def __post_init__(self):
         if self.t_len <= 0:
             raise ValueError("time interval must have positive length")
-        if self.strict and abs(self.t_len - self.spatial.sides[0] ** 2) > 1e-12 * max(1.0, self.t_len):
-            object.__setattr__(self, "strict", False)
 
     @property
     def dim(self) -> int:
@@ -206,7 +203,7 @@ class ParabolicBox:
         sp = self.spatial.dilate(c)
         t_len = c * self.t_len
         t0 = self.t0 + 0.5 * (self.t_len - t_len)
-        return ParabolicBox(sp, t0, t_len, strict=False)
+        return ParabolicBox(sp, t0, t_len)
 
     def as_box(self) -> Box:
         """The same rectangle viewed as a Euclidean box in R^n."""

@@ -68,7 +68,7 @@ def _slice_fits(X, vals, wx, L):
     """(map, weighted squared residual sum) of the L2 fit of each time slice vals[:, k]."""
     out = []
     for k in range(vals.shape[1]):
-        amap = fitting.affine_fit(fitting.SampleSet(X, vals[:, k], wx), 2, L)
+        amap = fitting.affine_fit(X, vals[:, k], wx, 2, L)
         r = vals[:, k] - amap(X)
         out.append((amap, float(wx @ (r * r))))
     return out
@@ -110,7 +110,7 @@ def parabolic_beta2(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec
     X = np.repeat(X, t.size, axis=0)
     y = vals.ravel()
     w = np.outer(wx, wt).ravel()
-    r = y - fitting.affine_fit(fitting.SampleSet(X, y, w), 2, L)(X)
+    r = y - fitting.affine_fit(X, y, w, 2, L)(X)
     diam = pbox.diameter
     return math.sqrt(float(w @ (r * r)) / diam ** (pbox.dim + 1)) / diam
 
@@ -125,7 +125,7 @@ def parabolic_beta_inf(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureS
     Xe = np.vstack([X, X])
     ye = np.concatenate([upper, lower])
     we = np.ones(ye.size)
-    amap = fitting.affine_fit(fitting.SampleSet(Xe, ye, we), math.inf, L)
+    amap = fitting.affine_fit(Xe, ye, we, math.inf, L)
     return float(np.max(np.abs(ye - amap(Xe)))) / pbox.diameter
 
 
@@ -316,7 +316,7 @@ def rademacher_probe(psi: FunctionField, p, radii, quad: QuadratureSpec) -> Diff
     r_fit = radii[-1]
     Xs = midpoint_mesh(x0 - r_fit, 2.0 * r_fit, quad.nodes)
     ys = psi.eval(np.concatenate([Xs, np.full((Xs.shape[0], 1), t0)], axis=1))
-    a = fitting.affine_fit(fitting.SampleSet(Xs, ys, np.ones(Xs.shape[0])), 2).a
+    a = fitting.affine_fit(Xs, ys, np.ones(Xs.shape[0]), 2).a
 
     eps_vals = []
     for i, r in enumerate(radii):

@@ -279,7 +279,7 @@ def planar_beta2(fld: FunctionField, box: Box, direction, quad: QuadratureSpec) 
     X = np.vstack(pts)
     w = np.concatenate(wts)
     y = fld.eval(X)
-    amap = fitting.fit_affine_l2(fitting.SampleSet(X, y, w))
+    amap = fitting.fit_affine_l2(X, y, w)
     return norm_value(y - amap(X), w, 2, box.diameter, 2)
 
 

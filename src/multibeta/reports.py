@@ -36,7 +36,8 @@ def fmt(value):
     return str(value)
 
 
-def _atomic_write(path: str, payload: str):
+def atomic_write(path: str, payload: str):
+    """Write payload to a temporary file beside path, then move it into place."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
@@ -59,7 +60,7 @@ def write_csv(path: str, header, rows):
     writer.writerow(header)
     for row in rows:
         writer.writerow([fmt(cell) for cell in row])
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def config_hash(config: dict) -> str:
@@ -80,5 +81,5 @@ def write_manifest(path: str, config: dict, seed: int, outputs: list):
             "python": platform.python_version(),
         },
     }
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .reports import _atomic_write
+from .reports import atomic_write
 
 _W, _H = 640, 400
 _MARGIN = 50
@@ -54,7 +54,7 @@ def bar_chart(path: str, labels, values, title: str = ""):
                  f'font-family="monospace" font-size="11">{vmax:.3g}</text>\n')
     parts.append(f'<text x="{_MARGIN - 6}" y="{_H - _MARGIN}" text-anchor="end" '
                  f'font-family="monospace" font-size="11">0</text>\n')
-    _atomic_write(path, _svg("".join(parts)))
+    atomic_write(path, _svg("".join(parts)))
 
 
 def heatmap(path: str, cells, title: str = ""):
@@ -65,7 +65,7 @@ def heatmap(path: str, cells, title: str = ""):
     """
     cells = list(cells)
     if not cells:
-        _atomic_write(path, _svg(""))
+        atomic_write(path, _svg(""))
         return
     vmax = max(c[4] for c in cells)
     vmax = vmax if vmax > 0 else 1.0
@@ -102,7 +102,7 @@ def heatmap(path: str, cells, title: str = ""):
                  f'font-size="11">0</text>\n')
     parts.append(f'<text x="{lx + 24}" y="{_H - _MARGIN - plot + 10}" font-family="monospace" '
                  f'font-size="11">{vmax:.3g}</text>\n')
-    _atomic_write(path, _svg("".join(parts)))
+    atomic_write(path, _svg("".join(parts)))
 
 
 def reconstruction_scene(path: str, Q, small_box, simplex, planes, title: str = ""):
@@ -140,4 +140,4 @@ def reconstruction_scene(path: str, Q, small_box, simplex, planes, title: str = 
         parts.append(f'<line x1="{tx(p0[0]):.2f}" y1="{ty(p0[1]):.2f}" '
                      f'x2="{tx(p1[0]):.2f}" y2="{ty(p1[1]):.2f}" '
                      f'stroke="#888888" stroke-width="0.7" stroke-dasharray="4 3"/>\n')
-    _atomic_write(path, _svg("".join(parts)))
+    atomic_write(path, _svg("".join(parts)))

@@ -252,7 +252,7 @@ class TestBatchedLines:
         segs = [seg for seg, _ in sample_lines(box, 8, 5)]
         expect = {p: [beta_p_restricted(fld, box, seg, p, QUAD).value for seg in segs]
                   for p in (2, math.inf)}
-        monkeypatch.setattr(fitting, "_fit_affine_l2_stack", lambda x, y, w: (
+        monkeypatch.setattr(fitting, "fit_affine_l2_stack", lambda x, y, w: (
             np.zeros(len(x), dtype=bool), np.zeros((len(x), 1)), np.zeros(len(x))))
         _, values = restricted_line_betas(fld, box, segs, (2, math.inf), QUAD)
         assert {p: v.tolist() for p, v in values.items()} == expect
@@ -265,7 +265,7 @@ class TestBatchedLines:
         x = np.stack([s, 2.0 * s])[:, :, None]
         y = np.stack([s, s * s])
         monkeypatch.setattr(np.linalg, "solve", singular)
-        ok, _, _ = fitting._fit_affine_l2_stack(x, y, np.ones_like(y))
+        ok, _, _ = fitting.fit_affine_l2_stack(x, y, np.ones_like(y))
         assert not ok.any()
 
     def test_family_missing_the_box(self):

@@ -282,6 +282,42 @@ class TestConfigErrors:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f'"{key}"' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, patch, key", [
+        ("analyze", {"quad": 5}, "quad"),
+        ("analyze", {"quad": {"nodes": 9.5}}, "nodes"),
+        ("analyze", {"quad": {"restricted_nodes": "17"}}, "restricted_nodes"),
+        ("carleson", {"selector": "ig_line_inf2", "quad": {"mc_samples": 0}}, "mc_samples"),
+        ("analyze", {"field": 5}, "field"),
+        ("analyze", {"field": {"kind": "cone", "dim": "x"}}, "dim"),
+        ("analyze", {"field": {"kind": "cone", "dim": 0}}, "dim"),
+        ("analyze", {"field": {"kind": "cone", "dim": 2, "params": [1]}}, "params"),
+        ("analyze", {"field": {"kind": "affine", "dim": 2, "params": {"b": "abc"}}}, "b"),
+        ("analyze", {"field": {"kind": "bump", "dim": 2, "params": {"amp": "abc"}}}, "amp"),
+        ("analyze", {"field": {"kind": "affine", "dim": 2, "params": {"b": None}}}, "b"),
+        ("analyze", {"field": {"kind": "affine", "dim": 2, "params": {"b": 10 ** 400}}}, "b"),
+        ("analyze", {"field": {"kind": "p_product", "dim": 2, "params": {"a0": [1, 2, 3]}}},
+         "a0"),
+        ("analyze", {"field": {"kind": "p_product", "dim": 3, "params": {"a1": [0.5]}}}, "a1"),
+        ("analyze", {"field": {"kind": "p_additive", "dim": 2, "params": {"space_params": [1]}}},
+         "space_params"),
+        ("analyze", {"seed": "abc"}, "seed"),
+        ("carleson", {"dilation": float("nan")}, "dilation"),
+        ("analyze", {"root": {"level": 0, "index": [0]}}, "root"),
+        ("analyze", {"ps": [0]}, "ps"),
+        ("analyze", {"ps": [2, -1]}, "ps"),
+        ("igbeta", {"p": 0.5}, "p"),
+        ("carleson", {"selector": ["beta2"]}, "selector"),
+        ("parabolic", {"selector": ["beta2"]}, "selector"),
+        ("parabolic", {"parabolic_root": {"level": 0, "spatial_index": [0, 0], "time_index": 0}},
+         "parabolic_root"),
+        ("reconstruct", {"c": 0.5}, "c"),
+    ])
+    def test_config_mistake_exits_2_naming_key(self, tmp_path, capsys, command, patch, key):
+        base = self.PARABOLIC if command == "parabolic" else CONE_CFG
+        cfg = write_config(tmp_path, "cfg.json", dict(base, **patch))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f'"{key}"' in capsys.readouterr().err
+
 
 class TestWalkOrder:
     def test_analyze_and_carleson_list_the_same_cubes(self, tmp_path):

@@ -152,8 +152,6 @@ class TestDyadic:
     def test_parabolic_box_relation(self):
         pbox = DyadicParabolicBox(2, (3,), 7).as_parabolic_box()
         assert pbox.t_len == pytest.approx(pbox.side ** 2)
-        assert pbox.strict
-        assert not pbox.dilate(3.0).strict
 
 
 class TestBoxes:

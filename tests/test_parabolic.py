@@ -154,7 +154,7 @@ class TestCombine:
         # slice fits that break |a| <= L make the time mean too steep; that
         # is a package error (CLI exit 3), not an assertion
         steep = AffineMap((5.0,), 0.0)
-        monkeypatch.setattr(fitting, "affine_fit", lambda samples, p, L=None: steep)
+        monkeypatch.setattr(fitting, "affine_fit", lambda x, y, w, p, L=None: steep)
         psi = additive("affine", "zero", a=[2.0], b=0.0)
         with pytest.raises(BoundViolation) as info:
             combine_affine_bound(psi, UNIT, QUAD, L=1.0)

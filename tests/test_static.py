@@ -70,6 +70,31 @@ def unread_fields(source: str, sources):
                   and stmt.target.id not in read)
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_references(source: str):
+    """(line, "mod._name") of every private name of another module that
+    ``source`` reads: an attribute ``mod._name`` of an imported module
+    ``mod``, or a ``from .mod import _name``."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:  # from . import mod
+                modules.update(alias.asname or alias.name for alias in node.names)
+            found += [(node.lineno, f"{node.module}.{alias.name}")
+                      for alias in node.names if _private(alias.name)]
+    found += [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id in modules
+              and _private(node.attr)]
+    return sorted(found)
+
+
 def test_checker_flags_unused_import():
     source = "import os\nimport os.path as osp\nfrom sys import argv, exit\nexit(argv)\n"
     assert unused_imports(source) == [(1, "os"), (2, "osp")]
@@ -106,3 +131,15 @@ def test_checker_flags_unread_field():
 def test_no_unread_fields(path):
     sources = [p.read_text() for p in SRC + TESTS + PERFBENCH]
     assert unread_fields(path.read_text(), sources) == []
+
+
+def test_checker_flags_private_reference():
+    source = ("from . import fitting\nimport numpy as np\nfrom .reports import _write, fmt\n"
+              "fitting._stack(np.zeros(1))\nself._cache = fitting.__name__\n"
+              "def f(obj):\n    return obj._x, fitting.fit_affine_l2\n")
+    assert private_references(source) == [(3, "reports._write"), (4, "fitting._stack")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_private_references(path):
+    assert private_references(path.read_text()) == []
