@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 a verify property failed, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import operator
@@ -21,8 +22,8 @@ from . import reports, svgplot
 from .beta import QuadratureSpec
 from .errors import ConfigError, MultibetaError
 from .funcmodel import GridField, make_field
-from .geometry import Box, DyadicCube, DyadicParabolicBox, dyadic_levels
-from .reconstruct import verify_reconstruction
+from .geometry import Box, DyadicCube, DyadicParabolicBox, dyadic_levels, transversality
+from .reconstruct import base_planes, verify_reconstruction
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -30,30 +31,27 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _key_line(text: str, key: str) -> int:
-    """First line containing the quoted key; 0 when absent."""
+def _key_line(text: str, key: str, start: int = 0) -> int:
+    """First line at or after ``start`` containing the quoted key; 0 when absent."""
     needle = f'"{key}"'
     for i, line in enumerate(text.splitlines(), start=1):
-        if needle in line:
+        if i >= start and needle in line:
             return i
     return 0
 
 
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) < math.inf
-
-
-def _is_count(val) -> bool:
-    return isinstance(val, int) and _is_number(val) and val >= 1
+# 2.0 ** -1074 is the least positive float, so a dyadic cube of dimension k
+# (k = n + 1 for a parabolic box in R^n) has positive volume up to level 1074 // k.
+_MAX_EXPONENT = 1074
 
 
 class Config:
-    """Parsed config with line-annotated validation errors."""
+    """Parsed config with line-annotated validation errors. A ``section`` is
+    read by the same checked readers; its errors name its key as well."""
 
     def __init__(self, path: str | None, overrides: dict):
         self.path = path or "<defaults>"
-        self.text = ""
-        self.data = {}
+        self.text, self.data, self.where, self.start = "", {}, "", 0
         if path is not None:
             if not os.path.exists(path):
                 raise ConfigError(f"{path}: config file does not exist")
@@ -69,102 +67,114 @@ class Config:
         self.data.update({k: v for k, v in overrides.items() if v is not None})
 
     def fail(self, key: str, message: str):
-        line = _key_line(self.text, key)
-        raise ConfigError(f"{self.path}:{line}: \"{key}\" {message}")
+        line = _key_line(self.text, key, self.start)
+        raise ConfigError(f"{self.path}:{line}: {self.where}\"{key}\" {message}")
 
     def get(self, key, default=None):
-        return self.data.get(key, default)
-
-    def number(self, key, default=None, minimum=None, integer=False):
+        """The value under ``key`` (``default`` when absent); null is never a value."""
         val = self.data.get(key, default)
         if val is None:
-            self.fail(key, "is required")
-        if integer and not isinstance(val, int):
-            self.fail(key, "must be an integer")
-        if not _is_number(val):
-            self.fail(key, "must be a number")
+            self.fail(key, "must not be null" if key in self.data else "is required")
+        return val
+
+    def section(self, key, default=None) -> "Config":
+        """The object under ``key``, as a Config over the same file text."""
+        val = self.get(key, default)
+        if not isinstance(val, dict):
+            self.fail(key, "must be an object")
+        sub = copy.copy(self)
+        sub.data, sub.where = val, f'{self.where}"{key}": '
+        sub.start = _key_line(self.text, key, self.start)
+        return sub
+
+    def _check(self, key, val, must="must be", minimum=None, maximum=None, integer=False,
+              positive=False, inf=False):
+        """``val`` when it is a finite int or float (no bool) within the bounds, or
+        with ``inf`` also "inf", "infinity" or Infinity; else fail naming ``key``."""
+        if inf and (val in ("inf", "infinity") or val == math.inf):
+            return val
+        if (isinstance(val, bool) or not isinstance(val, int if integer else (int, float))
+                or not abs(val) <= sys.float_info.max):
+            kind = "an integer" if integer else 'a number or "inf"' if inf else "a finite number"
+            self.fail(key, f"{must} {kind}")
         if minimum is not None and val < minimum:
-            self.fail(key, f"must be >= {minimum}")
+            self.fail(key, f"{must} >= {minimum}")
+        if maximum is not None and val > maximum:
+            self.fail(key, f"{must} <= {maximum}")
+        if positive and not val > 0:
+            self.fail(key, f"{must} positive")
+        return val
+
+    def number(self, key, default=None, **bounds):
+        """The number under ``key``; ``bounds`` as in ``_check``."""
+        return self._check(key, self.get(key, default), **bounds)
+
+    def numbers(self, key, length=None, default=None, **bounds) -> list:
+        """A list of ``length`` numbers (any non-empty length when None)."""
+        vals = self.get(key, default)
+        if not isinstance(vals, list) or not vals or length not in (None, len(vals)):
+            self.fail(key, f"must be a list of {length or 'one or more'} numbers")
+        for val in vals:
+            self._check(key, val, "entries must each be", **bounds)
+        return vals
+
+    def string(self, key, default=None, choices=None) -> str:
+        val = self.get(key, default)
+        if not isinstance(val, str) or choices is not None and val not in choices:
+            self.fail(key, f"must be one of {tuple(choices)}" if choices else "must be a string")
         return val
 
 
+def _exponent(raw) -> float:
+    """An exponent checked with ``inf=True``, as a float."""
+    return math.inf if raw in ("inf", "infinity") else float(raw)
+
+
 def load_field(cfg: Config):
-    spec = cfg.get("field")
-    if not isinstance(spec, dict):
-        cfg.fail("field", "is required and must be an object")
-    if "grid_csv" in spec:
-        path = spec["grid_csv"]
-        if not os.path.exists(path):
-            raise ConfigError(f"{cfg.path}:{_key_line(cfg.text, 'grid_csv')}: "
-                              f"grid file {path} does not exist")
-        return GridField.from_csv(path)
-    kind = spec.get("kind")
-    dim = spec.get("dim")
-    if kind is None or dim is None:
-        cfg.fail("field", "needs \"kind\" and \"dim\" (or \"grid_csv\")")
-    if not _is_count(dim):
-        cfg.fail("dim", "must be a positive integer")
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        cfg.fail("params", "must be an object")
+    spec = cfg.section("field")
+    grid = spec.string("grid_csv") if "grid_csv" in spec.data else None
+    if grid is None:
+        kind, dim = spec.string("kind"), spec.number("dim", minimum=1, integer=True)
+        params = spec.section("params", {})
     try:
-        return make_field(kind, dim, **params)
+        return GridField.from_csv(grid) if grid is not None else make_field(kind, dim, **params.data)
     except ConfigError as exc:
-        raise ConfigError(f"{cfg.path}:{_key_line(cfg.text, 'field')}: {exc}") from exc
+        raise ConfigError(f"{cfg.path}:{spec.start}: {spec.where}{exc}") from exc
 
 
 def load_quad(cfg: Config, seed: int) -> QuadratureSpec:
-    q = cfg.get("quad", {})
-    if not isinstance(q, dict):
-        cfg.fail("quad", "must be an object")
-    counts = {key: q.get(key, default)
+    q = cfg.section("quad", {})
+    counts = {key: q.number(key, default, minimum=1, integer=True)
               for key, default in (("nodes", 9), ("restricted_nodes", 17), ("mc_samples", 2048))}
-    for key, val in counts.items():
-        if not _is_count(val):
-            cfg.fail("quad", f'"{key}" must be a positive integer')
     try:
         return QuadratureSpec(**counts, seed=seed)
     except ValueError as exc:
-        raise ConfigError(f"{cfg.path}:{_key_line(cfg.text, 'quad')}: {exc}") from exc
+        cfg.fail("quad", str(exc))
 
 
 def load_box(cfg: Config, dim: int) -> Box:
-    b = cfg.get("box")
-    if b is None:
-        return Box((0.0,) * dim, (1.0,) * dim)
-    try:
-        box = Box(tuple(b["lo"]), tuple(b["sides"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{cfg.path}:{_key_line(cfg.text, 'box')}: bad box: {exc}") from exc
-    if len(box.lo) != dim or len(box.sides) != dim:
-        cfg.fail("box", f'needs "lo" and "sides" of {dim} entries for a field of dimension {dim}')
-    return box
+    b = cfg.section("box", {"lo": [0.0] * dim, "sides": [1.0] * dim})
+    return Box(tuple(b.numbers("lo", dim)), tuple(b.numbers("sides", dim, positive=True)))
 
 
-def load_root(cfg: Config, dim: int) -> DyadicCube:
-    r = cfg.get("root", {"level": 0, "index": [0] * dim})
-    try:
-        cube = DyadicCube(int(r["level"]), tuple(r["index"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{cfg.path}:{_key_line(cfg.text, 'root')}: bad root: {exc}") from exc
-    if cube.dim != dim:
-        cfg.fail("root", f'needs an "index" of {dim} entries for a field of dimension {dim}')
-    return cube
+def load_root(cfg: Config, dim: int, depth: int):
+    """The root cube and the tree depth (``depth`` when absent)."""
+    r = cfg.section("root", {"level": 0, "index": [0] * dim})
+    top = _MAX_EXPONENT // dim
+    cube = DyadicCube(r.number("level", minimum=0, maximum=top, integer=True),
+                      tuple(r.numbers("index", dim, integer=True)))
+    return cube, cfg.number("depth", depth, minimum=0, maximum=top - cube.level, integer=True)
 
 
-def load_parabolic_root(cfg: Config, dim: int) -> DyadicParabolicBox:
-    r = cfg.get("parabolic_root",
-                {"level": 0, "spatial_index": [0] * (dim - 1), "time_index": 0})
-    try:
-        node = DyadicParabolicBox(int(r["level"]), tuple(r["spatial_index"]),
-                                  int(r["time_index"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{cfg.path}:{_key_line(cfg.text, 'parabolic_root')}: "
-                          f"bad parabolic root: {exc}") from exc
-    if node.spatial_dim != dim - 1:
-        cfg.fail("parabolic_root", f'needs a "spatial_index" of {dim - 1} entries '
-                                   f"for a field of dimension {dim}")
-    return node
+def load_parabolic_root(cfg: Config, dim: int, depth: int):
+    """The root box and the tree depth (``depth`` when absent)."""
+    r = cfg.section("parabolic_root",
+                    {"level": 0, "spatial_index": [0] * (dim - 1), "time_index": 0})
+    top = _MAX_EXPONENT // (dim + 1)
+    node = DyadicParabolicBox(r.number("level", minimum=0, maximum=top, integer=True),
+                              tuple(r.numbers("spatial_index", dim - 1, integer=True)),
+                              r.number("time_index", integer=True))
+    return node, cfg.number("depth", depth, minimum=0, maximum=top - node.level, integer=True)
 
 
 def _out(args, name):
@@ -175,14 +185,6 @@ def _out(args, name):
 def _say(args, message):
     if not args.quiet:
         print(message)
-
-
-def _parse_p(raw):
-    """An exponent p >= 1 or inf; ValueError otherwise."""
-    p = math.inf if raw in ("inf", "infinity", math.inf) else float(raw)
-    if not p >= 1:
-        raise ValueError(f"p = {p} is below 1")
-    return p
 
 
 def _write_packing(cfg, args, seed, dim, rep, prefix, node_csv, columns, outputs=()):
@@ -224,12 +226,8 @@ def _write_packing(cfg, args, seed, dim, rep, prefix, node_csv, columns, outputs
 def cmd_analyze(cfg, args, seed):
     fld = load_field(cfg)
     quad = load_quad(cfg, seed)
-    root = load_root(cfg, fld.dim)
-    depth = int(cfg.number("depth", default=2, minimum=0, integer=True))
-    try:
-        ps = [_parse_p(p) for p in cfg.get("ps", [1, 2, "inf"])]
-    except (TypeError, ValueError):
-        cfg.fail("ps", 'must be a list of numbers >= 1 or "inf"')
+    root, depth = load_root(cfg, fld.dim, 2)
+    ps = [_exponent(p) for p in cfg.numbers("ps", default=[1, 2, "inf"], minimum=1, inf=True)]
     rows = []
     for frontier in dyadic_levels(root, depth):
         for cube in frontier:
@@ -247,12 +245,9 @@ def cmd_analyze(cfg, args, seed):
 def cmd_carleson(cfg, args, seed):
     fld = load_field(cfg)
     quad = load_quad(cfg, seed)
-    root = load_root(cfg, fld.dim)
-    depth = int(cfg.number("depth", default=4, minimum=0, integer=True))
+    root, depth = load_root(cfg, fld.dim, 4)
     dilation = cfg.number("dilation", default=3.0, minimum=1.0)
-    selector = cfg.get("selector", "beta2")
-    if not isinstance(selector, str) or selector not in betamod.SELECTORS:
-        cfg.fail("selector", f"must be one of {tuple(betamod.SELECTORS)}")
+    selector = cfg.string("selector", "beta2", betamod.SELECTORS)
     rep = betamod.carleson_sum(fld, root, dilation, depth, selector, quad)
     return _write_packing(cfg, args, seed, fld.dim, rep, "carleson", "carleson_cubes.csv",
                           ("level", "index"))
@@ -262,13 +257,10 @@ def cmd_igbeta(cfg, args, seed):
     fld = load_field(cfg)
     quad = load_quad(cfg, seed)
     box = load_box(cfg, fld.dim)
-    m = int(cfg.number("m", default=max(fld.dim - 1, 1), minimum=1, integer=True))
+    m = cfg.number("m", default=max(fld.dim - 1, 1), minimum=1, integer=True)
     if m not in (1, fld.dim - 1, fld.dim):
         cfg.fail("m", f"must be 1, n - 1 or n for a field of dimension n = {fld.dim}")
-    try:
-        p = _parse_p(cfg.get("p", 2))
-    except (TypeError, ValueError):
-        cfg.fail("p", 'must be a number >= 1 or "inf"')
+    p = _exponent(cfg.number("p", default=2, minimum=1, inf=True))
     q = cfg.number("q", default=2, minimum=1)
     rec = betamod.beta_integralgeometric(fld, box, m, p, q, quad)
     path = _out(args, "igbeta.csv")
@@ -286,11 +278,10 @@ def cmd_reconstruct(cfg, args, seed):
     if fld.dim < 2:
         cfg.fail("field", "needs dim >= 2 for reconstruction")
     box = load_box(cfg, fld.dim)
-    c = cfg.number("c", default=1.0 / 20.0, minimum=1e-6)
-    if c > 0.25:
-        cfg.fail("c", "must be <= 1/4")
+    c = cfg.number("c", default=1.0 / 20.0, minimum=1e-6, maximum=0.25)
     C = cfg.number("C", default=8.0, minimum=1.0)
-    tau = cfg.number("tau", default=0.25, minimum=0.0)
+    tau = cfg.number("tau", default=0.25, minimum=0.0,
+                     maximum=transversality(base_planes(box)))
     eps = cfg.number("epsilon", default=0.05, minimum=1e-9)
     rep = verify_reconstruction(fld, box, c=c, C=C, tau=tau, eps=eps, seed=seed, quad=quad)
     path = _out(args, "reconstruct.csv")
@@ -322,17 +313,12 @@ def cmd_parabolic(cfg, args, seed):
     quad = load_quad(cfg, seed)
     if fld.dim < 2:
         cfg.fail("field", "needs dim >= 2 for parabolic analysis")
-    root = load_parabolic_root(cfg, fld.dim)
-    depth = int(cfg.number("depth", default=3, minimum=0, integer=True))
+    root, depth = load_parabolic_root(cfg, fld.dim, 3)
     dilation = cfg.number("dilation", default=3.0, minimum=1.0)
-    selector = cfg.get("selector", "beta2")
-    if not isinstance(selector, str) or selector not in pbmod.PARABOLIC_SELECTORS:
-        cfg.fail("selector", f"must be one of {tuple(pbmod.PARABOLIC_SELECTORS)}")
-    L = cfg.get("L")
+    selector = cfg.string("selector", "beta2", pbmod.PARABOLIC_SELECTORS)
+    L = cfg.number("L", positive=True) if "L" in cfg.data else None
     if L is None and pbmod.PARABOLIC_SELECTORS[selector][2]:
         cfg.fail("selector", f'{selector!r} needs "L"')
-    if L is not None and not (_is_number(L) and L > 0):
-        cfg.fail("L", "must be a positive number")
     rep = pbmod.parabolic_carleson_sum(fld, root, dilation, depth, selector, quad, L=L)
     coeffs = pbmod.coefficient_table(fld, root.as_parabolic_box(), quad, L=L)
     coeff_path = _out(args, "parabolic_coefficients.csv")
@@ -352,13 +338,10 @@ def cmd_rademacher(cfg, args, seed):
     quad = load_quad(cfg, seed)
     if fld.dim < 2:
         cfg.fail("field", "needs dim >= 2 for the differentiability probe")
-    point = cfg.get("point", [0.5] * fld.dim)
-    if not (isinstance(point, list) and len(point) == fld.dim and all(map(_is_number, point))):
-        cfg.fail("point", f"must be a list of {fld.dim} numbers for a field of dimension {fld.dim}")
-    radii = cfg.get("radii", [2.0 ** (-k) for k in range(3, 10)])
-    if (not isinstance(radii, list) or not radii or not all(_is_number(r) and r > 0 for r in radii)
-            or any(a <= b for a, b in zip(radii, radii[1:]))):
-        cfg.fail("radii", "must be a non-empty list of positive numbers, strictly decreasing")
+    point = cfg.numbers("point", fld.dim, [0.5] * fld.dim)
+    radii = cfg.numbers("radii", default=[2.0 ** (-k) for k in range(3, 10)], positive=True)
+    if any(a <= b for a, b in zip(radii, radii[1:])):
+        cfg.fail("radii", "must be strictly decreasing")
     probe = pbmod.rademacher_probe(fld, point, radii, quad)
     path = _out(args, "rademacher.csv")
     reports.write_csv(path, ["radius", "eps"], zip(probe.radii, probe.eps))

@@ -8,6 +8,7 @@ Lipschitz estimation can use the parabolic metric.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,23 +58,29 @@ class GridField(FunctionField):
                 raise OutOfDomain(f"point outside grid hull {region.lo}..{tuple(region.hi)}") from exc
 
         super().__init__(kind="grid", dim=len(counts), fn=fn)
-        self.values = values
-        self.origin = origin
-        self.steps = steps
 
     @classmethod
     def from_csv(cls, path) -> "GridField":
-        """Load a grid field; see docs/formats.md for the layout."""
-        with open(path, newline="") as handle:
-            rows = [r for r in csv.reader(handle) if r]
+        """Load a grid field; see docs/formats.md for the layout. A file that
+        cannot be read or breaks the layout raises ConfigError naming it."""
+        try:
+            with open(path, newline="") as handle:
+                rows = [[float(v) for v in r] for r in csv.reader(handle) if r]
+        except (OSError, ValueError, csv.Error) as exc:
+            raise ConfigError(f"grid file {path}: {exc}") from exc
         if len(rows) < 4:
             raise ConfigError(f"grid file {path}: need counts, origin, steps, values rows")
-        counts = [int(v) for v in rows[0]]
-        origin = [float(v) for v in rows[1]]
-        steps = [float(v) for v in rows[2]]
-        flat = [float(v) for row in rows[3:] for v in row]
-        if len(flat) != int(np.prod(counts)):
-            raise ConfigError(f"grid file {path}: expected {int(np.prod(counts))} values, got {len(flat)}")
+        counts, origin, steps = rows[:3]
+        flat = [v for row in rows[3:] for v in row]
+        if (not all(c.is_integer() and c >= 2 for c in counts) or len(origin) != len(counts)
+                or len(steps) != len(counts) or not all(s > 0 for s in steps)):
+            raise ConfigError(f"grid file {path}: need integer counts >= 2, and one origin "
+                              "and one positive step per count")
+        size = math.prod(int(c) for c in counts)
+        if len(flat) != size:
+            raise ConfigError(f"grid file {path}: expected {size} values, got {len(flat)}")
+        if not np.isfinite([*origin, *flat, *(s * c for s, c in zip(steps, counts))]).all():
+            raise ConfigError(f"grid file {path}: values, origin and extent must be finite")
         return cls(origin, steps, counts, flat)
 
 
@@ -167,8 +174,8 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
     if kind == "bump":
         x0 = _point(params, "x0", dim)
         scale = _number(params, "scale", 0.3)
-        if not scale > 0:
-            raise ConfigError('"scale" must be a positive number')
+        if not (scale > 0 and scale * scale < np.inf):  # scale ** 2 in fn must not overflow
+            raise ConfigError('"scale" must be a positive number with a finite square')
         amp = _number(params, "amp", 1.0)
         # max slope of amp*exp(-r^2/s^2) is amp*sqrt(2/e)/s
         L = amp * np.sqrt(2.0 / np.e) / scale

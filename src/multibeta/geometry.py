@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSimplex, ParallelOrDegenerate
+from .errors import DegenerateBox, DegenerateSimplex, ParallelOrDegenerate
 from .rng import stream
 
 DET_TOL = 1e-10
+# Consecutive missed draws after which ``sample_lines`` gives up on a box too
+# thin for float resolution; the pinned workloads miss at most 9 in a row.
+MAX_LINE_REJECTIONS = 100_000
 
 
 def ball_volume(m: int) -> float:
@@ -43,8 +46,8 @@ class Box:
         object.__setattr__(self, "sides", tuple(float(v) for v in self.sides))
         if len(self.lo) != len(self.sides):
             raise ValueError("box lo and sides must have the same length")
-        if any(s <= 0 for s in self.sides):
-            raise ValueError("box sides must be positive")
+        if not all(s > 0 for s in self.sides) or not all(map(math.isfinite, self.lo + self.sides)):
+            raise ValueError("box sides must be positive, and lo and sides finite")
 
     @property
     def dim(self) -> int:
@@ -614,12 +617,14 @@ def sample_lines(box: Box, count: int, seed: int):
         corner_frame = corners @ B
         lo = corner_frame.min(axis=0)
         hi = corner_frame.max(axis=0)
-        while True:
+        for _ in range(MAX_LINE_REJECTIONS):
             u = rng.uniform(lo, hi)
             base = B @ u
             clip = clip_line_to_box(base, e, box)
             if clip is not None:
                 break
+        else:
+            raise DegenerateBox(f"{MAX_LINE_REJECTIONS} draws in a row missed the box {box}")
         seg = LineSeg(tuple(base), tuple(e), clip[0], clip[1])
         out.append((seg, _box_shadow(faces, e) / norm))
     return out

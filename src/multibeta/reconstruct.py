@@ -99,6 +99,12 @@ def base_simplex(Q: Box) -> Simplex:
     return Simplex(tuple(tuple(v) for v in verts))
 
 
+def base_planes(Q: Box) -> list:
+    """The face planes of ``base_simplex(Q)``, the unperturbed plane family."""
+    A_hs, b_hs = base_simplex(Q).halfspaces()
+    return [Hyperplane(tuple(A_hs[i]), b_hs[i]) for i in range(len(b_hs))]
+
+
 def build_global_affine(corners, values) -> AffineMap:
     """The unique affine map taking the given values at n+1 corners."""
     corners = np.atleast_2d(np.asarray(corners, dtype=float))
@@ -158,10 +164,8 @@ def select_transversal_planes(fld: FunctionField, Q: Box, tau: float, eps: float
     immediately with a zero certificate. Raises BudgetExhausted carrying the
     best draw when no draw satisfies all three acceptance properties.
     """
-    simplex0 = base_simplex(Q)
-    A_hs, b_hs = simplex0.halfspaces()
-    base_planes = [Hyperplane(tuple(A_hs[i]), b_hs[i]) for i in range(len(b_hs))]
-    tau0 = transversality(base_planes)
+    base = base_planes(Q)
+    tau0 = transversality(base)
     if tau0 < tau:
         raise DegenerateSimplex(f"base family transversality {tau0:.3e} below requested {tau:.3e}")
     CQ = Q.dilate(C)
@@ -172,14 +176,14 @@ def select_transversal_planes(fld: FunctionField, Q: Box, tau: float, eps: float
     best_score = math.inf
     for k in range(_DRAW_BUDGET):
         if k == 0:
-            planes = list(base_planes)
+            planes = list(base)
         else:
             rng = stream(seed, "draw", k)
-            planes = _perturb_planes(base_planes, eps, rng)
+            planes = _perturb_planes(base, eps, rng)
         if transversality(planes) < 0.5 * tau:
             continue
         try:
-            sel = _evaluate_draw(fld, CQ, base_planes, planes, quad, ref, eps, tau0, k)
+            sel = _evaluate_draw(fld, CQ, base, planes, quad, ref, eps, tau0, k)
         except (DegenerateSimplex, EmptyIntersection):
             continue
         if sel.accepted:

@@ -1,8 +1,16 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import pathlib
+import signal
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multibeta import cli
 from multibeta.cli import main
@@ -20,6 +28,8 @@ def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
 
+
+NAN, INF = float("nan"), float("inf")
 
 CONE_CFG = {
     "field": {"kind": "cone", "dim": 2, "params": {"x0": [0.4, 0.6]}},
@@ -311,12 +321,153 @@ class TestConfigErrors:
         ("parabolic", {"parabolic_root": {"level": 0, "spatial_index": [0, 0], "time_index": 0}},
          "parabolic_root"),
         ("reconstruct", {"c": 0.5}, "c"),
+        ("igbeta", {"box": {"lo": [0.0, 0.0], "sides": [NAN, 1.0]}}, "sides"),
+        ("igbeta", {"box": {"lo": [0.0, 0.0], "sides": [1.0, INF]}}, "sides"),
+        ("igbeta", {"box": {"lo": [-INF, 0.0], "sides": [1.0, 1.0]}}, "lo"),
+        ("reconstruct", {"box": {"lo": [0.0, 0.0], "sides": [NAN, 1.0]}}, "sides"),
+        ("reconstruct", {"tau": 5}, "tau"),
+        ("analyze", {"root": {"level": 2000, "index": [0, 0]}}, "root"),
+        ("analyze", {"depth": 600}, "depth"),
+        ("parabolic", {"parabolic_root": {"level": 600, "spatial_index": [0], "time_index": 0}},
+         "parabolic_root"),
+        ("analyze", {"field": {"kind": "bump", "dim": 2, "params": {"scale": 1e308}}}, "scale"),
+        # a float or bool where an integer or a number is due is refused, not truncated
+        ("analyze", {"root": {"level": 0.7, "index": [0, 0]}}, "level"),
+        ("analyze", {"root": {"level": 0, "index": [0.9, True]}}, "index"),
+        ("igbeta", {"box": {"lo": [0.0, 0.0], "sides": ["1", 1.0]}}, "sides"),
+        ("igbeta", {"p": True}, "p"),
     ])
     def test_config_mistake_exits_2_naming_key(self, tmp_path, capsys, command, patch, key):
         base = self.PARABOLIC if command == "parabolic" else CONE_CFG
         cfg = write_config(tmp_path, "cfg.json", dict(base, **patch))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f'"{key}"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sides", [[1e-150, 1.0], [1e150, 1.0]])
+    def test_box_no_line_can_meet_exits_3(self, tmp_path, capsys, sides):
+        box = {"lo": [0.0, 0.0], "sides": sides}
+        cfg = write_config(tmp_path, "cfg.json", dict(CONE_CFG, box=box))
+        assert main(["igbeta", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
+    @pytest.mark.parametrize("text", [
+        "3\n0.0\n0.5\n1.0,abc,2.0\n",
+        "3\n0.0\n0.0\n1.0,2.0,3.0\n",
+        "1\n0.0\n0.5\n1.0\n",
+    ])
+    def test_malformed_grid_file_exits_2_naming_it(self, tmp_path, capsys, text):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(text)
+        cfg = write_config(tmp_path, "cfg.json", dict(CONE_CFG, field={"grid_csv": str(grid)}))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert '"field"' in err and "grid.csv" in err
+
+
+def _ints(minimum=None):
+    """Values that are not an integer >= ``minimum``."""
+    return ["abc", True, None, NAN, INF, -INF, [1], {}, 1.5] + (
+        [] if minimum is None else [minimum - 1])
+
+
+def _floats(minimum=None, maximum=None, positive=False):
+    """Values that are not a finite number within the bounds."""
+    return (["abc", True, None, NAN, INF, -INF, [1.0], {}]
+            + ([] if minimum is None else [minimum - 1])
+            + ([] if maximum is None else [maximum + 5])
+            + ([0.0, -1.0] if positive else []))
+
+
+def _lists(length, integer=False, positive=False):
+    """Values that are not a list of ``length`` such numbers (any non-empty
+    length when None)."""
+    n = length or 2
+    pool = ["abc", 5, True, None, {}, [], [NAN] * n, [INF] * n, [True] * n, ["1"] * n,
+            [None] * n, [[0.5]] * n]
+    if length is not None:
+        pool.append([0] * (length + 1))
+    return pool + ([[0.5] * n] if integer else []) + ([[0.0] * n, [-1.0] * n] if positive else [])
+
+
+OBJECT = [5, "abc", [1], True, None]
+EXPONENTS = ["abc", True, None, NAN, -INF, [2], {}, 0.5]
+SELECTOR = [5, True, None, ["beta2"], {}, "bogus"]
+COMMON = {
+    ("seed",): _ints(), ("field",): OBJECT, ("field", "kind"): SELECTOR,
+    ("field", "dim"): _ints(1), ("field", "params"): OBJECT, ("quad",): OBJECT,
+    ("quad", "nodes"): _ints(1) + [4], ("quad", "restricted_nodes"): _ints(1),
+    ("quad", "mc_samples"): _ints(1),
+}
+ROOT = {("root",): OBJECT, ("root", "level"): _ints(0), ("root", "index"): _lists(2, integer=True)}
+BOX = {("box",): OBJECT, ("box", "lo"): _lists(2), ("box", "sides"): _lists(2, positive=True)}
+# command -> (small valid config, {documented key path: values it must refuse})
+FUZZ = {
+    "analyze": (dict(CONE_CFG, depth=0),
+                {("depth",): _ints(0), ("ps",): [[v] for v in EXPONENTS] + ["abc", 5, {}, []], **ROOT}),
+    "carleson": (dict(CONE_CFG, depth=0, selector="beta2"),
+                 {("depth",): _ints(0), ("dilation",): _floats(1.0), ("selector",): SELECTOR,
+                  **ROOT}),
+    "igbeta": (CONE_CFG, {("m",): _ints(1) + [5], ("p",): EXPONENTS, ("q",): _floats(1), **BOX}),
+    "reconstruct": (CONE_CFG, {("c",): _floats(1e-6, 0.25), ("C",): _floats(1.0),
+                               ("tau",): _floats(0.0, 1.0), ("epsilon",): _floats(1e-9), **BOX}),
+    "parabolic": (dict(TestConfigErrors.PARABOLIC, depth=0, selector="AL", L=2.0),
+                  {("depth",): _ints(0), ("dilation",): _floats(1.0), ("selector",): SELECTOR,
+                   ("L",): _floats(positive=True), ("parabolic_root",): OBJECT,
+                   ("parabolic_root", "level"): _ints(0),
+                   ("parabolic_root", "spatial_index"): _lists(1, integer=True),
+                   ("parabolic_root", "time_index"): _ints()}),
+    "rademacher": (CONE_CFG, {("point",): _lists(2),
+                              ("radii",): _lists(None, positive=True) + [[0.1, 0.2]]}),
+}
+# the value a nested key replaces when the small config leaves its object out
+DEFAULT_OBJECTS = {"root": {"level": 0, "index": [0, 0]},
+                   "box": {"lo": [0.0, 0.0], "sides": [1.0, 1.0]},
+                   "parabolic_root": {"level": 0, "spatial_index": [0], "time_index": 0}}
+FUZZ_CASES = [(command, path, value) for command, (_, keys) in FUZZ.items()
+              for path, pool in {**COMMON, **keys}.items() for value in pool]
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body once it has run ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"run took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestConfigFuzz:
+    """Replacing one documented key of a small valid config, top-level or
+    nested, with a value outside its domain exits 2 naming the key or its
+    enclosing object: never 1, never a traceback."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ))
+    def test_small_configs_are_valid(self, tmp_path, command):
+        cfg = write_config(tmp_path, "cfg.json", FUZZ[command][0])
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+    @settings(max_examples=1000)
+    @given(case=st.sampled_from(FUZZ_CASES))
+    def test_bad_value_exits_2_naming_key(self, case):
+        command, path, value = case
+        payload = copy.deepcopy(FUZZ[command][0])
+        if len(path) == 1:
+            payload[path[0]] = value
+        else:
+            outer = payload.setdefault(path[0], copy.deepcopy(DEFAULT_OBJECTS.get(path[0])))
+            outer[path[1]] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), time_limit(10):
+            cfg = write_config(pathlib.Path(tmp), "cfg.json", payload)
+            code = main([command, "--config", cfg, "--out", tmp, "--quiet"])
+        assert code == 2, (case, err.getvalue())
+        assert any(f'"{key}"' in err.getvalue() for key in path), (case, err.getvalue())
 
 
 class TestWalkOrder:

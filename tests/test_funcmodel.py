@@ -101,6 +101,37 @@ class TestGridField:
         with pytest.raises(ConfigError):
             GridField.from_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        "3\n0.0\n0.5\n1.0,abc,2.0\n",      # non-numeric cell
+        "3\n0.0\n0.5\n1.0,nan,2.0\n",      # non-finite value
+        "3\n0.0\n0.0\n1.0,2.0,3.0\n",      # zero step
+        "3\n0.0\n-0.5\n1.0,2.0,3.0\n",     # negative step
+        "1\n0.0\n0.5\n1.0\n",              # a single sample on the axis
+        "2.5\n0.0\n0.5\n1.0,2.0\n",        # a count that is not an integer
+        "3,2\n0.0\n0.5,0.5\n" + "1.0\n" * 6,  # one origin for two axes
+        "3\n0.0\n1e308\n1.0,2.0,3.0\n",    # infinite extent
+    ])
+    def test_from_csv_malformed_names_file(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="bad.csv"):
+            GridField.from_csv(path)
+
+    def test_from_csv_missing_file_names_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="ghost.csv"):
+            GridField.from_csv(tmp_path / "ghost.csv")
+
+
+class TestBump:
+    @pytest.mark.parametrize("scale", [0.0, -0.3, 1e308])
+    def test_scale_without_a_positive_finite_square_is_refused(self, scale):
+        with pytest.raises(ConfigError, match='"scale"'):
+            make_field("bump", 2, scale=scale)
+
+    def test_large_scale_evaluates(self):
+        fld = make_field("bump", 2, x0=[0.0, 0.0], scale=1e150)
+        assert fld.eval(np.array([1.0, 1.0])) == 1.0
+
 
 class TestLipschitzEstimate:
     def test_affine_exact(self):

@@ -167,6 +167,16 @@ class TestBoxes:
         with pytest.raises(ValueError):
             Box((0.0, 0.0, 0.0), (1.0, 2.0))
 
+    @pytest.mark.parametrize("lo, sides", [
+        ((0.0, 0.0), (math.nan, 1.0)),
+        ((0.0, 0.0), (1.0, math.inf)),
+        ((math.nan, 0.0), (1.0, 1.0)),
+        ((0.0, -math.inf), (1.0, 1.0)),
+    ])
+    def test_lo_and_sides_must_be_finite(self, lo, sides):
+        with pytest.raises(ValueError):
+            Box(lo, sides)
+
     def test_parabolic_diameter_metric(self):
         pbox = ParabolicBox(Box((0.0,), (1.0,)), 0.0, 1.0)
         assert pbox.diameter == pytest.approx(parabolic_distance((0.0, 0.0), (1.0, 1.0)))

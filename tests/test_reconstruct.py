@@ -8,8 +8,8 @@ from multibeta.beta import QuadratureSpec, combined_beta, combined_parts
 from multibeta.calibration import KAPPA_C
 from multibeta.errors import DegenerateSimplex
 from multibeta.funcmodel import make_field
-from multibeta.geometry import Box
-from multibeta.reconstruct import (base_simplex, build_global_affine,
+from multibeta.geometry import Box, transversality
+from multibeta.reconstruct import (base_planes, base_simplex, build_global_affine,
                                    planar_beta2, select_transversal_planes,
                                    verify_reconstruction)
 
@@ -74,6 +74,18 @@ class TestBaseSimplex:
     def test_positive_volume(self):
         for Q in (UNIT2, UNIT3):
             assert base_simplex(Q).volume > 0
+
+    @pytest.mark.parametrize("Q, tau0", [(UNIT2, 0.866), (UNIT3, 0.770)])
+    def test_base_planes_bound_the_requestable_tau(self, Q, tau0):
+        planes = base_planes(Q)
+        assert len(planes) == Q.dim + 1
+        for v in base_simplex(Q).v:  # each vertex lies on all planes but one
+            assert sum(abs(p.e @ v - p.offset) <= 1e-12 for p in planes) == Q.dim
+        top = transversality(planes)
+        assert top == pytest.approx(tau0, abs=5e-4)
+        fld = make_field("affine", Q.dim, a=[1.0] * Q.dim, b=0.0)
+        with pytest.raises(DegenerateSimplex):
+            select_transversal_planes(fld, Q, 1.01 * top, 0.05, 8.0, 0, QUAD)
 
 
 class TestSelection:

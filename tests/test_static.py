@@ -143,3 +143,49 @@ def test_checker_flags_private_reference():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_private_references(path):
     assert private_references(path.read_text()) == []
+
+
+READERS = {"get", "section", "number", "numbers", "string"}
+
+
+def config_keys(source: str):
+    """Every string key ``source`` reads through a Config reader: a literal
+    first argument, or, for a name, the first entry of each row of the
+    literal table a comprehension binds that name from."""
+    tree = ast.parse(source)
+    tables = {node.target.elts[0].id: [row.elts[0].value for row in node.iter.elts]
+              for node in ast.walk(tree)
+              if isinstance(node, ast.comprehension) and isinstance(node.target, ast.Tuple)
+              and isinstance(node.iter, ast.Tuple)}
+    keys = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in READERS and node.args):
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                keys.add(arg.value)
+            elif isinstance(arg, ast.Name):
+                keys.update(tables.get(arg.id, ()))
+    return keys
+
+
+def documented_keys(text: str):
+    """Each dotted part of a key in the first column of the "Config keys" table."""
+    section = text.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    return {part for line in section.splitlines() if line.startswith("| `")
+            for part in line.split("`")[1].split(".")}
+
+
+def test_checker_finds_config_keys():
+    source = ('def load(cfg):\n    b = cfg.section("box", {})\n'
+              '    return [b.number(k, d) for k, d in (("lo", 0), ("hi", 1))], cfg.get("seed")\n')
+    assert config_keys(source) == {"box", "lo", "hi", "seed"}
+    table = "## Config keys\n\n| key |\n|---|\n| `seed` |\n| `box.lo` |\n\n## Next\n| `x` |\n"
+    assert documented_keys(table) == {"seed", "box", "lo"}
+
+
+def test_every_config_key_is_documented():
+    keys = config_keys((ROOT / "src" / "multibeta" / "cli.py").read_text())
+    documented = documented_keys((ROOT / "docs" / "formats.md").read_text())
+    assert "tau" in keys and "sides" in keys and "mc_samples" in keys
+    assert sorted(keys - documented) == []
