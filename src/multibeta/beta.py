@@ -46,6 +46,8 @@ class QuadratureSpec:
             raise ValueError("nodes must be odd and >= 3")
         if self.restricted_nodes < 3 or self.restricted_nodes % 2 == 0:
             raise ValueError("restricted_nodes must be odd and >= 3")
+        if self.mc_samples < 2:
+            raise ValueError("mc_samples must be >= 2, so a Monte Carlo mean has a standard error")
 
 
 @dataclass
@@ -110,8 +112,7 @@ def _line_record(fld, box, seg: LineSeg, p, quad):
     s0, s1 = clip
     nodes = quad.restricted_nodes
     s = midpoint_nodes(s0, s1 - s0, nodes)
-    pts = seg.points(s)
-    y = fld.eval(pts)
+    y = fld.eval(np.asarray(seg.base) + s[:, None] * np.asarray(seg.direction))
     w = np.full(nodes, (s1 - s0) / nodes)
     amap = fitting.affine_fit(s[:, None], y, w, p)
     value = norm_value(y - amap(s[:, None]), w, p, box.diameter, 1)
@@ -161,8 +162,10 @@ def beta_p_restricted(fld: FunctionField, box: Box, slice_obj, p: float,
 LINE_BLOCK = 512
 
 
-def restricted_line_betas(fld: FunctionField, box: Box, segs, ps, quad: QuadratureSpec):
-    """beta_p_restricted(fld, box, seg, p, quad).value for a family of lines.
+def restricted_line_betas(fld: FunctionField, box: Box, bases, directions, ps,
+                          quad: QuadratureSpec):
+    """beta_p_restricted(fld, box, LineSeg(base, direction), p, quad).value
+    for the lines given as (K, n) rows of ``bases`` and unit ``directions``.
 
     Returns (kept, values): ``kept`` masks the lines that meet the box and
     ``values[p]`` holds their coefficients in order, for each p in ``ps``.
@@ -172,27 +175,23 @@ def restricted_line_betas(fld: FunctionField, box: Box, segs, ps, quad: Quadratu
     every other line (a failed rank check, another p) is fitted on its own
     by ``fitting.affine_fit``. Every value equals the scalar one exactly.
     """
-    kept = np.zeros(len(segs), dtype=bool)
-    lines, ends = [], []
-    for k, seg in enumerate(segs):
-        clip = clip_line_to_box(seg.base, seg.direction, box)
-        if clip is not None:
-            kept[k] = True
-            lines.append(seg)
-            ends.append(clip)
-    blocks = [_line_block_betas(fld, box, lines[i:i + LINE_BLOCK], ends[i:i + LINE_BLOCK], ps, quad)
-              for i in range(0, len(lines), LINE_BLOCK)]
+    clips = [clip_line_to_box(b, d, box) for b, d in zip(bases, directions)]
+    kept = np.asarray([c is not None for c in clips], dtype=bool)
+    ends = [c for c in clips if c is not None]
+    bases, directions = np.asarray(bases)[kept], np.asarray(directions)[kept]
+    blocks = [_line_block_betas(fld, box, bases[rows], directions[rows], ends[rows], ps, quad)
+              for rows in (slice(i, i + LINE_BLOCK) for i in range(0, len(ends), LINE_BLOCK))]
     return kept, {p: np.concatenate([blk[p] for blk in blocks] or [np.zeros(0)]) for p in ps}
 
 
-def _line_block_betas(fld, box, lines, ends, ps, quad):
+def _line_block_betas(fld, box, bases, directions, ends, ps, quad):
     """restricted_line_betas of lines that meet the box, clipped to (s0, s1) = ends."""
     nodes = quad.restricted_nodes
     s0, s1 = np.asarray(ends).T
     h = (s1 - s0) / nodes
     s = midpoint_nodes(s0, s1 - s0, nodes)
-    pts = s[:, :, None] * np.asarray([seg.direction for seg in lines])[:, None, :]
-    pts += np.asarray([seg.base for seg in lines])[:, None, :]
+    pts = s[:, :, None] * directions[:, None, :]
+    pts += bases[:, None, :]
     y = fld.eval(pts.reshape(-1, box.dim)).reshape(s.shape)
     del pts
     x = s[:, :, None]
@@ -202,7 +201,7 @@ def _line_block_betas(fld, box, lines, ends, ps, quad):
     values = {}
     for p in ps:
         a_p, b_p = a.copy(), b.copy()
-        for k in range(len(lines)):
+        for k in range(len(ends)):
             if ok[k] and p == 2:
                 continue
             if ok[k] and math.isinf(p):
@@ -230,9 +229,9 @@ def _ig_family(fld, box, m, ps, quad, seed_tags):
     if m == 1:
         # for n = 2 the line and hyperplane measures coincide, so the line
         # sampler covers both m = 1 and m = n - 1
-        samples = sample_lines(box, quad.mc_samples, rng_seed)
-        kept, values = restricted_line_betas(fld, box, [seg for seg, _ in samples], ps, quad)
-        return np.asarray([w for _, w in samples])[kept], values
+        lines = sample_lines(box, quad.mc_samples, rng_seed)
+        kept, values = restricted_line_betas(fld, box, lines["base"], lines["direction"], ps, quad)
+        return lines["weight"][kept], values
     samples = sample_hyperplanes(box, quad.mc_samples, rng_seed)
     vals, weights = {p: [] for p in ps}, []
     for obj, w in samples:
@@ -247,11 +246,14 @@ def _ig_family(fld, box, m, ps, quad, seed_tags):
 
 
 def _ig_record(q, weights, vals) -> BetaRecord:
-    """L^q Monte Carlo mean of restricted coefficients, with its standard error."""
+    """L^q Monte Carlo mean of restricted coefficients, with its standard
+    error (inf when fewer than two samples met the set)."""
     if not vals.size:
         raise EmptyIntersection("no sampled plane met the box")
     mean_q = float(weights @ vals ** q / weights.sum())
     value = mean_q ** (1.0 / q)
+    if len(vals) < 2:
+        return BetaRecord(value, stderr=math.inf, mc=len(vals))
     # delta-method standard error through the q-th root
     contrib = weights * vals ** q / weights.mean()
     se_mean = float(contrib.std(ddof=1) / math.sqrt(len(vals)))

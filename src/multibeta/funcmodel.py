@@ -112,10 +112,21 @@ def _time_part(name):
     raise ConfigError(f"unknown time part {name!r}")
 
 
+def _numeric_leaves(x) -> bool:
+    """False if a bool or a string, which numpy would read as a number, sits
+    at any depth of the nested lists ``x``."""
+    if isinstance(x, (list, tuple)):
+        return all(map(_numeric_leaves, x))
+    return np.asarray(x).dtype.kind not in "bSU"
+
+
 def _floats(params: dict, key: str, default) -> np.ndarray:
     """params[key] (``default`` when absent) as a float array."""
+    raw = params.get(key, default)
+    if not _numeric_leaves(raw):
+        raise ConfigError(f'"{key}" must be numeric, not true, false or a string')
     try:
-        x = np.asarray(params.get(key, default), dtype=float)
+        x = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f'"{key}" must be numeric: {exc}') from exc
     if not np.isfinite(x).all():

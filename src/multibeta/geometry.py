@@ -1,7 +1,7 @@
 """Dyadic decompositions, affine planes and lines, Grassmannian sampling.
 
 Euclidean boxes and dyadic cubes, parabolic boxes, hyperplanes with the
-sign-identified (normal, offset) parametrization, line segments, affine
+sign-identified (normal, offset) parametrization, lines, affine
 maps, simplices, transversality, and unbiased Monte Carlo samplers for the
 translation-invariant measures on affine lines and affine hyperplanes
 (normalized so that the set of planes meeting the unit ball has measure 1).
@@ -337,12 +337,11 @@ def orthonormal_complement(e: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LineSeg:
-    """Line base + s * direction with parameter interval [s0, s1]."""
+    """The line base + s * direction, direction normalized on construction:
+    one line for the scalar reference ``beta.beta_p_restricted``."""
 
     base: tuple
     direction: tuple
-    s0: float
-    s1: float
 
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
@@ -351,14 +350,6 @@ class LineSeg:
             raise ValueError("line direction must be nonzero")
         object.__setattr__(self, "direction", tuple(d / nrm))
         object.__setattr__(self, "base", tuple(float(v) for v in self.base))
-
-    @property
-    def dim(self) -> int:
-        return len(self.base)
-
-    def points(self, s: np.ndarray) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return np.asarray(self.base) + s[:, None] * np.asarray(self.direction)
 
 
 @dataclass(frozen=True)
@@ -596,12 +587,23 @@ def sample_hyperplanes(region, count: int, seed: int):
     return out
 
 
-def sample_lines(box: Box, count: int, seed: int):
+def shadow_rect(corners: np.ndarray, e: np.ndarray):
+    """(B, lo, hi): the frame B = orthonormal_complement(e) of e^perp and the
+    bounding rectangle [lo, hi] of the points ``corners`` in its coordinates."""
+    B = orthonormal_complement(e)
+    frame = corners @ B
+    return B, frame.min(axis=0), frame.max(axis=0)
+
+
+def sample_lines(box: Box, count: int, seed: int) -> np.ndarray:
     """Weighted line samples for Monte Carlo integration over A_1(box).
 
     Base points are uniform on the shadow of the box on e^perp (rejection
     from its bounding rectangle); the weight is the exact shadow area
-    divided by the unit-ball normalizer.
+    divided by the unit-ball normalizer. Returns ``count`` rows of fields
+    ``base``, ``direction`` and ``weight``. A direction is the drawn unit
+    vector normalized again, one line at a time, as ``LineSeg`` does: that
+    second rounding is part of the sampled bits.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -610,23 +612,18 @@ def sample_lines(box: Box, count: int, seed: int):
     norm = ball_volume(n - 1)
     # invariants of the box, hoisted out of the per-line loop
     corners, faces = box.corners(), _face_areas(box)
-    out = []
-    for _ in range(count):
+    out = np.empty(count, dtype=[("base", float, (n,)), ("direction", float, (n,)), ("weight", float)])
+    for row in out:
         e = _unit_vectors(rng, 1, n)[0]
-        B = orthonormal_complement(e)
-        corner_frame = corners @ B
-        lo = corner_frame.min(axis=0)
-        hi = corner_frame.max(axis=0)
+        B, lo, hi = shadow_rect(corners, e)
         for _ in range(MAX_LINE_REJECTIONS):
-            u = rng.uniform(lo, hi)
-            base = B @ u
-            clip = clip_line_to_box(base, e, box)
-            if clip is not None:
+            base = B @ rng.uniform(lo, hi)
+            if clip_line_to_box(base, e, box) is not None:
                 break
         else:
             raise DegenerateBox(f"{MAX_LINE_REJECTIONS} draws in a row missed the box {box}")
-        seg = LineSeg(tuple(base), tuple(e), clip[0], clip[1])
-        out.append((seg, _box_shadow(faces, e) / norm))
+        row["base"], row["direction"] = base, e / np.linalg.norm(e)
+        row["weight"] = _box_shadow(faces, e) / norm
     return out
 
 
@@ -639,8 +636,6 @@ def estimate_plane_measure(sample_region, target_region, count: int, seed: int):
 
 def estimate_line_measure(sample_region, target_region, count: int, seed: int):
     """MC estimate (mean, stderr) of the line measure of A_1(target)."""
-    samples = sample_lines(sample_region, count, seed)
-    vals = np.asarray(
-        [w if meets_region(np.asarray(seg.base), np.asarray(seg.direction), target_region) else 0.0 for seg, w in samples]
-    )
+    lines = sample_lines(sample_region, count, seed)
+    vals = np.asarray([w if meets_region(b, d, target_region) else 0.0 for b, d, w in lines])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count))

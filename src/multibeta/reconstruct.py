@@ -25,9 +25,9 @@ from .beta import (QuadratureSpec, beta_integralgeometric, beta_p_cube, beta_p_r
                    restricted_line_betas)
 from .errors import BudgetExhausted, DegenerateSimplex, EmptyIntersection
 from .funcmodel import FunctionField
-from .geometry import (AffineMap, Box, Hyperplane, LineSeg, Simplex,
-                       clip_line_to_box, orthonormal_complement, plane_metric,
-                       shadow_area, simplex_from_planes, transversality)
+from .geometry import (AffineMap, Box, Hyperplane, Simplex, clip_line_to_box,
+                       orthonormal_complement, plane_metric, shadow_area, shadow_rect,
+                       simplex_from_planes, transversality)
 from .rng import stream
 
 ACCEPT_SLACK = 1e-12
@@ -234,18 +234,10 @@ def _line_family_integral(fld, small, big, direction, quad):
     Approximates the integral over the projection of the small box of
     beta_inf(big, line)^2, by a midpoint rule of 5 lines per axis on the shadow.
     """
-    B = orthonormal_complement(direction)
-    corner_frame = small.corners() @ B
-    lo = corner_frame.min(axis=0)
-    hi = corner_frame.max(axis=0)
-    U = midpoint_mesh(lo, hi - lo, 5)
-    segs = []
-    for u in U:
-        base = B @ u
-        clip = clip_line_to_box(base, direction, big)
-        if clip is not None:
-            segs.append(LineSeg(tuple(base), tuple(direction), clip[0], clip[1]))
-    vals = restricted_line_betas(fld, big, segs, (math.inf,), quad)[1][math.inf]
+    B, lo, hi = shadow_rect(small.corners(), direction)
+    bases = np.asarray([B @ u for u in midpoint_mesh(lo, hi - lo, 5)])
+    directions = np.tile(direction / np.linalg.norm(direction), (len(bases), 1))
+    vals = restricted_line_betas(fld, big, bases, directions, (math.inf,), quad)[1][math.inf]
     if not vals.size:
         return 0.0
     # rectangle-shadow midpoint rule; the bounding rectangle over-covers the
@@ -264,9 +256,7 @@ def planar_beta2(fld: FunctionField, box: Box, direction, quad: QuadratureSpec) 
         raise ValueError("planar route needs n = 2")
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    B = orthonormal_complement(direction)
-    corner_frame = (box.corners() @ B).ravel()
-    v_lo, v_hi = corner_frame.min(), corner_frame.max()
+    B, (v_lo,), (v_hi,) = shadow_rect(box.corners(), direction)
     strips = quad.restricted_nodes
     h_v = (v_hi - v_lo) / strips
     pts, wts = [], []

@@ -62,7 +62,7 @@ def test_acceptance_1_affine_annihilation():
         for p in (1, 2, math.inf):
             worst = max(worst, beta_p_cube(fld, box, p, quad).value)
         if n >= 2:
-            seg = LineSeg((0.5,) * n, (1.0,) + (0.3,) * (n - 1), -2.0, 2.0)
+            seg = LineSeg((0.5,) * n, (1.0,) + (0.3,) * (n - 1))
             worst = max(worst, beta_p_restricted(fld, box, seg, 2, quad).value)
             plane = Hyperplane((1.0,) * n, 0.5 * n)
             worst = max(worst, beta_p_restricted(fld, box, plane, 2, quad).value)

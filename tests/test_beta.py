@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -83,7 +84,7 @@ class TestRestrictedBeta:
         # minimax error over the restricted nodes divided by diam(Q)
         fld = make_field("pwlinear", 2, **VEE)
         box = Box((-1.0, -1.0), (2.0, 2.0))
-        seg = LineSeg((0.0, 0.0), (1.0, 0.0), -2.0, 2.0)
+        seg = LineSeg((0.0, 0.0), (1.0, 0.0))
         rec = beta_p_restricted(fld, box, seg, math.inf, FINE)
         expect = (1.0 - 1.0 / FINE.restricted_nodes) / (4.0 * math.sqrt(2.0))
         assert rec.value == pytest.approx(expect, rel=1e-9)
@@ -91,7 +92,7 @@ class TestRestrictedBeta:
     def test_line_misses_box(self):
         fld = make_field("square", 2)
         box = Box((0.0, 0.0), (1.0, 1.0))
-        seg = LineSeg((5.0, 0.0), (0.0, 1.0), -1.0, 1.0)
+        seg = LineSeg((5.0, 0.0), (0.0, 1.0))
         with pytest.raises(EmptyIntersection):
             beta_p_restricted(fld, box, seg, 2, QUAD)
 
@@ -151,6 +152,17 @@ class TestIntegralGeometric:
         # at n = 2 both parts come from the same line family
         assert both == math.hypot(planes, lines)
 
+    def test_one_sample_is_refused(self):
+        with pytest.raises(ValueError, match="mc_samples"):
+            QuadratureSpec(mc_samples=1)
+
+    def test_one_surviving_sample_has_infinite_stderr(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = betamod._ig_record(2, np.array([0.5]), np.array([0.3]))
+        assert rec.stderr == math.inf and rec.mc == 1
+        assert rec.value == pytest.approx(0.3, rel=1e-15)
+
     def test_combined_draws_one_family_at_n2(self, monkeypatch):
         calls = []
 
@@ -178,13 +190,23 @@ def _grazing_lines(box):
     (the smallest fail the rank check and take the scalar fallback)."""
     lo, hi = box.lo_arr, box.hi
     n = box.dim
-    out = [LineSeg(tuple(lo), tuple(np.r_[1.0, -np.ones(n - 1)]), 0.0, 0.0),
-           LineSeg(tuple(lo), tuple(np.eye(n)[0]), 0.0, 0.0),
-           LineSeg(tuple(lo), tuple(hi - lo), 0.0, 0.0)]
+    out = [LineSeg(tuple(lo), tuple(np.r_[1.0, -np.ones(n - 1)])),
+           LineSeg(tuple(lo), tuple(np.eye(n)[0])),
+           LineSeg(tuple(lo), tuple(hi - lo))]
     for gap in (1e-3, 1e-9, 1e-14):
         base = hi - gap * np.asarray(box.sides)
-        out.append(LineSeg(tuple(base), tuple(np.r_[1.0, -np.ones(n - 1)]), 0.0, 0.0))
+        out.append(LineSeg(tuple(base), tuple(np.r_[1.0, -np.ones(n - 1)])))
     return out
+
+
+def _sampled_segs(box, count, seed):
+    """The lines sample_lines draws, as the LineSegs of the scalar reference."""
+    return [LineSeg(tuple(b), tuple(d)) for b, d, _ in sample_lines(box, count, seed)]
+
+
+def _rows(segs):
+    """(bases, directions) of a list of LineSegs, the rows restricted_line_betas takes."""
+    return np.asarray([seg.base for seg in segs]), np.asarray([seg.direction for seg in segs])
 
 
 class TestBatchedLines:
@@ -198,11 +220,10 @@ class TestBatchedLines:
         box = Box(tuple(rng.uniform(-1.0, 1.0, n)), tuple(rng.uniform(0.2, 2.0, n)))
         quad = QuadratureSpec(restricted_nodes=int(rng.choice([3, 9, 17])))
         # lines sampled for a larger box miss this one now and then
-        segs = [seg for seg, _ in sample_lines(box.dilate(1.5), 24, seed)]
-        segs += _grazing_lines(box)
+        segs = _sampled_segs(box.dilate(1.5), 24, seed) + _grazing_lines(box)
         ps = (2, math.inf)
         with mock.patch.object(betamod, "LINE_BLOCK", block):
-            kept, values = restricted_line_betas(fld, box, segs, ps, quad)
+            kept, values = restricted_line_betas(fld, box, *_rows(segs), ps, quad)
         expect = {p: [] for p in ps}
         for i, seg in enumerate(segs):
             try:
@@ -222,8 +243,8 @@ class TestBatchedLines:
     def test_line_by_line_cases_match(self, p):
         fld = make_field("cone", 2, x0=[0.3, 0.6])
         box = Box((0.0, 0.0), (1.0, 1.0))
-        segs = [seg for seg, _ in sample_lines(box.dilate(1.5), 12, 5)]
-        kept, values = restricted_line_betas(fld, box, segs, (p,), QUAD)
+        segs = _sampled_segs(box.dilate(1.5), 12, 5)
+        kept, values = restricted_line_betas(fld, box, *_rows(segs), (p,), QUAD)
         expect = []
         for seg in segs:
             try:
@@ -237,10 +258,10 @@ class TestBatchedLines:
     def test_one_field_call_per_block(self, p):
         fld = make_field("cone", 2, x0=[0.3, 0.6])
         box = Box((0.0, 0.0), (1.0, 1.0))
-        segs = [seg for seg, _ in sample_lines(box.dilate(1.5), 12, 5)]
+        segs = _sampled_segs(box.dilate(1.5), 12, 5)
         with mock.patch.object(betamod, "LINE_BLOCK", 5), \
                 mock.patch.object(fld, "eval", wraps=fld.eval) as spy:
-            kept, values = restricted_line_betas(fld, box, segs, (p,), QUAD)
+            kept, values = restricted_line_betas(fld, box, *_rows(segs), (p,), QUAD)
         assert kept.sum() > 5 and spy.call_count == -(-int(kept.sum()) // 5)
         expect = [beta_p_restricted(fld, box, seg, p, QUAD).value
                   for seg, k in zip(segs, kept) if k]
@@ -249,12 +270,12 @@ class TestBatchedLines:
     def test_nothing_fitted_in_the_stack_falls_back(self, monkeypatch):
         fld = make_field("cone", 2, x0=[0.3, 0.6])
         box = Box((0.0, 0.0), (1.0, 1.0))
-        segs = [seg for seg, _ in sample_lines(box, 8, 5)]
+        segs = _sampled_segs(box, 8, 5)
         expect = {p: [beta_p_restricted(fld, box, seg, p, QUAD).value for seg in segs]
                   for p in (2, math.inf)}
         monkeypatch.setattr(fitting, "fit_affine_l2_stack", lambda x, y, w: (
             np.zeros(len(x), dtype=bool), np.zeros((len(x), 1)), np.zeros(len(x))))
-        _, values = restricted_line_betas(fld, box, segs, (2, math.inf), QUAD)
+        _, values = restricted_line_betas(fld, box, *_rows(segs), (2, math.inf), QUAD)
         assert {p: v.tolist() for p, v in values.items()} == expect
 
     def test_singular_stacked_solve_marks_every_row(self, monkeypatch):
@@ -270,8 +291,8 @@ class TestBatchedLines:
 
     def test_family_missing_the_box(self):
         fld = make_field("cone", 2, x0=[0.3, 0.6])
-        segs = [LineSeg((5.0, 0.0), (0.0, 1.0), 0.0, 1.0)]
-        kept, values = restricted_line_betas(fld, Box((0.0, 0.0), (1.0, 1.0)), segs,
+        kept, values = restricted_line_betas(fld, Box((0.0, 0.0), (1.0, 1.0)),
+                                             *_rows([LineSeg((5.0, 0.0), (0.0, 1.0))]),
                                              (2, math.inf), QUAD)
         assert not kept.any()
         assert values[2].size == 0 and values[math.inf].size == 0

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from multibeta import cli
 from multibeta.cli import main
 from multibeta.errors import BudgetExhausted, RankDeficient
+from multibeta.funcmodel import PARABOLIC_CATALOG
 from multibeta.reports import config_hash
 
 
@@ -396,7 +397,7 @@ COMMON = {
     ("seed",): _ints(), ("field",): OBJECT, ("field", "kind"): SELECTOR,
     ("field", "dim"): _ints(1), ("field", "params"): OBJECT, ("quad",): OBJECT,
     ("quad", "nodes"): _ints(1) + [4], ("quad", "restricted_nodes"): _ints(1),
-    ("quad", "mc_samples"): _ints(1),
+    ("quad", "mc_samples"): _ints(2),
 }
 ROOT = {("root",): OBJECT, ("root", "level"): _ints(0), ("root", "index"): _lists(2, integer=True)}
 BOX = {("box",): OBJECT, ("box", "lo"): _lists(2), ("box", "sides"): _lists(2, positive=True)}
@@ -425,6 +426,21 @@ DEFAULT_OBJECTS = {"root": {"level": 0, "index": [0, 0]},
                    "parabolic_root": {"level": 0, "spatial_index": [0], "time_index": 0}}
 FUZZ_CASES = [(command, path, value) for command, (_, keys) in FUZZ.items()
               for path, pool in {**COMMON, **keys}.items() for value in pool]
+# catalog kind -> {field.params key: values it must refuse}, at dim 2 ("square"
+# takes none); a bool or a string is refused at any depth of a list
+NESTED = [[[[0.5, 0.5]]], [[0.5, True]], [[0.5, "1"]]]
+CATALOG_PARAMS = {
+    "affine": {"a": _lists(2), "b": _floats()},
+    "pwlinear": {"xs": _lists(None) + [[0.0, 0.0]], "ys": _lists(5)},
+    "cone": {"x0": _lists(2)},
+    "distset": {"points": _lists(None) + NESTED},
+    "bump": {"x0": _lists(2), "scale": _floats(positive=True), "amp": _floats()},
+    "p_additive": {"space": SELECTOR, "time": SELECTOR,
+                   "space_params": OBJECT + [{"x0": [True]}, {"x0": ["0.5"]}]},
+    "p_product": {"a0": _lists(1), "a1": _lists(1), "b1": _floats()},
+}
+PARAM_CASES = [(kind, key, value) for kind, keys in CATALOG_PARAMS.items()
+               for key, pool in keys.items() for value in pool]
 
 
 @contextlib.contextmanager
@@ -440,6 +456,24 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _catalog_config(kind, params):
+    """(command, small valid config) for a dim-2 catalog field of ``kind``."""
+    command = "parabolic" if kind in PARABOLIC_CATALOG else "analyze"
+    payload = copy.deepcopy(FUZZ[command][0])
+    payload["field"] = {"kind": kind, "dim": 2, "params": params}
+    return command, payload
+
+
+def _assert_refused(command, payload, path):
+    """Running ``command`` on ``payload`` exits 2 naming a key of ``path``."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), time_limit(10):
+        cfg = write_config(pathlib.Path(tmp), "cfg.json", payload)
+        code = main([command, "--config", cfg, "--out", tmp, "--quiet"])
+    assert code == 2, (command, path, payload, err.getvalue())
+    assert any(f'"{key}"' in err.getvalue() for key in path), (command, path, err.getvalue())
 
 
 class TestConfigFuzz:
@@ -462,12 +496,20 @@ class TestConfigFuzz:
         else:
             outer = payload.setdefault(path[0], copy.deepcopy(DEFAULT_OBJECTS.get(path[0])))
             outer[path[1]] = value
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), time_limit(10):
-            cfg = write_config(pathlib.Path(tmp), "cfg.json", payload)
-            code = main([command, "--config", cfg, "--out", tmp, "--quiet"])
-        assert code == 2, (case, err.getvalue())
-        assert any(f'"{key}"' in err.getvalue() for key in path), (case, err.getvalue())
+        _assert_refused(command, payload, path)
+
+    @pytest.mark.parametrize("kind", sorted(CATALOG_PARAMS))
+    def test_catalog_defaults_are_valid(self, tmp_path, kind):
+        command, payload = _catalog_config(kind, {})
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+    @settings(max_examples=300)
+    @given(case=st.sampled_from(PARAM_CASES))
+    def test_bad_catalog_param_exits_2_naming_it(self, case):
+        kind, key, value = case
+        command, payload = _catalog_config(kind, {key: value})
+        _assert_refused(command, payload, ("field", key))
 
 
 class TestWalkOrder:

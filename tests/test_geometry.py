@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from multibeta import geometry
 from multibeta.errors import DegenerateSimplex, ParallelOrDegenerate
 from multibeta.geometry import (Ball, Box, DyadicCube, DyadicParabolicBox,
-                                Hyperplane, ParabolicBox, Simplex, dyadic_levels,
+                                Hyperplane, ParabolicBox, Simplex, clip_line_to_box,
+                                dyadic_levels,
                                 estimate_line_measure, estimate_plane_measure,
                                 intersect_hyperplanes, parabolic_distance,
                                 plane_metric, sample_hyperplanes, sample_lines,
@@ -258,14 +262,15 @@ class TestSamplers:
     def test_line_doubling_ratio(self):
         Q = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
         big = Q.dilate(2.0)
-        w1 = np.mean([w for _, w in sample_lines(Q, 5000, 3)])
-        w2 = np.mean([w for _, w in sample_lines(big, 5000, 4)])
+        w1 = np.mean(sample_lines(Q, 5000, 3)["weight"])
+        w2 = np.mean(sample_lines(big, 5000, 4)["weight"])
         assert w2 / w1 == pytest.approx(4.0, rel=0.05)  # 2^{n-1}, n = 3
 
     def test_sampled_lines_nonempty(self):
         Q = Box((0.0, 0.0), (1.0, 1.0))
-        for seg, w in sample_lines(Q, 200, 9):
-            assert seg.s1 > seg.s0
+        for base, direction, w in sample_lines(Q, 200, 9):
+            s0, s1 = clip_line_to_box(base, direction, Q)
+            assert s1 > s0
             assert w > 0
 
     def test_determinism(self):
@@ -273,3 +278,52 @@ class TestSamplers:
         a = sample_hyperplanes(Q, 50, 11)
         b = sample_hyperplanes(Q, 50, 11)
         assert all(p1 == p2 and w1 == w2 for (p1, w1), (p2, w2) in zip(a, b))
+
+
+def _reference_sample_lines(box, count, seed):
+    """The line sampler as it was when it built one LineSeg per line, frozen:
+    (base, direction, weight) tuples, the direction normalized a second time
+    as LineSeg's constructor did."""
+    n = box.dim
+    rng = stream(seed, "lines")
+    norm = geometry.ball_volume(n - 1)
+    corners, faces = box.corners(), geometry._face_areas(box)
+    out = []
+    for _ in range(count):
+        e = geometry._unit_vectors(rng, 1, n)[0]
+        B = geometry.orthonormal_complement(e)
+        corner_frame = corners @ B
+        lo = corner_frame.min(axis=0)
+        hi = corner_frame.max(axis=0)
+        for _ in range(geometry.MAX_LINE_REJECTIONS):
+            u = rng.uniform(lo, hi)
+            base = B @ u
+            if clip_line_to_box(base, e, box) is not None:
+                break
+        d = np.asarray(tuple(e), dtype=float)
+        out.append(([float(v) for v in base], (d / np.linalg.norm(d)).tolist(),
+                    geometry._box_shadow(faces, e) / norm))
+    return out
+
+
+class TestLineFamily:
+    @given(n=st.sampled_from([2, 3]), box_seed=st.integers(0, 2 ** 31 - 1),
+           seed=st.integers(0, 2 ** 62), count=st.integers(1, 40))
+    def test_sampler_matches_reference_bit_for_bit(self, n, box_seed, seed, count):
+        rng = np.random.default_rng(box_seed)
+        box = Box(tuple(rng.uniform(-5.0, 5.0, n)), tuple(rng.uniform(0.01, 5.0, n)))
+        lines = sample_lines(box, count, seed)
+        expect = _reference_sample_lines(box, count, seed)
+        assert len(lines) == count
+        assert lines["base"].tolist() == [b for b, _, _ in expect]
+        assert lines["direction"].tolist() == [d for _, d, _ in expect]
+        assert lines["weight"].tolist() == [w for _, _, w in expect]
+
+    # perfbench/tracer.py's ``_drawn`` payload counts the draws of a sampler
+    # call as len(result), so each sampler returns one entry per draw
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("count", [1, 7, 64])
+    def test_sampler_length_is_count(self, n, count):
+        box = Box((0.0,) * n, (1.0,) * n)
+        assert len(sample_lines(box, count, 3)) == count
+        assert len(sample_hyperplanes(box, count, 3)) == count

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multibeta import beta as betamod
-from multibeta.beta import QuadratureSpec, combined_beta, combined_parts
+from multibeta.beta import (QuadratureSpec, combined_beta, combined_parts, midpoint_mesh,
+                            restricted_line_betas)
 from multibeta.calibration import KAPPA_C
 from multibeta.errors import DegenerateSimplex
 from multibeta.funcmodel import make_field
-from multibeta.geometry import Box, transversality
-from multibeta.reconstruct import (base_planes, base_simplex, build_global_affine,
-                                   planar_beta2, select_transversal_planes,
-                                   verify_reconstruction)
+from multibeta.geometry import (Box, LineSeg, clip_line_to_box, orthonormal_complement,
+                                shadow_area, transversality)
+from multibeta.reconstruct import (_cap_directions, _line_family_integral, base_planes,
+                                   base_simplex, build_global_affine, planar_beta2,
+                                   select_transversal_planes, verify_reconstruction)
 
 QUAD = QuadratureSpec(mc_samples=256, seed=3)
 UNIT2 = Box((0.0, 0.0), (1.0, 1.0))
@@ -210,3 +214,42 @@ class TestPlanarRoute:
         strip = planar_beta2(fld, UNIT2, [1.0, 0.3], quad)
         grid = beta_p_cube(fld, UNIT2, 2, quad).value
         assert strip == pytest.approx(grid, rel=0.02)
+
+
+def _reference_line_family_integral(fld, small, big, direction, quad):
+    """_line_family_integral as it was when it clipped each line itself and
+    built LineSegs, frozen; the LineSegs reach restricted_line_betas as rows."""
+    B = orthonormal_complement(direction)
+    corner_frame = small.corners() @ B
+    lo = corner_frame.min(axis=0)
+    hi = corner_frame.max(axis=0)
+    U = midpoint_mesh(lo, hi - lo, 5)
+    segs = []
+    for u in U:
+        base = B @ u
+        if clip_line_to_box(base, direction, big) is not None:
+            segs.append(LineSeg(tuple(base), tuple(direction)))
+    bases = np.asarray([seg.base for seg in segs])
+    directions = np.asarray([seg.direction for seg in segs])
+    vals = restricted_line_betas(fld, big, bases, directions, (math.inf,), quad)[1][math.inf]
+    if not vals.size:
+        return 0.0
+    return float(np.mean(np.square(vals))) * shadow_area(small, direction)
+
+
+class TestLineFamilyIntegral:
+    @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 31 - 1),
+           nested=st.booleans())
+    def test_matches_reference_bit_for_bit(self, n, seed, nested):
+        rng = np.random.default_rng(seed)
+        Q = Box(tuple(rng.uniform(-1.0, 1.0, n)), tuple(rng.uniform(0.2, 2.0, n)))
+        # as verify_reconstruction pairs them, or two unrelated boxes, so
+        # some lines through the small box miss the big one
+        small, big = ((Q.dilate(1.0 / 20.0), Q.dilate(8.0)) if nested else
+                      (Q, Box(tuple(rng.uniform(-1.0, 1.0, n)), tuple(rng.uniform(0.2, 2.0, n)))))
+        fld = make_field("cone", n, x0=rng.uniform(-0.5, 1.5, n))
+        quad = QuadratureSpec(restricted_nodes=9)
+        e0 = rng.standard_normal(n)
+        for d in _cap_directions(e0 / np.linalg.norm(e0), 0.1, 8, seed):
+            assert (_line_family_integral(fld, small, big, d, quad)
+                    == _reference_line_family_integral(fld, small, big, d, quad))
