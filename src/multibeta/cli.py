@@ -1,7 +1,8 @@
 """Experiment driver: JSON config in, CSV/SVG artifacts and a manifest out.
 
 Exit codes: 0 success, 1 a verify property failed, 2 configuration error,
-3 numerical failure.
+3 numerical failure (including a floating-point overflow, division by zero
+or invalid operation).
 """
 
 from __future__ import annotations
@@ -322,13 +323,7 @@ def cmd_parabolic(cfg, args, seed):
     rep = pbmod.parabolic_carleson_sum(fld, root, dilation, depth, selector, quad, L=L)
     coeffs = pbmod.coefficient_table(fld, root.as_parabolic_box(), quad, L=L)
     coeff_path = _out(args, "parabolic_coefficients.csv")
-    reports.write_csv(
-        coeff_path,
-        ["affinity", "osc", "beta2", "beta_inf", "affinity_L", "beta2_L",
-         "beta_inf_L", "dt_quotient", "dt_band"],
-        [[coeffs.affinity, coeffs.osc, coeffs.beta2, coeffs.beta_inf,
-          coeffs.affinity_L, coeffs.beta2_L, coeffs.beta_inf_L,
-          coeffs.dt_quotient, coeffs.dt_band]])
+    reports.write_csv(coeff_path, list(coeffs), [list(coeffs.values())])
     return _write_packing(cfg, args, seed, fld.dim, rep, "parabolic", "parabolic_boxes.csv",
                           ("level", "spatial_index", "time_index"), [coeff_path])
 
@@ -381,17 +376,19 @@ def cmd_verify(cfg, args, seed):
     # parabolic certificate
     psi = make_field("p_additive", 2, space="cone", space_params={"x0": [0.3]}, time="sin")
     pbox = DyadicParabolicBox(1, (0,), 1).as_parabolic_box()
-    _, res, cert = pbmod.combine_affine_bound(psi, pbox, quad)
+    sample = pbmod.ParabolicSample.of(psi, pbox, quad)
+    _, res, cert = pbmod.combine_affine_bound(sample)
     check("parabolic_certificate", cert["holds"],
           f"residual {res!r} bound {cert['bound']!r}")
-    b2p = pbmod.parabolic_beta2(psi, pbox, quad)
-    b2pL = pbmod.parabolic_beta2(psi, pbox, quad, L=10.0)
+    b2p = pbmod.parabolic_beta2(sample)
+    b2pL = pbmod.parabolic_beta2(sample, L=10.0)
     check("L_restriction_monotone", b2p <= b2pL + 1e-10, f"{b2p!r} vs {b2pL!r}")
 
     # time-independent field has zero oscillation and quotient
     flat = make_field("p_additive", 2, space="cone", space_params={"x0": [0.3]}, time="zero")
-    osc = pbmod.vertical_osc(flat, pbox, quad)
-    dtq, _ = pbmod.dt_carleson_quotient(flat, pbox, quad)
+    sample = pbmod.ParabolicSample.of(flat, pbox, quad)
+    osc = pbmod.vertical_osc(sample)
+    dtq, _ = pbmod.dt_carleson_quotient(sample)
     check("time_independent_zero", osc <= 1e-10 and dtq <= 1e-10,
           f"osc {osc!r} dt {dtq!r}")
 
@@ -432,11 +429,14 @@ def main(argv=None) -> int:
     try:
         cfg = Config(args.config, {"seed": args.seed})
         seed = cfg.number("seed", default=0, integer=True)
-        code = COMMANDS[args.command](cfg, args, seed)
+        # an overflow, a division by zero or a NaN is a numerical failure,
+        # never a silent inf or nan in a written file
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            code = COMMANDS[args.command](cfg, args, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MultibetaError, np.linalg.LinAlgError) as exc:
+    except (MultibetaError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return code

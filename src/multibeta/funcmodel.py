@@ -102,14 +102,17 @@ def _pwlinear_eval(xs, ys):
     return fn
 
 
-def _time_part(name):
-    if name == "zero":
-        return lambda t: np.zeros_like(t), 0.0
-    if name == "sin":
-        return np.sin, 1.0
-    if name == "linear":
-        return lambda t: t, 1.0
-    raise ConfigError(f"unknown time part {name!r}")
+# p_additive time part name -> (h, Lipschitz constant of h)
+_TIME_PARTS = {"zero": (lambda t: np.zeros_like(t), 0.0), "sin": (np.sin, 1.0),
+               "linear": (lambda t: t, 1.0)}
+
+
+def _choice(params: dict, key: str, default: str, names) -> str:
+    """params[key] (``default`` when absent), which must be one of ``names``."""
+    name = params.get(key, default)
+    if not isinstance(name, str) or name not in names:
+        raise ConfigError(f'"{key}" must be one of {tuple(names)}')
+    return name
 
 
 def _numeric_leaves(x) -> bool:
@@ -204,8 +207,9 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
         space_params = params.get("space_params", {})
         if not isinstance(space_params, dict):
             raise ConfigError('"space_params" must be an object')
-        space = make_field(params.get("space", "cone"), dim - 1, **space_params)
-        h, h_lip = _time_part(params.get("time", "sin"))
+        space = make_field(_choice(params, "space", "cone", EUCLIDEAN_CATALOG), dim - 1,
+                           **space_params)
+        h, h_lip = _TIME_PARTS[_choice(params, "time", "sin", _TIME_PARTS)]
 
         def fn(pts):
             return space.eval(pts[:, :-1]) + h(pts[:, -1])

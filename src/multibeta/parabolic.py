@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,19 +24,6 @@ from .funcmodel import FunctionField, lipschitz_estimate
 from .geometry import (AffineMap, DyadicParabolicBox, ParabolicBox, dyadic_levels,
                        parabolic_distance)
 from .rng import stream
-
-
-@dataclass
-class ParabolicCoefficients:
-    affinity: float            # horizontal affinity A(Q)
-    osc: float                 # vertical oscillation osc(Q)
-    beta2: float
-    beta_inf: float
-    affinity_L: float | None = None
-    beta2_L: float | None = None
-    beta_inf_L: float | None = None
-    dt_quotient: float | None = None
-    dt_band: float | None = None
 
 
 @dataclass
@@ -51,17 +39,29 @@ class DifferentiabilityProbe:
         self.gradient = tuple(float(v) for v in self.gradient)
 
 
-def _sample(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec):
-    """Midpoint rule on the box: spatial nodes X (Ns, n-1) and weights wx, time
-    nodes t (Nt,) and weights wt, and psi on their tensor product, vals (Ns, Nt)."""
-    if pbox.volume <= 0:
-        raise DegenerateBox("empty parabolic box")
-    X, wx = midpoint_grid(pbox.spatial, quad.nodes)
-    t = midpoint_nodes(pbox.t0, pbox.t_len, quad.nodes)
-    Ns, Nt = X.shape[0], t.shape[0]
-    pts = np.concatenate(
-        [np.repeat(X, Nt, axis=0), np.tile(t, Ns)[:, None]], axis=1)
-    return X, wx, t, np.full(quad.nodes, pbox.t_len / quad.nodes), psi.eval(pts).reshape(Ns, Nt)
+class ParabolicSample(NamedTuple):
+    """psi on a box by the midpoint rule, read by every coefficient of the box:
+    spatial nodes X (Ns, n-1) and weights wx, time nodes t (Nt,) and weights
+    wt, and psi on their tensor product, vals (Ns, Nt)."""
+    pbox: ParabolicBox
+    X: np.ndarray
+    wx: np.ndarray
+    t: np.ndarray
+    wt: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of(cls, psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec) -> ParabolicSample:
+        """Sample psi on pbox with quad.nodes nodes per axis, in one field call."""
+        if pbox.volume <= 0:
+            raise DegenerateBox("empty parabolic box")
+        X, wx = midpoint_grid(pbox.spatial, quad.nodes)
+        t = midpoint_nodes(pbox.t0, pbox.t_len, quad.nodes)
+        Ns, Nt = X.shape[0], t.shape[0]
+        pts = np.concatenate(
+            [np.repeat(X, Nt, axis=0), np.tile(t, Ns)[:, None]], axis=1)
+        return cls(pbox, X, wx, t, np.full(quad.nodes, pbox.t_len / quad.nodes),
+                   psi.eval(pts).reshape(Ns, Nt))
 
 
 def _slice_fits(X, vals, wx, L):
@@ -81,10 +81,10 @@ def _time_variance(vals, wx, wt) -> float:
     return float(wx @ (((vals - means[:, None]) ** 2) @ wt / Wt) / wx.sum())
 
 
-def horizontal_affinity(psi: FunctionField, pbox: ParabolicBox,
-                        quad: QuadratureSpec, L: float | None = None) -> float:
-    """Time average of per-time affine misfit, relative to the spatial diameter."""
-    X, wx, t, wt, vals = _sample(psi, pbox, quad)
+def horizontal_affinity(s: ParabolicSample, L: float | None = None) -> float:
+    """Time average of per-time affine misfit of the sample, relative to the
+    spatial diameter; each slice fit is L-Lipschitz when L is given."""
+    pbox, X, wx, t, wt, vals = s
     d1 = pbox.spatial.diameter
     W = wx.sum()
     acc = 0.0
@@ -93,20 +93,20 @@ def horizontal_affinity(psi: FunctionField, pbox: ParabolicBox,
     return math.sqrt(acc / wt.sum()) / d1
 
 
-def vertical_osc(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec) -> float:
-    """Spatial average of per-point time variance, relative to |I2|."""
-    X, wx, t, wt, vals = _sample(psi, pbox, quad)
+def vertical_osc(s: ParabolicSample) -> float:
+    """Spatial average of per-point time variance of the sample, relative to |I2|."""
+    pbox, X, wx, t, wt, vals = s
     return math.sqrt(_time_variance(vals, wx, wt) / pbox.t_len)
 
 
-def parabolic_beta2(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec,
-                    L: float | None = None) -> float:
-    """Space-only affine misfit over the space-time cloud.
+def parabolic_beta2(s: ParabolicSample, L: float | None = None) -> float:
+    """Space-only affine misfit over the sampled space-time cloud.
 
     Normalized by diam(Q)^(n+1) inside and diam(Q) outside, with the
-    diameter taken in the parabolic metric.
+    diameter taken in the parabolic metric. The fit is L-Lipschitz when L
+    is given.
     """
-    X, wx, t, wt, vals = _sample(psi, pbox, quad)
+    pbox, X, wx, t, wt, vals = s
     X = np.repeat(X, t.size, axis=0)
     y = vals.ravel()
     w = np.outer(wx, wt).ravel()
@@ -115,10 +115,10 @@ def parabolic_beta2(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec
     return math.sqrt(float(w @ (r * r)) / diam ** (pbox.dim + 1)) / diam
 
 
-def parabolic_beta_inf(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec,
-                       L: float | None = None) -> float:
-    """Sup version of the space-only misfit, relative to the parabolic diameter."""
-    X, wx, t, wt, vals = _sample(psi, pbox, quad)
+def parabolic_beta_inf(s: ParabolicSample, L: float | None = None) -> float:
+    """Sup version of the space-only misfit over the sample, relative to the
+    parabolic diameter; the fit is L-Lipschitz when L is given."""
+    pbox, X, wx, t, wt, vals = s
     # the sup over times at fixed x only sees the upper and lower envelopes
     upper = vals.max(axis=1)
     lower = vals.min(axis=1)
@@ -129,9 +129,8 @@ def parabolic_beta_inf(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureS
     return float(np.max(np.abs(ye - amap(Xe)))) / pbox.diameter
 
 
-def combine_affine_bound(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec,
-                         L: float | None = None):
-    """Time-averaged affine map with an explicit quality certificate.
+def combine_affine_bound(s: ParabolicSample, L: float | None = None):
+    """Time-averaged affine map of the sample with an explicit quality certificate.
 
     Returns (A, residual_sq, certificate) where residual_sq is the mean
     squared misfit of A over the box and the certificate carries the raw
@@ -140,9 +139,10 @@ def combine_affine_bound(psi: FunctionField, pbox: ParabolicBox, quad: Quadratur
     triangle-inequality splits: |psi - A|^2 <= 2|psi - A_t|^2 + 2|A_t - A|^2
     and, pointwise in x, the time mean of |A_t - A|^2 is at most the time
     variance of A_t, itself at most 2 beta_h + beta_v away from the data.
-    When L is given every slice fit, hence also A, is L-Lipschitz.
+    When L is given every slice fit, hence also A, is L-Lipschitz. beta_h
+    is summed apart from horizontal_affinity's sum, which rounds differently.
     """
-    X, wx, t, wt, vals = _sample(psi, pbox, quad)
+    pbox, X, wx, t, wt, vals = s
     W = wx.sum()
     Wt = wt.sum()
     grads = np.zeros((t.size, X.shape[1]))
@@ -173,8 +173,9 @@ def combine_affine_bound(psi: FunctionField, pbox: ParabolicBox, quad: Quadratur
     return A, residual_sq, certificate
 
 
-def dt_carleson_quotient(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec):
-    """Mean squared time difference quotient, diagonal band handled explicitly.
+def dt_carleson_quotient(s: ParabolicSample):
+    """Mean squared time difference quotient of the sample, diagonal band
+    handled explicitly.
 
     Computes (1/|Q|) int_{I1} int int_{I2 x I2} |psi(x,t)-psi(x,s)|^2/|t-s|^2
     with the band |t - s| < h (h = time quadrature step) excluded and each
@@ -182,7 +183,7 @@ def dt_carleson_quotient(psi: FunctionField, pbox: ParabolicBox, quad: Quadratur
     (value, band) where band is the replaced-band contribution contained in
     value.
     """
-    X, wx, t, wt, vals = _sample(psi, pbox, quad)
+    pbox, X, wx, t, wt, vals = s
     Nt = t.size
     h = pbox.t_len / Nt
     diff_t = t[:, None] - t[None, :]
@@ -203,37 +204,35 @@ def dt_carleson_quotient(psi: FunctionField, pbox: ParabolicBox, quad: Quadratur
 
 
 def coefficient_table(psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec,
-                      L: float | None = None) -> ParabolicCoefficients:
-    dt_val, dt_band = dt_carleson_quotient(psi, pbox, quad)
-    return ParabolicCoefficients(
-        affinity=horizontal_affinity(psi, pbox, quad),
-        osc=vertical_osc(psi, pbox, quad),
-        beta2=parabolic_beta2(psi, pbox, quad),
-        beta_inf=parabolic_beta_inf(psi, pbox, quad),
-        affinity_L=None if L is None else horizontal_affinity(psi, pbox, quad, L),
-        beta2_L=None if L is None else parabolic_beta2(psi, pbox, quad, L),
-        beta_inf_L=None if L is None else parabolic_beta_inf(psi, pbox, quad, L),
-        dt_quotient=dt_val,
-        dt_band=dt_band,
-    )
+                      L: float | None = None) -> dict:
+    """Every coefficient of pbox from one sample of psi, keyed by its
+    parabolic_coefficients.csv column, in column order; the L columns are
+    None when L is None."""
+    s = ParabolicSample.of(psi, pbox, quad)
+    dt_val, dt_band = dt_carleson_quotient(s)
+    return {
+        "affinity": horizontal_affinity(s),
+        "osc": vertical_osc(s),
+        "beta2": parabolic_beta2(s),
+        "beta_inf": parabolic_beta_inf(s),
+        "affinity_L": None if L is None else horizontal_affinity(s, L),
+        "beta2_L": None if L is None else parabolic_beta2(s, L),
+        "beta_inf_L": None if L is None else parabolic_beta_inf(s, L),
+        "dt_quotient": dt_val,
+        "dt_band": dt_band,
+    }
 
 
-# name -> (coefficient of a dilated box, power as a function of the
-# space-time dimension n, needs L). Entries call the coefficient functions
-# through their module-level names, as beta.SELECTORS does.
+# name -> (coefficient of the sample of a dilated box, power as a function
+# of the space-time dimension n, needs L). Entries call the coefficient
+# functions through their module-level names, as beta.SELECTORS does.
 PARABOLIC_SELECTORS = {
-    "beta2": (lambda psi, pbox, quad, L: parabolic_beta2(psi, pbox, quad),
-              lambda n: 2.0, False),
-    "beta2L": (lambda psi, pbox, quad, L: parabolic_beta2(psi, pbox, quad, L),
-               lambda n: 2.0, True),
-    "A": (lambda psi, pbox, quad, L: horizontal_affinity(psi, pbox, quad),
-          lambda n: 2.0, False),
-    "AL": (lambda psi, pbox, quad, L: horizontal_affinity(psi, pbox, quad, L),
-           lambda n: 2.0, True),
-    "osc": (lambda psi, pbox, quad, L: vertical_osc(psi, pbox, quad),
-            lambda n: 2.0, False),
-    "betainf": (lambda psi, pbox, quad, L: parabolic_beta_inf(psi, pbox, quad),
-                lambda n: float(n + 3), False),
+    "beta2": (lambda s, L: parabolic_beta2(s), lambda n: 2.0, False),
+    "beta2L": (lambda s, L: parabolic_beta2(s, L), lambda n: 2.0, True),
+    "A": (lambda s, L: horizontal_affinity(s), lambda n: 2.0, False),
+    "AL": (lambda s, L: horizontal_affinity(s, L), lambda n: 2.0, True),
+    "osc": (lambda s, L: vertical_osc(s), lambda n: 2.0, False),
+    "betainf": (lambda s, L: parabolic_beta_inf(s), lambda n: float(n + 3), False),
 }
 
 
@@ -257,24 +256,18 @@ def parabolic_carleson_sum(psi: FunctionField, root: DyadicParabolicBox,
                                   4096, quad.seed, parabolic=True)
     walk = []
     for frontier in dyadic_levels(root, depth):
-        vals = [coefficient(psi, node.as_parabolic_box().dilate(dilation), quad, L)
-                for node in frontier]
+        boxes = (node.as_parabolic_box().dilate(dilation) for node in frontier)
+        vals = [coefficient(ParabolicSample.of(psi, box, quad), L) for box in boxes]
         walk.append([(node, v, v ** power * node.volume) for node, v in zip(frontier, vals)])
     return CarlesonReport.tally(selector, power, Lhat, root.volume, walk)
 
 
 @dataclass
-class HolderEntry:
-    beta_inf: float            # L-restricted sup value on the box itself
-    ratio: float               # beta_inf / (beta_2^L of the doubled box)^(2/(n+3))
-
-
-@dataclass
 class HolderReport:
     exponent: float
-    entries: list
-    c_hold: float              # smallest constant making every entry pass
-    violations: list           # entries exceeding the supplied constant
+    ratios: list               # per box, beta_inf^L / (beta_2^L of the doubled box)^(2/(n+3))
+    c_hold: float              # smallest constant making every ratio pass
+    violations: list           # ratios exceeding the supplied constant
 
 
 def holder_exponent_check(psi: FunctionField, boxes, L: float,
@@ -283,17 +276,17 @@ def holder_exponent_check(psi: FunctionField, boxes, L: float,
     """Sup coefficient against the doubled-box L2 coefficient at the n+3 exponent."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    entries = []
+    ratios = []
     exponent = None
     for pbox in boxes:
         exponent = 2.0 / (pbox.dim + 3)
-        b2 = parabolic_beta2(psi, pbox.dilate(2.0), quad, L)
-        binf = parabolic_beta_inf(psi, pbox, quad, L)
-        ratio = binf / b2 ** exponent if b2 > 1e-14 else (0.0 if binf <= 1e-12 else math.inf)
-        entries.append(HolderEntry(binf, ratio))
-    fitted = max((e.ratio for e in entries if math.isfinite(e.ratio)), default=0.0)
-    violations = [] if c_hold is None else [e for e in entries if e.ratio > c_hold]
-    return HolderReport(exponent if exponent is not None else 0.0, entries, fitted, violations)
+        b2 = parabolic_beta2(ParabolicSample.of(psi, pbox.dilate(2.0), quad), L)
+        binf = parabolic_beta_inf(ParabolicSample.of(psi, pbox, quad), L)
+        ratios.append(binf / b2 ** exponent if b2 > 1e-14
+                      else (0.0 if binf <= 1e-12 else math.inf))
+    fitted = max((r for r in ratios if math.isfinite(r)), default=0.0)
+    violations = [] if c_hold is None else [r for r in ratios if r > c_hold]
+    return HolderReport(exponent if exponent is not None else 0.0, ratios, fitted, violations)
 
 
 def rademacher_probe(psi: FunctionField, p, radii, quad: QuadratureSpec) -> DifferentiabilityProbe:

@@ -19,10 +19,10 @@ from multibeta.funcmodel import (default_catalog, default_parabolic_catalog,
 from multibeta.geometry import (Ball, Box, DyadicCube, Hyperplane, LineSeg,
                                 ParabolicBox, estimate_line_measure,
                                 estimate_plane_measure)
-from multibeta.parabolic import (combine_affine_bound, dt_carleson_quotient,
-                                 holder_exponent_check, horizontal_affinity,
-                                 parabolic_beta2, rademacher_probe,
-                                 vertical_osc)
+from multibeta.parabolic import (ParabolicSample, combine_affine_bound,
+                                 dt_carleson_quotient, holder_exponent_check,
+                                 horizontal_affinity, parabolic_beta2,
+                                 rademacher_probe, vertical_osc)
 from multibeta.reconstruct import planar_beta2, verify_reconstruction
 from multibeta.rng import stream
 
@@ -72,10 +72,11 @@ def test_acceptance_1_affine_annihilation():
         psi = make_field("p_additive", n, space="affine",
                          space_params={"a": [0.4] * (n - 1), "b": 0.1}, time="zero")
         pbox = ParabolicBox(Box((0.0,) * (n - 1), (1.0,) * (n - 1)), 0.0, 1.0)
-        worst = max(worst, horizontal_affinity(psi, pbox, quad))
-        worst = max(worst, vertical_osc(psi, pbox, quad))
-        worst = max(worst, parabolic_beta2(psi, pbox, quad))
-        worst = max(worst, dt_carleson_quotient(psi, pbox, quad)[0])
+        sample = ParabolicSample.of(psi, pbox, quad)
+        worst = max(worst, horizontal_affinity(sample))
+        worst = max(worst, vertical_osc(sample))
+        worst = max(worst, parabolic_beta2(sample))
+        worst = max(worst, dt_carleson_quotient(sample)[0])
     report(1, worst <= 1e-10, f"max coefficient {worst!r}")
 
 
@@ -143,11 +144,12 @@ def test_acceptance_5_parabolic_certificate():
         boxes = random_parabolic_boxes(n, 100, 5)
         for psi in default_parabolic_catalog(n):
             for pbox in boxes:
-                _, residual_sq, cert = combine_affine_bound(psi, pbox, quad)
+                sample = ParabolicSample.of(psi, pbox, quad)
+                _, residual_sq, cert = combine_affine_bound(sample)
                 worst_cert = max(worst_cert, float(residual_sq - cert["bound"]))
                 # infimum dominance: the optimal space-only fit beats the
                 # time-averaged map in the same (unnormalized) units
-                b2 = parabolic_beta2(psi, pbox, quad)
+                b2 = parabolic_beta2(sample)
                 mass_opt = b2 ** 2 * pbox.diameter ** (pbox.dim + 3)
                 mass_avg = residual_sq * pbox.volume
                 worst_dom = max(worst_dom, float(mass_opt - mass_avg))
@@ -176,13 +178,14 @@ def test_acceptance_6_l_restricted_consistency():
     # parabolic counterpart
     psi = make_field("p_additive", 2, space="cone", space_params={"x0": [0.3]}, time="sin")
     pbox = ParabolicBox(Box((0.0,), (1.0,)), 0.0, 1.0)
-    free_p = parabolic_beta2(psi, pbox, quad)
+    sample = ParabolicSample.of(psi, pbox, quad)
+    free_p = parabolic_beta2(sample)
     prev = math.inf
     for L in np.linspace(0.1, 3.0, 10):
-        val = parabolic_beta2(psi, pbox, quad, L=float(L))
+        val = parabolic_beta2(sample, L=float(L))
         ok = ok and val >= free_p - 1e-12 and val <= prev + 1e-12
         prev = val
-    ok = ok and abs(parabolic_beta2(psi, pbox, quad, L=10.0) - free_p) <= 1e-10
+    ok = ok and abs(parabolic_beta2(sample, L=10.0) - free_p) <= 1e-10
     report(6, ok, "constrained >= free, equality when feasible, monotone in L")
 
 

@@ -65,6 +65,21 @@ class TestExitCodes:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == "numerical failure: solver gave up\n"
 
+    @pytest.mark.parametrize("command, extra", [
+        ("rademacher", {"point": [1e300, 0.5]}),
+        ("igbeta", {"box": {"lo": [0.0, 0.0], "sides": [1e300, 1e300]}}),
+        ("analyze", {"root": {"level": 0, "index": [10 ** 300, 0]}}),
+        ("carleson", {"dilation": 1e300}),
+    ])
+    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys, command, extra):
+        # finite config numbers whose arithmetic overflows exit 3 and write
+        # no CSV, rather than exit 0 with inf or nan in the files
+        cfg = write_config(tmp_path, "cfg.json", dict(CONE_CFG, **extra))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not list(out.glob("*.csv"))
+
     def test_invalid_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "field": {,}\n}\n')
@@ -435,7 +450,7 @@ CATALOG_PARAMS = {
     "cone": {"x0": _lists(2)},
     "distset": {"points": _lists(None) + NESTED},
     "bump": {"x0": _lists(2), "scale": _floats(positive=True), "amp": _floats()},
-    "p_additive": {"space": SELECTOR, "time": SELECTOR,
+    "p_additive": {"space": SELECTOR + ["p_additive", "p_product"], "time": SELECTOR,
                    "space_params": OBJECT + [{"x0": [True]}, {"x0": ["0.5"]}]},
     "p_product": {"a0": _lists(1), "a1": _lists(1), "b1": _floats()},
 }
@@ -503,6 +518,16 @@ class TestConfigFuzz:
         command, payload = _catalog_config(kind, {})
         cfg = write_config(tmp_path, "cfg.json", payload)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("key, value", [("space", 5), ("space", "p_additive"),
+                                            ("space", "p_product"), ("time", "noise"),
+                                            ("time", ["sin"])])
+    def test_bad_p_additive_part_names_its_key(self, tmp_path, capsys, key, value):
+        # a parabolic kind is no spatial part; the message names the key itself
+        command, payload = _catalog_config("p_additive", {key: value})
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f'"{key}" must be one of' in capsys.readouterr().err
 
     @settings(max_examples=300)
     @given(case=st.sampled_from(PARAM_CASES))

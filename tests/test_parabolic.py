@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multibeta import fitting
-from multibeta.beta import QuadratureSpec
+from multibeta.beta import QuadratureSpec, midpoint_grid, midpoint_nodes
 from multibeta.calibration import C_HOLD
 from multibeta.errors import BoundViolation, MultibetaError
-from multibeta.funcmodel import make_field
+from multibeta.funcmodel import FunctionField, default_parabolic_catalog, make_field
 from multibeta.geometry import AffineMap, Box, DyadicParabolicBox, ParabolicBox
-from multibeta.parabolic import (PARABOLIC_SELECTORS, coefficient_table,
+from multibeta.parabolic import (PARABOLIC_SELECTORS, ParabolicSample, coefficient_table,
                                  combine_affine_bound,
                                  dt_carleson_quotient, holder_exponent_check,
                                  horizontal_affinity, parabolic_beta2,
@@ -37,51 +39,53 @@ LINEAR_T = additive("affine", "linear", a=[0.0], b=0.0)  # psi = t
 class TestAffinity:
     def test_time_varying_affine_is_zero(self):
         psi = make_field("p_product", 2, a0=[1.0], a1=[0.5], b1=1.0)
-        assert horizontal_affinity(psi, UNIT, QUAD) <= 1e-12
+        assert horizontal_affinity(ParabolicSample.of(psi, UNIT, QUAD)) <= 1e-12
 
     def test_parabola_closed_form(self):
         # per-time misfit of x^2 on [-1, 1] is 4/45; affinity divides by the
         # spatial diameter 2, giving 1/sqrt(45)
         box = ParabolicBox(Box((-1.0,), (2.0,)), 0.0, 4.0)
-        val = horizontal_affinity(SQUARE_0, box, FINE)
+        val = horizontal_affinity(ParabolicSample.of(SQUARE_0, box, FINE))
         assert val == pytest.approx(1.0 / math.sqrt(45.0), rel=1e-3)
 
     def test_constrained_steep_line(self):
         # fitting 2x with |a| <= 1 on [0, 1] leaves residual x - 1/2
         psi = additive("affine", "zero", a=[2.0], b=0.0)
-        val = horizontal_affinity(psi, UNIT, FINE, L=1.0)
+        val = horizontal_affinity(ParabolicSample.of(psi, UNIT, FINE), L=1.0)
         assert val == pytest.approx(math.sqrt(1.0 / 12.0), rel=1e-4)
 
     def test_l_monotone(self):
         psi = additive("pwlinear", "sin", xs=[0.0, 0.4, 1.0], ys=[0.8, 0.0, 1.2])
-        free = horizontal_affinity(psi, UNIT, QUAD)
+        free = horizontal_affinity(ParabolicSample.of(psi, UNIT, QUAD))
         for L_small, L_big in ((0.5, 1.0), (1.0, 2.0)):
-            v_small = horizontal_affinity(psi, UNIT, QUAD, L=L_small)
-            v_big = horizontal_affinity(psi, UNIT, QUAD, L=L_big)
+            v_small = horizontal_affinity(ParabolicSample.of(psi, UNIT, QUAD), L=L_small)
+            v_big = horizontal_affinity(ParabolicSample.of(psi, UNIT, QUAD), L=L_big)
             assert v_small >= v_big - 1e-14
             assert v_big >= free - 1e-14
 
 
 class TestOsc:
     def test_time_independent_zero(self):
-        assert vertical_osc(SQUARE_0, UNIT, QUAD) == pytest.approx(0.0, abs=1e-14)
+        val = vertical_osc(ParabolicSample.of(SQUARE_0, UNIT, QUAD))
+        assert val == pytest.approx(0.0, abs=1e-14)
 
     def test_linear_time_discrete_variance(self):
         # variance of the N midpoint nodes of [0, 1] is (1 - 1/N^2)/12
         for quad in (QUAD, FINE):
             N = quad.nodes
             expect = math.sqrt((1.0 - 1.0 / N ** 2) / 12.0)
-            assert vertical_osc(LINEAR_T, UNIT, quad) == pytest.approx(expect, rel=1e-12)
+            val = vertical_osc(ParabolicSample.of(LINEAR_T, UNIT, quad))
+            assert val == pytest.approx(expect, rel=1e-12)
 
     def test_constant_zero(self):
         psi = additive("affine", "zero", a=[0.0], b=5.0)
-        assert vertical_osc(psi, UNIT, QUAD) == 0.0
+        assert vertical_osc(ParabolicSample.of(psi, UNIT, QUAD)) == 0.0
 
 
 class TestBeta2:
     def test_spatial_affine_zero(self):
         psi = additive("affine", "zero", a=[0.7], b=0.2)
-        assert parabolic_beta2(psi, UNIT, QUAD) <= 1e-14
+        assert parabolic_beta2(ParabolicSample.of(psi, UNIT, QUAD)) <= 1e-14
 
     def test_linear_time_exact(self):
         # residual of the best x-only fit to psi = t is the discrete time
@@ -89,34 +93,35 @@ class TestBeta2:
         N = QUAD.nodes
         mass = (1.0 - 1.0 / N ** 2) / 12.0
         expect = math.sqrt(mass / 2.0 ** 3) / 2.0
-        assert parabolic_beta2(LINEAR_T, UNIT, QUAD) == pytest.approx(expect, rel=1e-12)
+        val = parabolic_beta2(ParabolicSample.of(LINEAR_T, UNIT, QUAD))
+        assert val == pytest.approx(expect, rel=1e-12)
 
     def test_feasible_l_is_free(self):
         psi = additive("pwlinear", "sin", xs=[0.0, 0.4, 1.0], ys=[0.4, 0.0, 0.6])
-        free = parabolic_beta2(psi, UNIT, QUAD)
-        assert parabolic_beta2(psi, UNIT, QUAD, L=10.0) == pytest.approx(free, abs=1e-14)
+        s = ParabolicSample.of(psi, UNIT, QUAD)
+        assert parabolic_beta2(s, L=10.0) == pytest.approx(parabolic_beta2(s), abs=1e-14)
 
     def test_l_monotone(self):
         psi = additive("affine", "zero", a=[2.0], b=0.0)
-        assert (parabolic_beta2(psi, UNIT, QUAD, L=0.5)
-                >= parabolic_beta2(psi, UNIT, QUAD, L=1.5) - 1e-14)
+        assert (parabolic_beta2(ParabolicSample.of(psi, UNIT, QUAD), L=0.5)
+                >= parabolic_beta2(ParabolicSample.of(psi, UNIT, QUAD), L=1.5) - 1e-14)
 
 
 class TestBetaInf:
     def test_spatial_affine_zero(self):
         psi = additive("affine", "zero", a=[0.7], b=0.2)
-        assert parabolic_beta_inf(psi, UNIT, QUAD) <= 1e-12
+        assert parabolic_beta_inf(ParabolicSample.of(psi, UNIT, QUAD)) <= 1e-12
 
     def test_bounded_by_lipschitz(self):
         psi = additive("cone", "sin", x0=[0.4])
-        val = parabolic_beta_inf(psi, UNIT, QUAD)
+        val = parabolic_beta_inf(ParabolicSample.of(psi, UNIT, QUAD))
         assert 0.0 < val <= psi.lipschitz
 
 
 class TestCombine:
     def test_affine_certificate(self):
         psi = additive("affine", "zero", a=[0.7], b=0.2)
-        A, residual_sq, cert = combine_affine_bound(psi, UNIT, QUAD)
+        A, residual_sq, cert = combine_affine_bound(ParabolicSample.of(psi, UNIT, QUAD))
         assert residual_sq <= 1e-24
         assert cert["holds"]
         assert A.a[0] == pytest.approx(0.7, abs=1e-12)
@@ -124,7 +129,7 @@ class TestCombine:
     def test_parabola_time_mean(self):
         # every slice fit of x^2 on [-1, 1] is the constant 1/3, so the time
         # mean is too, beta_v vanishes and the residual is exactly beta_h
-        A, residual_sq, cert = combine_affine_bound(SQUARE_0, WIDE, FINE)
+        A, residual_sq, cert = combine_affine_bound(ParabolicSample.of(SQUARE_0, WIDE, FINE))
         assert A.a[0] == pytest.approx(0.0, abs=1e-10)
         # midpoint-node mean of x^2 carries an O(1/N^2) bias
         assert A.intercept == pytest.approx(1.0 / 3.0, abs=2.0 / FINE.nodes ** 2)
@@ -134,20 +139,19 @@ class TestCombine:
     def test_additive_time_shift(self):
         # psi = x^2 + t only shifts each intercept; the time mean adds the
         # mean of t over [0, 1]
-        A, _, cert = combine_affine_bound(SQUARE_T, WIDE, FINE)
+        A, _, cert = combine_affine_bound(ParabolicSample.of(SQUARE_T, WIDE, FINE))
         assert A.intercept == pytest.approx(1.0 / 3.0 + 0.5, abs=2.0 / FINE.nodes ** 2)
         assert cert["holds"]
 
     def test_certificate_holds_on_catalog(self):
-        from multibeta.funcmodel import default_parabolic_catalog
         for psi in default_parabolic_catalog(2):
-            _, residual_sq, cert = combine_affine_bound(psi, UNIT, QUAD)
+            _, residual_sq, cert = combine_affine_bound(ParabolicSample.of(psi, UNIT, QUAD))
             assert residual_sq <= cert["bound"] + 1e-10
             assert cert["holds"]
 
     def test_constrained_mean_is_feasible(self):
         psi = additive("affine", "zero", a=[2.0], b=0.0)
-        A, _, _ = combine_affine_bound(psi, UNIT, QUAD, L=1.0)
+        A, _, _ = combine_affine_bound(ParabolicSample.of(psi, UNIT, QUAD), L=1.0)
         assert A.lipschitz <= 1.0 + 1e-9
 
     def test_steep_slice_fits_are_a_numerical_failure(self, monkeypatch):
@@ -157,24 +161,24 @@ class TestCombine:
         monkeypatch.setattr(fitting, "affine_fit", lambda x, y, w, p, L=None: steep)
         psi = additive("affine", "zero", a=[2.0], b=0.0)
         with pytest.raises(BoundViolation) as info:
-            combine_affine_bound(psi, UNIT, QUAD, L=1.0)
+            combine_affine_bound(ParabolicSample.of(psi, UNIT, QUAD), L=1.0)
         assert isinstance(info.value, MultibetaError)
 
 
 class TestDtQuotient:
     def test_time_independent_zero(self):
-        val, band = dt_carleson_quotient(SQUARE_0, UNIT, QUAD)
+        val, band = dt_carleson_quotient(ParabolicSample.of(SQUARE_0, UNIT, QUAD))
         assert val == 0.0
         assert band == 0.0
 
     def test_linear_time_is_one(self):
         # |t - s|^2 / |t - s|^2 = 1 off the diagonal and the band copies it
-        val, band = dt_carleson_quotient(LINEAR_T, UNIT, QUAD)
+        val, band = dt_carleson_quotient(ParabolicSample.of(LINEAR_T, UNIT, QUAD))
         assert val == pytest.approx(1.0, abs=1e-12)
         assert band == pytest.approx(1.0 / QUAD.nodes, rel=1e-12)
 
     def test_sin_regression_lock(self):
-        val, band = dt_carleson_quotient(SIN_T, UNIT, QUAD)
+        val, band = dt_carleson_quotient(ParabolicSample.of(SIN_T, UNIT, QUAD))
         assert val == pytest.approx(0.735012083045796, abs=1e-14)
         assert band == pytest.approx(0.07755936948819912, abs=1e-14)
         assert val <= 1.0  # sine is a time contraction
@@ -184,9 +188,10 @@ class TestCoefficientTable:
     def test_fields_consistent(self):
         psi = additive("cone", "sin", x0=[0.4])
         table = coefficient_table(psi, UNIT, QUAD, L=2.0)
-        assert table.affinity == pytest.approx(horizontal_affinity(psi, UNIT, QUAD))
-        assert table.beta2_L >= table.beta2 - 1e-14
-        assert table.dt_quotient is not None and table.dt_band is not None
+        assert table["affinity"] == pytest.approx(
+            horizontal_affinity(ParabolicSample.of(psi, UNIT, QUAD)))
+        assert table["beta2_L"] >= table["beta2"] - 1e-14
+        assert table["dt_quotient"] is not None and table["dt_band"] is not None
 
 
 class TestParabolicCarleson:
@@ -257,7 +262,7 @@ class TestHolder:
     def test_affine_vacuous(self):
         psi = additive("affine", "zero", a=[0.5], b=0.0)
         rep = holder_exponent_check(psi, [UNIT], 2.0, QUAD)
-        assert rep.entries[0].ratio == 0.0
+        assert rep.ratios[0] == 0.0
 
     def test_frozen_constant_reproduces(self):
         psi = additive("cone", "sin", x0=[0.0])
@@ -298,3 +303,177 @@ class TestRademacherProbe:
     def test_radii_must_decrease(self):
         with pytest.raises(ValueError):
             rademacher_probe(SQUARE_0, (0.5, 0.5), [0.1, 0.2], QUAD)
+
+
+# The coefficients as they were when each one sampled psi on its box itself,
+# frozen: the single-sample path must reproduce every bit of them.
+def _ref_sample(psi, pbox, quad):
+    X, wx = midpoint_grid(pbox.spatial, quad.nodes)
+    t = midpoint_nodes(pbox.t0, pbox.t_len, quad.nodes)
+    Ns, Nt = X.shape[0], t.shape[0]
+    pts = np.concatenate([np.repeat(X, Nt, axis=0), np.tile(t, Ns)[:, None]], axis=1)
+    return X, wx, t, np.full(quad.nodes, pbox.t_len / quad.nodes), psi.eval(pts).reshape(Ns, Nt)
+
+
+def _ref_slice_fits(X, vals, wx, L):
+    out = []
+    for k in range(vals.shape[1]):
+        amap = fitting.affine_fit(X, vals[:, k], wx, 2, L)
+        r = vals[:, k] - amap(X)
+        out.append((amap, float(wx @ (r * r))))
+    return out
+
+
+def _ref_time_variance(vals, wx, wt):
+    Wt = wt.sum()
+    means = vals @ wt / Wt
+    return float(wx @ (((vals - means[:, None]) ** 2) @ wt / Wt) / wx.sum())
+
+
+def _ref_affinity(psi, pbox, quad, L=None):
+    X, wx, t, wt, vals = _ref_sample(psi, pbox, quad)
+    W = wx.sum()
+    acc = 0.0
+    for k, (_, sq) in enumerate(_ref_slice_fits(X, vals, wx, L)):
+        acc += wt[k] * sq / W
+    return math.sqrt(acc / wt.sum()) / pbox.spatial.diameter
+
+
+def _ref_osc(psi, pbox, quad):
+    X, wx, t, wt, vals = _ref_sample(psi, pbox, quad)
+    return math.sqrt(_ref_time_variance(vals, wx, wt) / pbox.t_len)
+
+
+def _ref_beta2(psi, pbox, quad, L=None):
+    X, wx, t, wt, vals = _ref_sample(psi, pbox, quad)
+    X = np.repeat(X, t.size, axis=0)
+    y = vals.ravel()
+    w = np.outer(wx, wt).ravel()
+    r = y - fitting.affine_fit(X, y, w, 2, L)(X)
+    diam = pbox.diameter
+    return math.sqrt(float(w @ (r * r)) / diam ** (pbox.dim + 1)) / diam
+
+
+def _ref_beta_inf(psi, pbox, quad, L=None):
+    X, wx, t, wt, vals = _ref_sample(psi, pbox, quad)
+    Xe = np.vstack([X, X])
+    ye = np.concatenate([vals.max(axis=1), vals.min(axis=1)])
+    amap = fitting.affine_fit(Xe, ye, np.ones(ye.size), math.inf, L)
+    return float(np.max(np.abs(ye - amap(Xe)))) / pbox.diameter
+
+
+def _ref_combine(psi, pbox, quad, L=None):
+    X, wx, t, wt, vals = _ref_sample(psi, pbox, quad)
+    W = wx.sum()
+    Wt = wt.sum()
+    grads = np.zeros((t.size, X.shape[1]))
+    icepts = np.zeros(t.size)
+    beta_h = 0.0
+    for k, (amap, sq) in enumerate(_ref_slice_fits(X, vals, wx, L)):
+        grads[k] = amap.a
+        icepts[k] = amap.intercept
+        beta_h += wt[k] / Wt * sq / W
+    a_bar = wt @ grads / Wt
+    b_bar = float(wt @ icepts / Wt)
+    A = AffineMap(tuple(a_bar), b_bar)
+    if L is not None and A.lipschitz > L * (1.0 + 1e-12):
+        raise BoundViolation("time mean of L-Lipschitz maps exceeded L")
+    beta_v = _ref_time_variance(vals, wx, wt)
+    r_all = vals - (X @ a_bar)[:, None] - b_bar
+    residual_sq = float(wx @ ((r_all ** 2) @ wt / Wt)) / W
+    beta_h = float(beta_h)
+    return A, residual_sq, {
+        "beta_h": beta_h,
+        "beta_v": beta_v,
+        "bound": 6.0 * beta_h + 4.0 * beta_v,
+        "holds": bool(residual_sq <= 6.0 * beta_h + 4.0 * beta_v + 1e-10),
+    }
+
+
+def _ref_dt(psi, pbox, quad):
+    X, wx, t, wt, vals = _ref_sample(psi, pbox, quad)
+    Nt = t.size
+    h = pbox.t_len / Nt
+    diff_t = t[:, None] - t[None, :]
+    off = np.abs(diff_t) >= h * (1.0 - 1e-12)
+    dv = vals[:, :, None] - vals[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quot = np.where(off[None, :, :], (dv / diff_t[None, :, :]) ** 2, 0.0)
+    band = np.zeros_like(quot)
+    for k in range(Nt):
+        nb = k + 1 if k + 1 < Nt else k - 1
+        band[:, k, k] = quot[:, k, nb]
+    wtt = np.outer(wt, wt)
+    total = float(wx @ ((quot + band) * wtt[None, :, :]).sum(axis=(1, 2)))
+    band_part = float(wx @ (band * wtt[None, :, :]).sum(axis=(1, 2)))
+    return total / pbox.volume, band_part / pbox.volume
+
+
+def _ref_table(psi, pbox, quad, L=None):
+    dt_val, dt_band = _ref_dt(psi, pbox, quad)
+    return {
+        "affinity": _ref_affinity(psi, pbox, quad),
+        "osc": _ref_osc(psi, pbox, quad),
+        "beta2": _ref_beta2(psi, pbox, quad),
+        "beta_inf": _ref_beta_inf(psi, pbox, quad),
+        "affinity_L": None if L is None else _ref_affinity(psi, pbox, quad, L),
+        "beta2_L": None if L is None else _ref_beta2(psi, pbox, quad, L),
+        "beta_inf_L": None if L is None else _ref_beta_inf(psi, pbox, quad, L),
+        "dt_quotient": dt_val,
+        "dt_band": dt_band,
+    }
+
+
+REF_SELECTORS = {
+    "beta2": lambda psi, pbox, quad, L: _ref_beta2(psi, pbox, quad),
+    "beta2L": lambda psi, pbox, quad, L: _ref_beta2(psi, pbox, quad, L),
+    "A": lambda psi, pbox, quad, L: _ref_affinity(psi, pbox, quad),
+    "AL": lambda psi, pbox, quad, L: _ref_affinity(psi, pbox, quad, L),
+    "osc": lambda psi, pbox, quad, L: _ref_osc(psi, pbox, quad),
+    "betainf": lambda psi, pbox, quad, L: _ref_beta_inf(psi, pbox, quad),
+}
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the package error it raised."""
+    try:
+        return fn(*args)
+    except MultibetaError as exc:
+        return type(exc)
+
+
+class TestOneSample:
+    @given(index=st.integers(0, len(default_parabolic_catalog(2)) - 1),
+           x0=st.floats(-1.0, 1.0), side=st.floats(0.05, 2.0),
+           t0=st.floats(-1.0, 1.0), t_len=st.floats(0.01, 2.0),
+           nodes=st.sampled_from([3, 5, 7, 9, 11]),
+           L=st.one_of(st.none(), st.floats(0.05, 5.0)))
+    def test_matches_resampling_reference_bit_for_bit(self, index, x0, side, t0, t_len,
+                                                       nodes, L):
+        psi = default_parabolic_catalog(2)[index]
+        pbox = ParabolicBox(Box((x0,), (side,)), t0, t_len)
+        quad = QuadratureSpec(nodes=nodes)
+        assert coefficient_table(psi, pbox, quad, L) == _ref_table(psi, pbox, quad, L)
+        s = ParabolicSample.of(psi, pbox, quad)
+        for name, (coefficient, _, needs_L) in PARABOLIC_SELECTORS.items():
+            if L is not None or not needs_L:
+                assert coefficient(s, L) == REF_SELECTORS[name](psi, pbox, quad, L), name
+        assert (_outcome(combine_affine_bound, s, L)
+                == _outcome(_ref_combine, psi, pbox, quad, L))
+
+    def test_table_evaluates_the_field_once(self, monkeypatch):
+        # top-level calls only: p_additive evaluates its spatial field inside
+        depth, top = [0], []
+        evaluate = FunctionField.eval
+
+        def counted(self, points):
+            top.append(depth[0] == 0)
+            depth[0] += 1
+            try:
+                return evaluate(self, points)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(FunctionField, "eval", counted)
+        coefficient_table(additive("cone", "sin", x0=[0.4]), UNIT, QUAD, L=0.5)
+        assert sum(top) == 1

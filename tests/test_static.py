@@ -189,3 +189,30 @@ def test_every_config_key_is_documented():
     documented = documented_keys((ROOT / "docs" / "formats.md").read_text())
     assert "tau" in keys and "sides" in keys and "mc_samples" in keys
     assert sorted(keys - documented) == []
+
+
+def documented_columns(text: str, name: str):
+    """The first column of the table under the ``## name`` heading, below its
+    header and rule rows."""
+    section = text.split(f"\n## {name}\n", 1)[1].split("\n## ", 1)[0]
+    return [line.split("|")[1].strip() for line in section.splitlines()
+            if line.startswith("|")][2:]
+
+
+def test_checker_finds_documented_columns():
+    text = ("# Formats\n\n## a.csv\n\nrow.\n\n| column | meaning |\n|---|---|\n| x | one |\n| y_L | two |\n"
+            "\n## b.csv\n\n| column |\n|---|\n| z |\n")
+    assert documented_columns(text, "a.csv") == ["x", "y_L"]
+
+
+def test_parabolic_coefficient_columns_are_documented():
+    from multibeta.beta import QuadratureSpec
+    from multibeta.funcmodel import make_field
+    from multibeta.geometry import Box, ParabolicBox
+    from multibeta.parabolic import coefficient_table
+
+    psi = make_field("p_product", 2)
+    table = coefficient_table(psi, ParabolicBox(Box((0.0,), (1.0,)), 0.0, 1.0),
+                              QuadratureSpec(nodes=3))
+    text = (ROOT / "docs" / "formats.md").read_text()
+    assert documented_columns(text, "parabolic_coefficients.csv") == list(table)
