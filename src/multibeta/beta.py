@@ -26,7 +26,7 @@ import numpy as np
 from . import fitting
 from .errors import DegenerateBox, EmptyIntersection
 from .funcmodel import FunctionField, lipschitz_estimate
-from .geometry import (AffineMap, Box, DyadicCube, Hyperplane, LineSeg,
+from .geometry import (AffineMap, Box, DyadicBox, Hyperplane, LineSeg,
                        clip_line_to_box, dyadic_levels, sample_hyperplanes,
                        sample_lines, support_interval)
 from .rng import stream
@@ -135,7 +135,7 @@ def _plane_record(fld, box, plane: Hyperplane, p, quad):
     U = midpoint_mesh(lo, hi - lo, nodes)
     X = x0 + U @ B.T
     cell = float(np.prod((hi - lo) / nodes))
-    inside = box.contains(X, tol=1e-12)
+    inside = box.contains(X)
     if not np.any(inside):
         raise EmptyIntersection("plane patch grid misses the box")
     U, X = U[inside], X[inside]
@@ -333,22 +333,27 @@ class CarlesonReport:
         return self.cumulative[-1] if self.cumulative else 0.0
 
     @classmethod
-    def tally(cls, selector, power, lipschitz, denominator, walk):
-        """Report of a walk given as one list of (node, value, term) per level.
+    def walk(cls, selector, power, lipschitz, denominator, root, depth, values, weight):
+        """Report of the packing sum over the dyadic tree below ``root``,
+        ``depth`` levels down.
 
-        Level sums accumulate the terms one by one in visit order, so a
-        rerun reproduces every sum bit for bit.
+        ``values(frontier)`` gives the selector value of each node of one
+        level, in order; node Q adds ``weight(value) * Q.volume``. Level sums
+        accumulate the terms one by one in walk order, so a rerun reproduces
+        every sum bit for bit.
         """
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
         levels, counts, per_scale, cumulative, ratios, nodes = [], [], [], [], [], []
         running = 0.0
-        for level in walk:
+        for frontier in dyadic_levels(root, depth):
             level_sum = 0.0
-            for node, value, term in level:
-                level_sum += term
+            for node, value in zip(frontier, values(frontier)):
+                level_sum += weight(value) * node.volume
                 nodes.append((node, value))
             running += level_sum
-            levels.append(level[0][0].level)
-            counts.append(len(level))
+            levels.append(frontier[0].level)
+            counts.append(len(frontier))
             per_scale.append(level_sum)
             cumulative.append(running)
             ratios.append(running / denominator)
@@ -356,22 +361,18 @@ class CarlesonReport:
                    lipschitz, ratios, nodes)
 
 
-def carleson_sum(fld: FunctionField, root: DyadicCube, dilation: float, depth: int,
+def carleson_sum(fld: FunctionField, root: DyadicBox, dilation: float, depth: int,
                  selector: str, quad: QuadratureSpec) -> CarlesonReport:
     """Sum selector(CQ)^2 |Q| over dyadic Q inside root, down `depth` levels."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
     coefficient = SELECTORS[selector]
-    root_box = root.as_box()
     Lhat = fld.lipschitz
     if Lhat is None:
-        Lhat = lipschitz_estimate(fld, root_box.dilate(dilation), 4096, quad.seed)
-    walk = []
-    for frontier in dyadic_levels(root, depth):
-        vals = [coefficient(fld, cube.as_box().dilate(dilation), quad) for cube in frontier]
-        # val * val, not val ** 2.0: the two round differently for some doubles
-        walk.append([(cube, v, v * v * cube.volume) for cube, v in zip(frontier, vals)])
-    return CarlesonReport.tally(selector, 2.0, Lhat,
-                                max(Lhat, 1e-300) * root.volume, walk)
+        Lhat = lipschitz_estimate(fld, root.as_box().dilate(dilation), 4096, quad.seed)
+    return CarlesonReport.walk(
+        selector, 2.0, Lhat, max(Lhat, 1e-300) * root.volume, root, depth,
+        lambda frontier: [coefficient(fld, cube.as_box().dilate(dilation), quad)
+                          for cube in frontier],
+        # v * v, not v ** 2.0: the two round differently for some doubles
+        lambda v: v * v)

@@ -11,7 +11,6 @@ import argparse
 import copy
 import json
 import math
-import operator
 import os
 import sys
 
@@ -23,7 +22,7 @@ from . import reports, svgplot
 from .beta import QuadratureSpec
 from .errors import ConfigError, MultibetaError
 from .funcmodel import GridField, make_field
-from .geometry import Box, DyadicCube, DyadicParabolicBox, dyadic_levels, transversality
+from .geometry import Box, DyadicBox, dyadic_levels, transversality
 from .reconstruct import base_planes, verify_reconstruction
 
 EXIT_OK = 0
@@ -41,8 +40,9 @@ def _key_line(text: str, key: str, start: int = 0) -> int:
     return 0
 
 
-# 2.0 ** -1074 is the least positive float, so a dyadic cube of dimension k
-# (k = n + 1 for a parabolic box in R^n) has positive volume up to level 1074 // k.
+# 2.0 ** -1074 is the least positive float, so a dyadic box of volume 2^{-jk}
+# (k = n for a cube, n + 1 for a parabolic box in R^n) has positive volume up
+# to level j = 1074 // k.
 _MAX_EXPONENT = 1074
 
 
@@ -162,8 +162,8 @@ def load_root(cfg: Config, dim: int, depth: int):
     """The root cube and the tree depth (``depth`` when absent)."""
     r = cfg.section("root", {"level": 0, "index": [0] * dim})
     top = _MAX_EXPONENT // dim
-    cube = DyadicCube(r.number("level", minimum=0, maximum=top, integer=True),
-                      tuple(r.numbers("index", dim, integer=True)))
+    cube = DyadicBox(r.number("level", minimum=0, maximum=top, integer=True),
+                     tuple(r.numbers("index", dim, integer=True)), (2,) * dim)
     return cube, cfg.number("depth", depth, minimum=0, maximum=top - cube.level, integer=True)
 
 
@@ -172,9 +172,10 @@ def load_parabolic_root(cfg: Config, dim: int, depth: int):
     r = cfg.section("parabolic_root",
                     {"level": 0, "spatial_index": [0] * (dim - 1), "time_index": 0})
     top = _MAX_EXPONENT // (dim + 1)
-    node = DyadicParabolicBox(r.number("level", minimum=0, maximum=top, integer=True),
-                              tuple(r.numbers("spatial_index", dim - 1, integer=True)),
-                              r.number("time_index", integer=True))
+    node = DyadicBox(r.number("level", minimum=0, maximum=top, integer=True),
+                     (*r.numbers("spatial_index", dim - 1, integer=True),
+                      r.number("time_index", integer=True)),
+                     (2,) * (dim - 1) + (4,))
     return node, cfg.number("depth", depth, minimum=0, maximum=top - node.level, integer=True)
 
 
@@ -188,18 +189,18 @@ def _say(args, message):
         print(message)
 
 
-def _write_packing(cfg, args, seed, dim, rep, prefix, node_csv, columns, outputs=()):
+def _write_packing(cfg, args, seed, dim, rep, prefix, node_csv, columns, row, outputs=()):
     """Artifacts of a packing report: levels CSV, per-node CSV (``columns``
-    are node attributes), per-scale bar chart, the n = 2 heatmap of the
-    deepest level, the manifest over those plus ``outputs``, summary line."""
+    head the fields ``row(node)`` gives), per-scale bar chart, the n = 2
+    heatmap of the deepest level, the manifest over those plus ``outputs``,
+    summary line."""
     lev_path = _out(args, f"{prefix}_levels.csv")
     reports.write_csv(lev_path,
                       ["level", "count", "per_scale", "cumulative", "ratio"],
                       zip(rep.levels, rep.counts, rep.per_scale, rep.cumulative, rep.ratios))
     node_path = _out(args, node_csv)
-    key = operator.attrgetter(*columns)
     reports.write_csv(node_path, [*columns, "value"],
-                      [(*key(node), val) for node, val in rep.nodes])
+                      [(*row(node), val) for node, val in rep.nodes])
     bar_path = _out(args, f"{prefix}_scales.svg")
     svgplot.bar_chart(bar_path, rep.levels, rep.per_scale,
                       title=f"per-scale sums, selector {rep.selector}")
@@ -251,7 +252,7 @@ def cmd_carleson(cfg, args, seed):
     selector = cfg.string("selector", "beta2", betamod.SELECTORS)
     rep = betamod.carleson_sum(fld, root, dilation, depth, selector, quad)
     return _write_packing(cfg, args, seed, fld.dim, rep, "carleson", "carleson_cubes.csv",
-                          ("level", "index"))
+                          ("level", "index"), lambda node: (node.level, node.index))
 
 
 def cmd_igbeta(cfg, args, seed):
@@ -300,7 +301,7 @@ def cmd_reconstruct(cfg, args, seed):
     outputs = [path]
     if fld.dim == 2:
         scene = _out(args, "reconstruct.svg")
-        svgplot.reconstruction_scene(scene, box, box.dilate(c), rep.simplex,
+        svgplot.reconstruction_scene(scene, box, box.dilate(c), rep.selection.simplex,
                                      rep.selection.planes, title="reconstruction scene")
         outputs.append(scene)
     reports.write_manifest(_out(args, "manifest.json"), cfg.data, seed, outputs)
@@ -325,7 +326,9 @@ def cmd_parabolic(cfg, args, seed):
     coeff_path = _out(args, "parabolic_coefficients.csv")
     reports.write_csv(coeff_path, list(coeffs), [list(coeffs.values())])
     return _write_packing(cfg, args, seed, fld.dim, rep, "parabolic", "parabolic_boxes.csv",
-                          ("level", "spatial_index", "time_index"), [coeff_path])
+                          ("level", "spatial_index", "time_index"),
+                          lambda node: (node.level, node.index[:-1], node.index[-1]),
+                          [coeff_path])
 
 
 def cmd_rademacher(cfg, args, seed):
@@ -375,7 +378,7 @@ def cmd_verify(cfg, args, seed):
 
     # parabolic certificate
     psi = make_field("p_additive", 2, space="cone", space_params={"x0": [0.3]}, time="sin")
-    pbox = DyadicParabolicBox(1, (0,), 1).as_parabolic_box()
+    pbox = DyadicBox(1, (0, 1), (2, 4)).as_parabolic_box()
     sample = pbmod.ParabolicSample.of(psi, pbox, quad)
     _, res, cert = pbmod.combine_affine_bound(sample)
     check("parabolic_certificate", cert["holds"],

@@ -1,8 +1,9 @@
 """Evaluable scalar fields: analytic catalog entries and interpolated grids.
 
 Each field evaluates vectorized on (N, n) point arrays. Parabolic entries
-live on R^{n-1} x R with the last coordinate playing time and are tagged so
-Lipschitz estimation can use the parabolic metric.
+live on R^{n-1} x R with the last coordinate playing time; a caller that
+wants their Lipschitz constant in the parabolic metric asks
+``lipschitz_estimate`` for it with ``parabolic=True``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class FunctionField:
     dim: int
     fn: callable
     lipschitz: float | None = None  # declared bound, Euclidean or parabolic
-    parabolic: bool = False
 
     def eval(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -215,7 +215,7 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
             return space.eval(pts[:, :-1]) + h(pts[:, -1])
 
         L = (space.lipschitz or 1.0) + h_lip
-        return FunctionField(kind, dim, fn, lipschitz=L, parabolic=True)
+        return FunctionField(kind, dim, fn, lipschitz=L)
 
     if kind == "p_product":
         # psi(x, t) = a(t) . x + b(t) with smooth a, b
@@ -228,7 +228,7 @@ def make_field(kind: str, dim: int, **params) -> FunctionField:
             a_t = a0[None, :] + a1[None, :] * np.sin(t)[:, None]
             return np.sum(a_t * x, axis=1) + b1 * np.cos(t)
 
-        return FunctionField(kind, dim, fn, parabolic=True)
+        return FunctionField(kind, dim, fn)
 
     raise ConfigError(f"unknown catalog kind {kind!r}")
 
@@ -263,7 +263,7 @@ def default_parabolic_catalog(dim: int):
     return entries
 
 
-def lipschitz_estimate(fld: FunctionField, region, samples: int, seed: int,
+def lipschitz_estimate(fld: FunctionField, region: Box, samples: int, seed: int,
                        parabolic: bool = False) -> float:
     """Max sampled difference quotient: random pairs plus lattice neighbours.
 
@@ -272,8 +272,6 @@ def lipschitz_estimate(fld: FunctionField, region, samples: int, seed: int,
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if hasattr(region, "as_box"):
-        region = region.as_box()
     rng = stream(seed, "lipschitz")
     n = region.dim
     lo, hi = region.lo_arr, region.hi

@@ -1,10 +1,11 @@
 """Dyadic decompositions, affine planes and lines, Grassmannian sampling.
 
-Euclidean boxes and dyadic cubes, parabolic boxes, hyperplanes with the
-sign-identified (normal, offset) parametrization, lines, affine
-maps, simplices, transversality, and unbiased Monte Carlo samplers for the
-translation-invariant measures on affine lines and affine hyperplanes
-(normalized so that the set of planes meeting the unit ball has measure 1).
+Euclidean boxes, parabolic boxes, dyadic boxes (cubes and parabolic),
+hyperplanes with the sign-identified (normal, offset) parametrization,
+lines, affine maps, simplices, transversality, and unbiased Monte Carlo
+samplers for the translation-invariant measures on affine lines and affine
+hyperplanes (normalized so that the set of planes meeting the unit ball has
+measure 1).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def ball_volume(m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Boxes and dyadic cubes
+# Boxes
 # ---------------------------------------------------------------------------
 
 
@@ -79,10 +80,11 @@ class Box:
         lo = self.center - 0.5 * sides
         return Box(tuple(lo), tuple(sides))
 
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Whether each point lies in the box widened by 1e-12 on every side."""
         pts = np.atleast_2d(points)
-        lo = self.lo_arr - tol
-        hi = self.hi + tol
+        lo = self.lo_arr - 1e-12
+        hi = self.hi + 1e-12
         ok = np.all((pts >= lo) & (pts <= hi), axis=1)
         return ok if points.ndim > 1 else bool(ok[0])
 
@@ -107,47 +109,6 @@ class Ball:
     @property
     def dim(self) -> int:
         return len(self.center)
-
-
-@dataclass(frozen=True)
-class DyadicCube:
-    """Standard dyadic cube 2^{-j}(k + [0,1)^n)."""
-
-    level: int
-    index: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", tuple(int(k) for k in self.index))
-
-    @property
-    def dim(self) -> int:
-        return len(self.index)
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
-    def lo(self) -> np.ndarray:
-        return np.asarray(self.index) * self.side
-
-    @property
-    def diameter(self) -> float:
-        return math.sqrt(self.dim) * self.side
-
-    @property
-    def volume(self) -> float:
-        return self.side ** self.dim
-
-    def as_box(self) -> Box:
-        return Box(tuple(self.lo), (self.side,) * self.dim)
-
-    def children(self) -> list:
-        base = tuple(2 * k for k in self.index)
-        kids = []
-        for bits in itertools.product((0, 1), repeat=self.dim):
-            kids.append(DyadicCube(self.level + 1, tuple(b + o for b, o in zip(base, bits))))
-        return kids
 
 
 # ---------------------------------------------------------------------------
@@ -213,59 +174,54 @@ class ParabolicBox:
         return Box(self.spatial.lo + (self.t0,), self.spatial.sides + (self.t_len,))
 
 
-@dataclass(frozen=True)
-class DyadicParabolicBox:
-    """Node of the parabolic dyadic tree: spatial side 2^{-j}, time 4^{-j}."""
+@dataclass(frozen=True, slots=True)
+class DyadicBox:
+    """Node of a dyadic tree: the box prod_i s_i^{-j} (k_i + [0, 1)) for the
+    level j, the integer index k and the per-axis split s.
+
+    A dyadic cube splits every axis in 2; a parabolic dyadic box splits its
+    spatial axes in 2 and its last (time) axis in 4, so its time side 4^{-j}
+    is the square of its spatial side.
+    """
 
     level: int
-    spatial_index: tuple
-    time_index: int
+    index: tuple
+    split: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "spatial_index", tuple(int(k) for k in self.spatial_index))
+        if len(self.index) != len(self.split):
+            raise ValueError("dyadic index and split must have the same length")
 
     @property
-    def spatial_dim(self) -> int:
-        return len(self.spatial_index)
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
+    def sides(self) -> tuple:
+        return tuple(float(s) ** -self.level for s in self.split)
 
     @property
     def volume(self) -> float:
-        return self.side ** self.spatial_dim * self.side ** 2
-
-    def as_parabolic_box(self) -> ParabolicBox:
-        s = self.side
-        sp = Box(tuple(np.asarray(self.spatial_index) * s), (s,) * self.spatial_dim)
-        return ParabolicBox(sp, self.time_index * s * s, s * s)
+        return math.prod(self.sides)
 
     def as_box(self) -> Box:
-        """The space-time rectangle as a Euclidean box in R^n."""
-        return self.as_parabolic_box().as_box()
+        sides = self.sides
+        return Box(tuple(k * s for k, s in zip(self.index, sides)), sides)
+
+    def as_parabolic_box(self) -> ParabolicBox:
+        """The box with its last axis as the time interval."""
+        sides = self.sides
+        *lo, t0 = (k * s for k, s in zip(self.index, sides))
+        return ParabolicBox(Box(tuple(lo), sides[:-1]), t0, sides[-1])
 
     def children(self) -> list:
-        base = tuple(2 * k for k in self.spatial_index)
-        kids = []
-        for bits in itertools.product((0, 1), repeat=self.spatial_dim):
-            for tt in range(4):
-                kids.append(
-                    DyadicParabolicBox(
-                        self.level + 1,
-                        tuple(b + o for b, o in zip(base, bits)),
-                        4 * self.time_index + tt,
-                    )
-                )
-        return kids
+        """The children, offsets in lexicographic order over range(split[i])."""
+        base = [s * k for s, k in zip(self.split, self.index)]
+        level = self.level + 1
+        return [DyadicBox(level, tuple(b + o for b, o in zip(base, offsets)), self.split)
+                for offsets in itertools.product(*map(range, self.split))]
 
 
 def dyadic_levels(root, depth: int):
     """Yield the frontiers of the dyadic tree below ``root``, level by level.
 
-    Works for any node with ``children()`` (dyadic cubes and parabolic
-    boxes); yields depth + 1 lists, each in ``children()`` order of the
-    previous one.
+    Yields depth + 1 lists, each in ``children()`` order of the previous one.
     """
     frontier = [root]
     yield frontier
@@ -419,10 +375,10 @@ class Simplex:
             offs.append(normal @ base)
         return np.asarray(rows), np.asarray(offs)
 
-    def contains(self, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         A, b = self.halfspaces()
         pts = np.atleast_2d(points)
-        ok = np.all(pts @ A.T <= b + 1e-12 - margin, axis=1)
+        ok = np.all(pts @ A.T <= b + 1e-12, axis=1)
         return ok if np.asarray(points).ndim > 1 else bool(ok[0])
 
 

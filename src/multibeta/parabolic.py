@@ -21,8 +21,7 @@ from . import fitting
 from .beta import CarlesonReport, QuadratureSpec, midpoint_grid, midpoint_mesh, midpoint_nodes
 from .errors import BoundViolation, DegenerateBox
 from .funcmodel import FunctionField, lipschitz_estimate
-from .geometry import (AffineMap, DyadicParabolicBox, ParabolicBox, dyadic_levels,
-                       parabolic_distance)
+from .geometry import AffineMap, DyadicBox, ParabolicBox, parabolic_distance
 from .rng import stream
 
 
@@ -236,30 +235,26 @@ PARABOLIC_SELECTORS = {
 }
 
 
-def parabolic_carleson_sum(psi: FunctionField, root: DyadicParabolicBox,
+def parabolic_carleson_sum(psi: FunctionField, root: DyadicBox,
                            dilation: float, depth: int, selector: str,
                            quad: QuadratureSpec,
                            L: float | None = None) -> CarlesonReport:
     """Sum selector(CQ)^power |Q| over the parabolic dyadic tree below root."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     if selector not in PARABOLIC_SELECTORS:
         raise ValueError(f"unknown parabolic selector {selector!r}")
     coefficient, power_of, needs_L = PARABOLIC_SELECTORS[selector]
     if needs_L and L is None:
         raise ValueError(f"selector {selector!r} needs L")
-    power = power_of(root.spatial_dim + 1)
-    root_pbox = root.as_parabolic_box()
+    power = power_of(len(root.index))
     Lhat = psi.lipschitz
     if Lhat is None:
-        Lhat = lipschitz_estimate(psi, root_pbox.dilate(dilation).as_box(),
+        Lhat = lipschitz_estimate(psi, root.as_parabolic_box().dilate(dilation).as_box(),
                                   4096, quad.seed, parabolic=True)
-    walk = []
-    for frontier in dyadic_levels(root, depth):
-        boxes = (node.as_parabolic_box().dilate(dilation) for node in frontier)
-        vals = [coefficient(ParabolicSample.of(psi, box, quad), L) for box in boxes]
-        walk.append([(node, v, v ** power * node.volume) for node, v in zip(frontier, vals)])
-    return CarlesonReport.tally(selector, power, Lhat, root.volume, walk)
+    return CarlesonReport.walk(
+        selector, power, Lhat, root.volume, root, depth,
+        lambda frontier: [coefficient(ParabolicSample.of(
+            psi, node.as_parabolic_box().dilate(dilation), quad), L) for node in frontier],
+        lambda v: v ** power)
 
 
 @dataclass

@@ -51,10 +51,6 @@ class PlaneSelection:
     draws_used: int
 
     @property
-    def corner_points(self) -> np.ndarray:
-        return self.simplex.v
-
-    @property
     def max_mismatch(self) -> float:
         return float(np.max(self.mismatches))
 
@@ -70,7 +66,6 @@ class ReconstructionReport:
     ratio_direct: float
     ratio_via: float
     selection: PlaneSelection
-    simplex: Simplex
     line_integral: float          # best directional sup-coefficient integral over the shadow
     line_ratio: float
     planar_value: float | None = None  # n = 2 strip-quadrature cross-check
@@ -149,7 +144,7 @@ def _evaluate_draw(fld, CQ, base_planes, planes, quad, reference, eps, tau, k):
     max_restricted = max(r.value for r in recs)
     max_metric = max(plane_metric(b, p) for b, p in zip(base_planes, planes))
     # mismatches carry a length unit; compare them per unit of diam(CQ)
-    accepted = (max_metric <= eps and bool(np.all(CQ.contains(corners, tol=1e-12)))
+    accepted = (max_metric <= eps and bool(np.all(CQ.contains(corners)))
                 and max_restricted <= KAPPA_B * reference + ACCEPT_SLACK
                 and float(mism.max()) <= KAPPA_C * reference * CQ.diameter + ACCEPT_SLACK)
     return PlaneSelection(planes, simplex, f_at, mism, max_restricted, max_metric,
@@ -278,8 +273,8 @@ def planar_beta2(fld: FunctionField, box: Box, direction, quad: QuadratureSpec) 
 
 
 def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: float = 8.0,
-                 tau: float = 0.25, eps: float = 0.05, seed: int = 0,
-                 quad: QuadratureSpec | None = None) -> ReconstructionReport:
+                 tau: float = 0.25, eps: float = 0.05, seed: int = 0, *,
+                 quad: QuadratureSpec) -> ReconstructionReport:
     """End-to-end reconstruction check on one box.
 
     Selects planes, interpolates f at the simplex corners by a global affine
@@ -292,7 +287,6 @@ def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: 
         raise ValueError("reconstruction needs n >= 2")
     if not (0.0 < c <= 0.25):
         raise ValueError("small-box factor c must lie in (0, 1/4]")
-    quad = quad or QuadratureSpec()
     cQ = Q.dilate(c)
     CQ = Q.dilate(C)
 
@@ -337,7 +331,6 @@ def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: 
         ratio_direct=direct / denom,
         ratio_via=via / denom,
         selection=selection,
-        simplex=simplex,
         line_integral=best_integral,
         line_ratio=line_ratio,
         planar_value=planar,

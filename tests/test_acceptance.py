@@ -16,7 +16,7 @@ from multibeta.calibration import C_HOLD, C_REC, CARLESON_RATIO
 from multibeta.cli import main as cli_main
 from multibeta.funcmodel import (default_catalog, default_parabolic_catalog,
                                  make_field)
-from multibeta.geometry import (Ball, Box, DyadicCube, Hyperplane, LineSeg,
+from multibeta.geometry import (Ball, Box, DyadicBox, Hyperplane, LineSeg,
                                 ParabolicBox, estimate_line_measure,
                                 estimate_plane_measure)
 from multibeta.parabolic import (ParabolicSample, combine_affine_bound,
@@ -123,13 +123,13 @@ def test_acceptance_3_grassmannian_normalization():
 def test_acceptance_4_carleson_packing():
     quad = QuadratureSpec(nodes=9)
     fld1 = make_field("pwlinear", 1, xs=[0.0, 1.0 / 3.0, 1.0], ys=[1.0 / 3.0, 0.0, 2.0 / 3.0])
-    rep1 = carleson_sum(fld1, DyadicCube(0, (0,)), 3.0, 10, "beta2", quad)
+    rep1 = carleson_sum(fld1, DyadicBox(0, (0,), (2,)), 3.0, 10, "beta2", quad)
     ratios = [rep1.per_scale[j + 1] / rep1.per_scale[j] for j in range(3, 10)]
     decay_ok = all(0.35 <= r <= 0.65 for r in ratios)
     bound_ok = all(rep1.ratios[J] <= CARLESON_RATIO[1] for J in range(4, 11))
 
     fld2 = make_field("pwlinear", 2, xs=[0.0, 1.0 / 3.0, 1.0], ys=[1.0 / 3.0, 0.0, 2.0 / 3.0])
-    rep2 = carleson_sum(fld2, DyadicCube(0, (0, 0)), 3.0, 6, "beta2", quad)
+    rep2 = carleson_sum(fld2, DyadicBox(0, (0, 0), (2, 2)), 3.0, 6, "beta2", quad)
     bound2_ok = rep2.ratios[-1] <= CARLESON_RATIO[2]
     report(4, decay_ok and bound_ok and bound2_ok,
            f"decay {min(ratios):.3f}..{max(ratios):.3f}, "

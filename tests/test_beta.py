@@ -15,7 +15,7 @@ from multibeta.beta import (SELECTORS, QuadratureSpec, beta_integralgeometric,
                             midpoint_nodes, restricted_line_betas)
 from multibeta.errors import EmptyIntersection
 from multibeta.funcmodel import make_field
-from multibeta.geometry import Box, DyadicCube, Hyperplane, LineSeg, sample_lines
+from multibeta.geometry import Box, DyadicBox, Hyperplane, LineSeg, sample_lines
 
 QUAD = QuadratureSpec()
 FINE = QuadratureSpec(nodes=257, restricted_nodes=257, mc_samples=64)
@@ -322,7 +322,7 @@ class TestMidpointRule:
 class TestCarleson:
     def test_affine_total_zero(self):
         fld = make_field("affine", 1, a=[0.7], b=0.1)
-        rep = carleson_sum(fld, DyadicCube(0, (0,)), 3.0, 4, "beta2", QUAD)
+        rep = carleson_sum(fld, DyadicBox(0, (0,), (2,)), 3.0, 4, "beta2", QUAD)
         assert rep.total <= 1e-18
 
     def test_vee_per_scale_halves(self):
@@ -331,28 +331,28 @@ class TestCarleson:
         # the per-scale contribution halves exactly
         fld = make_field("pwlinear", 1, xs=[0.0, 1.0 / 3.0, 1.0],
                          ys=[1.0 / 3.0, 0.0, 2.0 / 3.0])
-        rep = carleson_sum(fld, DyadicCube(0, (0,)), 3.0, 10, "beta2", QUAD)
+        rep = carleson_sum(fld, DyadicBox(0, (0,), (2,)), 3.0, 10, "beta2", QUAD)
         for j in range(3, 10):
             assert rep.per_scale[j + 1] / rep.per_scale[j] == pytest.approx(0.5, rel=1e-6)
         assert rep.ratios[-1] <= 0.0447
 
     def test_cumulative_monotone(self):
         fld = make_field("cone", 1, x0=[0.4])
-        rep = carleson_sum(fld, DyadicCube(0, (0,)), 3.0, 6, "beta2", QUAD)
+        rep = carleson_sum(fld, DyadicBox(0, (0,), (2,)), 3.0, 6, "beta2", QUAD)
         assert all(b >= a - 1e-18 for a, b in zip(rep.cumulative, rep.cumulative[1:]))
         assert rep.counts == [2 ** j for j in range(7)]
 
     def test_uniform_bound(self):
         # every dilated-cube coefficient is controlled by the Lipschitz bound
         fld = make_field("distset", 2, points=[[0.2, 0.2], [0.8, 0.5]])
-        rep = carleson_sum(fld, DyadicCube(0, (0, 0)), 3.0, 3, "beta2", QUAD)
+        rep = carleson_sum(fld, DyadicBox(0, (0, 0), (2, 2)), 3.0, 3, "beta2", QUAD)
         for _, val in rep.nodes:
             assert val <= 0.5 * rep.lipschitz + 1e-12
 
     def test_selector_combined_runs(self):
         fld = make_field("cone", 2, x0=[0.3, 0.7])
         quad = QuadratureSpec(mc_samples=64, seed=1)
-        rep = carleson_sum(fld, DyadicCube(0, (0, 0)), 3.0, 1, "combined", quad)
+        rep = carleson_sum(fld, DyadicBox(0, (0, 0), (2, 2)), 3.0, 1, "combined", quad)
         assert rep.total > 0
         assert len(rep.nodes) == 5
 
@@ -360,7 +360,7 @@ class TestCarleson:
     def test_every_selector_walks_the_tree(self, selector):
         fld = make_field("cone", 2, x0=[0.3, 0.7])
         quad = QuadratureSpec(nodes=3, restricted_nodes=5, mc_samples=16, seed=1)
-        rep = carleson_sum(fld, DyadicCube(0, (0, 0)), 3.0, 1, selector, quad)
+        rep = carleson_sum(fld, DyadicBox(0, (0, 0), (2, 2)), 3.0, 1, selector, quad)
         assert rep.power == 2.0
         assert rep.levels == [0, 1] and rep.counts == [1, 4]
         assert [node.level for node, _ in rep.nodes] == [0, 1, 1, 1, 1]
@@ -369,4 +369,4 @@ class TestCarleson:
     def test_unknown_selector_rejected(self):
         fld = make_field("cone", 1, x0=[0.4])
         with pytest.raises(ValueError):
-            carleson_sum(fld, DyadicCube(0, (0,)), 3.0, 1, "bogus", QUAD)
+            carleson_sum(fld, DyadicBox(0, (0,), (2,)), 3.0, 1, "bogus", QUAD)

@@ -55,7 +55,6 @@ class TestCatalogEval:
     def test_parabolic_additive(self):
         fld = make_field("p_additive", 2, space="affine",
                          space_params={"a": [1.0], "b": 0.0}, time="linear")
-        assert fld.parabolic
         assert fld.eval(np.array([0.3, 0.4])) == pytest.approx(0.7)
 
     def test_parabolic_product(self):

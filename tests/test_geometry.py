@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from multibeta import geometry
 from multibeta.errors import DegenerateSimplex, ParallelOrDegenerate
-from multibeta.geometry import (Ball, Box, DyadicCube, DyadicParabolicBox,
+from multibeta.geometry import (Ball, Box, DyadicBox,
                                 Hyperplane, ParabolicBox, Simplex, clip_line_to_box,
                                 dyadic_levels,
                                 estimate_line_measure, estimate_plane_measure,
@@ -113,32 +114,36 @@ class TestParabolicDistance:
         assert np.all(lhs <= rhs + 1e-12)
 
 
+CUBE2 = (2, 2)
+PARABOLIC2 = (2, 4)
+
+
 class TestDyadic:
     def test_children_partition_volume(self):
-        cube = DyadicCube(2, (1, 3))
+        cube = DyadicBox(2, (1, 3), CUBE2)
         kids = cube.children()
         assert len(kids) == 4
         assert sum(k.volume for k in kids) == pytest.approx(cube.volume, abs=1e-15)
 
     def test_min_corner(self):
-        cube = DyadicCube(3, (5, 2))
-        assert np.allclose(cube.lo, [5 / 8, 2 / 8])
-        assert cube.diameter == pytest.approx(math.sqrt(2) / 8)
+        box = DyadicBox(3, (5, 2), CUBE2).as_box()
+        assert box.lo == (5 / 8, 2 / 8) and box.sides == (1 / 8, 1 / 8)
+        assert box.diameter == pytest.approx(math.sqrt(2) / 8)
 
     def test_children_tile_parent(self):
-        cube = DyadicCube(1, (1,))
+        cube = DyadicBox(1, (1,), (2,))
         kids = cube.children()
-        los = sorted(k.lo[0] for k in kids)
+        los = sorted(k.as_box().lo[0] for k in kids)
         assert los == [0.5, 0.75]
 
     def test_parabolic_children_count(self):
-        box = DyadicParabolicBox(0, (0, 0), 0)  # n = 3: two spatial axes
+        box = DyadicBox(0, (0, 0, 0), (2, 2, 4))  # n = 3: two spatial axes
         kids = box.children()
-        assert len(kids) == 2 ** (box.spatial_dim + 2)
+        assert len(kids) == 2 ** 4
         assert sum(k.volume for k in kids) == pytest.approx(box.volume, abs=1e-15)
 
     def test_levels_expand_in_children_order(self):
-        root = DyadicCube(1, (1, 0))
+        root = DyadicBox(1, (1, 0), CUBE2)
         levels = list(dyadic_levels(root, 2))
         assert [len(f) for f in levels] == [1, 4, 16]
         assert levels[0] == [root]
@@ -147,15 +152,111 @@ class TestDyadic:
         assert list(dyadic_levels(root, 0)) == [[root]]
 
     def test_parabolic_levels_and_box(self):
-        root = DyadicParabolicBox(0, (0,), 0)
+        root = DyadicBox(0, (0, 0), PARABOLIC2)
         assert [len(f) for f in dyadic_levels(root, 2)] == [1, 8, 64]
-        node = DyadicParabolicBox(2, (3,), 7)
+        node = DyadicBox(2, (3, 7), PARABOLIC2)
         box = node.as_box()
         assert box.lo == (0.75, 7 / 16) and box.sides == (0.25, 1 / 16)
 
     def test_parabolic_box_relation(self):
-        pbox = DyadicParabolicBox(2, (3,), 7).as_parabolic_box()
+        pbox = DyadicBox(2, (3, 7), PARABOLIC2).as_parabolic_box()
         assert pbox.t_len == pytest.approx(pbox.side ** 2)
+
+    def test_index_and_split_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            DyadicBox(0, (0, 0), (2,))
+
+
+class TestDyadicMatchesCubeAndParabolicNodes:
+    """DyadicBox against frozen copies of the two node classes it replaced:
+    every child index and order, corner, side, volume and time interval is
+    equal with ==."""
+
+    @dataclass(frozen=True)
+    class Cube:
+        level: int
+        index: tuple
+
+        def __post_init__(self):
+            object.__setattr__(self, "index", tuple(int(k) for k in self.index))
+
+        @property
+        def side(self):
+            return 2.0 ** (-self.level)
+
+        @property
+        def volume(self):
+            return self.side ** len(self.index)
+
+        def as_box(self):
+            return Box(tuple(np.asarray(self.index) * self.side), (self.side,) * len(self.index))
+
+        def children(self):
+            base = tuple(2 * k for k in self.index)
+            return [type(self)(self.level + 1, tuple(b + o for b, o in zip(base, bits)))
+                    for bits in itertools.product((0, 1), repeat=len(self.index))]
+
+    @dataclass(frozen=True)
+    class Parabolic:
+        level: int
+        spatial_index: tuple
+        time_index: int
+
+        def __post_init__(self):
+            object.__setattr__(self, "spatial_index",
+                               tuple(int(k) for k in self.spatial_index))
+
+        @property
+        def side(self):
+            return 2.0 ** (-self.level)
+
+        @property
+        def volume(self):
+            return self.side ** len(self.spatial_index) * self.side ** 2
+
+        def as_parabolic_box(self):
+            s = self.side
+            sp = Box(tuple(np.asarray(self.spatial_index) * s), (s,) * len(self.spatial_index))
+            return ParabolicBox(sp, self.time_index * s * s, s * s)
+
+        def children(self):
+            base = tuple(2 * k for k in self.spatial_index)
+            return [type(self)(self.level + 1, tuple(b + o for b, o in zip(base, bits)),
+                               4 * self.time_index + tt)
+                    for bits in itertools.product((0, 1), repeat=len(self.spatial_index))
+                    for tt in range(4)]
+
+    indices = st.one_of(st.integers(-2 ** 20, 2 ** 20), st.sampled_from([10 ** 300, -10 ** 300]))
+
+    @staticmethod
+    def same_box(a, b):
+        return a.lo == b.lo and a.sides == b.sides
+
+    @given(st.integers(1, 4), st.integers(0, 12), st.data())
+    def test_cube(self, n, level, data):
+        index = tuple(data.draw(st.lists(self.indices, min_size=n, max_size=n)))
+        old, new = self.Cube(level, index), DyadicBox(level, index, (2,) * n)
+        assert new.volume == old.volume and self.same_box(new.as_box(), old.as_box())
+        kids_old, kids_new = old.children(), new.children()
+        assert [k.index for k in kids_new] == [k.index for k in kids_old]
+        for ko, kn in zip(kids_old, kids_new):
+            assert kn.level == ko.level and kn.volume == ko.volume
+            assert self.same_box(kn.as_box(), ko.as_box())
+
+    @given(st.integers(2, 4), st.integers(0, 12), st.data())
+    def test_parabolic(self, n, level, data):
+        index = tuple(data.draw(st.lists(self.indices, min_size=n, max_size=n)))
+        old = self.Parabolic(level, index[:-1], index[-1])
+        new = DyadicBox(level, index, (2,) * (n - 1) + (4,))
+        assert new.volume == old.volume
+        assert new.as_parabolic_box() == old.as_parabolic_box()
+        assert self.same_box(new.as_box(), old.as_parabolic_box().as_box())
+        kids_old, kids_new = old.children(), new.children()
+        assert [k.index for k in kids_new] == [(*k.spatial_index, k.time_index)
+                                               for k in kids_old]
+        for ko, kn in zip(kids_old, kids_new):
+            assert kn.level == ko.level and kn.volume == ko.volume
+            assert kn.as_parabolic_box() == ko.as_parabolic_box()
 
 
 class TestBoxes:

@@ -5,8 +5,10 @@ the sha256 of every CSV it writes with ``golden_digests.json``. The matrix
 covers what the benchmark workloads do not reach: every norm of
 ``analyze`` at n = 1, 2, 3; every selector of ``carleson`` at n = 2 and 3;
 ``igbeta`` for each m; every ``parabolic`` selector with ``L`` unset and
-set at n = 2 and with ``L`` at n = 3; ``reconstruct`` and ``rademacher`` at
-n = 2 and 3; and ``verify``. The digests hold for the numpy, scipy and
+set at n = 2 and with ``L`` at n = 3; ``analyze``, ``carleson`` and
+``parabolic`` below a root other than the unit cube (negative indices
+included); ``reconstruct`` and ``rademacher`` at n = 2 and 3; and
+``verify``. The digests hold for the numpy, scipy and
 Python versions recorded beside them; under any other versions the test
 skips.
 
@@ -66,6 +68,18 @@ def _cases():
                 if L is not None:
                     cfg["L"] = L
                 cases[f"parabolic_n{n}_{sel}_L{L}"] = ("parabolic", cfg)
+    cases["analyze_n2_root"] = ("analyze", {"field": FIELDS[2], "depth": 1,
+                                            "root": {"level": 2, "index": [1, 3]}})
+    cases["analyze_n3_root"] = ("analyze", {"field": FIELDS[3], "depth": 1, "ps": [2],
+                                            "root": {"level": 1, "index": [1, 0, 1]}})
+    cases["carleson_n2_root"] = ("carleson", {"field": FIELDS[2], "depth": 2,
+                                              "root": {"level": 3, "index": [-1, 5]}})
+    cases["parabolic_n2_root"] = ("parabolic", {
+        "field": PARABOLIC[2], "depth": 1, "selector": "beta2",
+        "parabolic_root": {"level": 1, "spatial_index": [1], "time_index": 3}})
+    cases["parabolic_n3_root"] = ("parabolic", {
+        "field": PARABOLIC[3], "depth": 1, "selector": "A",
+        "parabolic_root": {"level": 2, "spatial_index": [-1, 2], "time_index": -5}})
     for n in (2, 3):
         cases[f"reconstruct_n{n}"] = ("reconstruct", {"field": FIELDS[n]})
         cases[f"rademacher_n{n}"] = ("rademacher", {"field": PARABOLIC[n]})

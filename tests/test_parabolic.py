@@ -10,7 +10,7 @@ from multibeta.beta import QuadratureSpec, midpoint_grid, midpoint_nodes
 from multibeta.calibration import C_HOLD
 from multibeta.errors import BoundViolation, MultibetaError
 from multibeta.funcmodel import FunctionField, default_parabolic_catalog, make_field
-from multibeta.geometry import AffineMap, Box, DyadicParabolicBox, ParabolicBox
+from multibeta.geometry import AffineMap, Box, DyadicBox, ParabolicBox
 from multibeta.parabolic import (PARABOLIC_SELECTORS, ParabolicSample, coefficient_table,
                                  combine_affine_bound,
                                  dt_carleson_quotient, holder_exponent_check,
@@ -197,18 +197,18 @@ class TestCoefficientTable:
 class TestParabolicCarleson:
     def test_spatial_affine_total_zero(self):
         psi = additive("affine", "zero", a=[0.4], b=0.1)
-        rep = parabolic_carleson_sum(psi, DyadicParabolicBox(0, (0,), 0), 3.0, 3,
+        rep = parabolic_carleson_sum(psi, DyadicBox(0, (0, 0), (2, 4)), 3.0, 3,
                                      "beta2", QUAD)
         assert rep.total <= 1e-24
 
     def test_time_independent_osc_zero(self):
-        rep = parabolic_carleson_sum(SQUARE_0, DyadicParabolicBox(0, (0,), 0), 3.0, 2,
+        rep = parabolic_carleson_sum(SQUARE_0, DyadicBox(0, (0, 0), (2, 4)), 3.0, 2,
                                      "osc", QUAD)
         assert rep.total <= 1e-30
 
     def test_counts_and_monotone(self):
         psi = additive("cone", "sin", x0=[0.4])
-        rep = parabolic_carleson_sum(psi, DyadicParabolicBox(0, (0,), 0), 3.0, 2,
+        rep = parabolic_carleson_sum(psi, DyadicBox(0, (0, 0), (2, 4)), 3.0, 2,
                                      "beta2", QUAD)
         assert rep.counts == [1, 8, 64]
         assert all(b >= a for a, b in zip(rep.cumulative, rep.cumulative[1:]))
@@ -217,7 +217,7 @@ class TestParabolicCarleson:
         psi = additive("pwlinear", "sin", xs=[0.0, 1.0 / 3.0, 1.0],
                        ys=[1.0 / 3.0, 0.0, 2.0 / 3.0])
         quad = QuadratureSpec(nodes=9, mc_samples=256, seed=0)
-        rep = parabolic_carleson_sum(psi, DyadicParabolicBox(0, (0,), 0), 3.0, 5,
+        rep = parabolic_carleson_sum(psi, DyadicBox(0, (0, 0), (2, 4)), 3.0, 5,
                                      "beta2", quad)
         expect = [0.0021087083839054573, 0.0009303175399921148,
                   0.00034979832460555247, 0.0001430484154349218,
@@ -228,7 +228,7 @@ class TestParabolicCarleson:
     @pytest.mark.parametrize("selector", list(PARABOLIC_SELECTORS))
     def test_every_selector_walks_the_tree(self, selector):
         psi = additive("cone", "sin", x0=[0.4])
-        rep = parabolic_carleson_sum(psi, DyadicParabolicBox(0, (0,), 0), 3.0, 1,
+        rep = parabolic_carleson_sum(psi, DyadicBox(0, (0, 0), (2, 4)), 3.0, 1,
                                      selector, QuadratureSpec(nodes=3), L=0.7)
         # the sup coefficient packs at the n + 3 power, the others squared
         assert rep.power == (5.0 if selector == "betainf" else 2.0)
@@ -238,7 +238,7 @@ class TestParabolicCarleson:
 
     def test_missing_l_rejected(self):
         with pytest.raises(ValueError):
-            parabolic_carleson_sum(SQUARE_0, DyadicParabolicBox(0, (0,), 0), 3.0, 1,
+            parabolic_carleson_sum(SQUARE_0, DyadicBox(0, (0, 0), (2, 4)), 3.0, 1,
                                    "beta2L", QUAD)
 
 

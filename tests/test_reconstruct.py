@@ -73,7 +73,7 @@ class TestBaseSimplex:
         sx = base_simplex(Q)
         c = 1.0 / 20.0
         assert np.all(sx.contains(Q.dilate(2.0 * c).corners()))
-        assert np.all(Q.dilate(0.5).contains(sx.v, tol=1e-12))
+        assert np.all(Q.dilate(0.5).contains(sx.v))
 
     def test_positive_volume(self):
         for Q in (UNIT2, UNIT3):
@@ -108,7 +108,7 @@ class TestSelection:
         assert sel.accepted
         assert sel.max_metric <= 0.05
         assert len(sel.planes) == 3
-        assert sel.corner_points.shape == (3, 2)
+        assert sel.simplex.v.shape == (3, 2)
 
     def test_determinism(self):
         fld = make_field("cone", 2, x0=[0.45, 0.55])
@@ -134,8 +134,8 @@ class TestVerify:
     def test_corner_interpolation_exact(self):
         fld = make_field("cone", 2, x0=[0.45, 0.55])
         rep = verify_reconstruction(fld, UNIT2, seed=7, quad=QUAD)
-        vals = fld.eval(rep.simplex.v)
-        assert np.allclose(rep.affine(rep.simplex.v), vals, atol=1e-12)
+        vals = fld.eval(rep.selection.simplex.v)
+        assert np.allclose(rep.affine(rep.selection.simplex.v), vals, atol=1e-12)
 
     def test_direct_never_beats_fit(self):
         # the direct beta_2 is the optimal fit on cQ, so any specific affine
@@ -161,7 +161,7 @@ class TestVerify:
         rep = verify_reconstruction(fld, UNIT3, seed=7,
                            quad=QuadratureSpec(nodes=5, restricted_nodes=9,
                                                mc_samples=64, seed=3))
-        assert np.all(rep.simplex.contains(UNIT3.dilate(0.1).corners()))
+        assert np.all(rep.selection.simplex.contains(UNIT3.dilate(0.1).corners()))
 
     def test_seed_determinism(self):
         fld = make_field("cone", 2, x0=[0.45, 0.55])
