@@ -13,7 +13,9 @@ field call per block, a stacked L2 fit where it applies), which matches the
 scalar reference ``beta_p_restricted`` bit for bit. The combined
 coefficient is the hypot of its two ``combined_parts``; at n = 2 they
 share one sampled line family. Carleson sums walk the dyadic tree and
-profile per-scale contributions.
+profile per-scale contributions; the beta2 sum takes each level from
+``beta2_level`` (one field call and one stacked L2 fit per block of cubes),
+which matches the scalar reference ``beta_p_cube`` bit for bit.
 """
 
 from __future__ import annotations
@@ -70,9 +72,14 @@ def midpoint_nodes(lo, side, count: int) -> np.ndarray:
 
 
 def midpoint_mesh(lo, sides, count: int) -> np.ndarray:
-    """Tensor grid of the midpoint nodes of each axis, (count^d, d), last axis fastest."""
+    """Tensor grid of the midpoint nodes of each axis, (count^d, d), last axis
+    fastest; for a stack of boxes, ``lo`` (K, d), one grid per box, (K, count^d, d)."""
     axes = midpoint_nodes(lo, sides, count)
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    *lead, d, _ = axes.shape
+    mesh = np.empty((*lead, *(count,) * d, d))
+    for i in range(d):
+        mesh[..., i] = axes[..., i, :].reshape(*lead, *(1,) * i, count, *(1,) * (d - 1 - i))
+    return mesh.reshape(*lead, count ** d, d)
 
 
 def midpoint_grid(box: Box, nodes: int):
@@ -157,9 +164,10 @@ def beta_p_restricted(fld: FunctionField, box: Box, slice_obj, p: float,
     raise TypeError(f"cannot restrict to {type(slice_obj).__name__}")
 
 
-# Lines per batched pass: bounds the (lines, nodes, n) arrays and the field's
-# own temporaries while keeping per-call overhead small.
-LINE_BLOCK = 512
+# Rows (sampled lines, cubes of one tree level) per batched pass: bounds the
+# (rows, nodes, n) arrays and the field's own temporaries while keeping
+# per-call overhead small.
+ROW_BLOCK = 512
 
 
 def restricted_line_betas(fld: FunctionField, box: Box, bases, directions, ps,
@@ -169,7 +177,7 @@ def restricted_line_betas(fld: FunctionField, box: Box, bases, directions, ps,
 
     Returns (kept, values): ``kept`` masks the lines that meet the box and
     ``values[p]`` holds their coefficients in order, for each p in ``ps``.
-    Each line is clipped once; each block of LINE_BLOCK clipped lines is
+    Each line is clipped once; each block of ROW_BLOCK clipped lines is
     evaluated in one field call. p = 2 reads its values off one stacked L2
     fit of the block and p = inf starts each line's 1-D exchange from it;
     every other line (a failed rank check, another p) is fitted on its own
@@ -180,7 +188,7 @@ def restricted_line_betas(fld: FunctionField, box: Box, bases, directions, ps,
     ends = [c for c in clips if c is not None]
     bases, directions = np.asarray(bases)[kept], np.asarray(directions)[kept]
     blocks = [_line_block_betas(fld, box, bases[rows], directions[rows], ends[rows], ps, quad)
-              for rows in (slice(i, i + LINE_BLOCK) for i in range(0, len(ends), LINE_BLOCK))]
+              for rows in (slice(i, i + ROW_BLOCK) for i in range(0, len(ends), ROW_BLOCK))]
     return kept, {p: np.concatenate([blk[p] for blk in blocks] or [np.zeros(0)]) for p in ps}
 
 
@@ -338,18 +346,19 @@ class CarlesonReport:
         ``depth`` levels down.
 
         ``values(frontier)`` gives the selector value of each node of one
-        level, in order; node Q adds ``weight(value) * Q.volume``. Level sums
-        accumulate the terms one by one in walk order, so a rerun reproduces
-        every sum bit for bit.
+        level, in order; node Q adds ``weight(value) * Q.volume``, where
+        every node of a level has the same volume. Level sums accumulate the
+        terms one by one in walk order, so a rerun reproduces every sum bit
+        for bit.
         """
         if depth < 0:
             raise ValueError("depth must be >= 0")
         levels, counts, per_scale, cumulative, ratios, nodes = [], [], [], [], [], []
         running = 0.0
         for frontier in dyadic_levels(root, depth):
-            level_sum = 0.0
+            level_sum, volume = 0.0, frontier[0].volume
             for node, value in zip(frontier, values(frontier)):
-                level_sum += weight(value) * node.volume
+                level_sum += weight(value) * volume
                 nodes.append((node, value))
             running += level_sum
             levels.append(frontier[0].level)
@@ -361,18 +370,57 @@ class CarlesonReport:
                    lipschitz, ratios, nodes)
 
 
+def beta2_level(fld: FunctionField, frontier: list, dilation: float,
+                quad: QuadratureSpec) -> list:
+    """SELECTORS["beta2"](fld, cube.as_box().dilate(dilation), quad) for each
+    cube of one dyadic level, in order and bit for bit.
+
+    The cubes of a level share their sides, so only the corner differs: a
+    block of ROW_BLOCK cubes is one stacked midpoint grid, one field call and
+    one stacked L2 fit, and each residual repeats the scalar expressions. A
+    cube the stacked fit marks not ok (a rank-deficient design, a failed
+    stack) is computed by beta_p_cube, whose fit owns the fallback.
+    """
+    box = frontier[0].as_box().dilate(dilation)  # the sides of every cube here
+    if box.volume <= 0:
+        raise DegenerateBox("empty box")
+    s = np.asarray(frontier[0].sides)
+    n, N, diam = box.dim, quad.nodes ** box.dim, box.diameter
+    # Box.dilate's corner of each cube, lo = k * s
+    lo = (np.asarray([cube.index for cube in frontier], dtype=float) * s + 0.5 * s
+          - 0.5 * np.asarray(box.sides))
+    values = []
+    for start in range(0, len(frontier), ROW_BLOCK):
+        X = midpoint_mesh(lo[start:start + ROW_BLOCK], box.sides, quad.nodes)
+        y = fld.eval(X.reshape(-1, n)).reshape(len(X), N)
+        w = np.full(y.shape, box.volume / N)
+        ok, a, b = fitting.fit_affine_l2_stack(X, y, w)
+        for k, cube in enumerate(frontier[start:start + ROW_BLOCK]):
+            if ok[k]:
+                r = y[k] - (X[k] @ a[k] + b[k])
+                values.append(_lp_value(float(w[k] @ np.abs(r) ** 2), 2, diam, n))
+            else:
+                values.append(beta_p_cube(fld, cube.as_box().dilate(dilation), 2, quad).value)
+    return values
+
+
 def carleson_sum(fld: FunctionField, root: DyadicBox, dilation: float, depth: int,
                  selector: str, quad: QuadratureSpec) -> CarlesonReport:
-    """Sum selector(CQ)^2 |Q| over dyadic Q inside root, down `depth` levels."""
+    """Sum selector(CQ)^2 |Q| over dyadic Q inside root, down `depth` levels;
+    beta2 takes its values a level at a time from beta2_level."""
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
     coefficient = SELECTORS[selector]
     Lhat = fld.lipschitz
     if Lhat is None:
         Lhat = lipschitz_estimate(fld, root.as_box().dilate(dilation), 4096, quad.seed)
+    if selector == "beta2":
+        def values(frontier):
+            return beta2_level(fld, frontier, dilation, quad)
+    else:
+        def values(frontier):
+            return [coefficient(fld, cube.as_box().dilate(dilation), quad) for cube in frontier]
     return CarlesonReport.walk(
-        selector, 2.0, Lhat, max(Lhat, 1e-300) * root.volume, root, depth,
-        lambda frontier: [coefficient(fld, cube.as_box().dilate(dilation), quad)
-                          for cube in frontier],
+        selector, 2.0, Lhat, max(Lhat, 1e-300) * root.volume, root, depth, values,
         # v * v, not v ** 2.0: the two round differently for some doubles
         lambda v: v * v)

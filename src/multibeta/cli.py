@@ -206,14 +206,12 @@ def _write_packing(cfg, args, seed, dim, rep, prefix, node_csv, columns, row, ou
                       title=f"per-scale sums, selector {rep.selector}")
     outputs = [lev_path, node_path, *outputs, bar_path]
     if dim == 2:
-        deepest = rep.levels[-1]
-        cells = []
-        for node, val in rep.nodes:
-            if node.level == deepest:
-                box = node.as_box()
-                cells.append((box.lo[0], box.lo[1], box.sides[0], box.sides[1], val))
+        # the deepest level closes the walk, and its nodes share their sides
+        deepest = rep.nodes[len(rep.nodes) - rep.counts[-1]:]
+        sx, sy = deepest[0][0].sides
+        cells = [(node.index[0] * sx, node.index[1] * sy, sx, sy, val) for node, val in deepest]
         heat_path = _out(args, f"{prefix}_heatmap.svg")
-        svgplot.heatmap(heat_path, cells, title=f"{rep.selector} at level {deepest}")
+        svgplot.heatmap(heat_path, cells, title=f"{rep.selector} at level {rep.levels[-1]}")
         outputs.append(heat_path)
     reports.write_manifest(_out(args, "manifest.json"), cfg.data, seed, outputs)
     _say(args, f"total {rep.total!r}, final ratio {rep.ratios[-1]!r}")

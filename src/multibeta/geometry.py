@@ -147,10 +147,6 @@ class ParabolicBox:
         return self.spatial.dim + 1
 
     @property
-    def side(self) -> float:
-        return self.spatial.sides[0]
-
-    @property
     def volume(self) -> float:
         return self.spatial.volume * self.t_len
 
@@ -158,10 +154,6 @@ class ParabolicBox:
     def diameter(self) -> float:
         """Diameter in the parabolic metric (opposite corners)."""
         return self.spatial.diameter + math.sqrt(self.t_len)
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.concatenate([self.spatial.center, [self.t0 + 0.5 * self.t_len]])
 
     def dilate(self, c: float) -> "ParabolicBox":
         sp = self.spatial.dilate(c)

@@ -4,18 +4,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multibeta import beta as betamod
 from multibeta import fitting
-from multibeta.beta import (SELECTORS, QuadratureSpec, beta_integralgeometric,
+from multibeta.beta import (SELECTORS, QuadratureSpec, beta2_level, beta_integralgeometric,
                             beta_p_cube, beta_p_restricted, carleson_sum,
                             combined_beta, midpoint_grid, midpoint_mesh,
                             midpoint_nodes, restricted_line_betas)
 from multibeta.errors import EmptyIntersection
-from multibeta.funcmodel import make_field
-from multibeta.geometry import Box, DyadicBox, Hyperplane, LineSeg, sample_lines
+from multibeta.funcmodel import EUCLIDEAN_CATALOG, make_field
+from multibeta.geometry import (Box, DyadicBox, Hyperplane, LineSeg, dyadic_levels,
+                                sample_lines)
 
 QUAD = QuadratureSpec()
 FINE = QuadratureSpec(nodes=257, restricted_nodes=257, mc_samples=64)
@@ -213,7 +214,7 @@ class TestBatchedLines:
     """restricted_line_betas equals beta_p_restricted line by line, exactly."""
 
     @given(n=st.sampled_from([2, 3]), kind=st.sampled_from(["cone", "bump", "distset"]),
-           seed=st.integers(0, 2 ** 31 - 1), block=st.sampled_from([5, betamod.LINE_BLOCK]))
+           seed=st.integers(0, 2 ** 31 - 1), block=st.sampled_from([5, betamod.ROW_BLOCK]))
     def test_batched_equals_scalar(self, n, kind, seed, block):
         rng = np.random.default_rng(seed)
         fld = _catalog_field(kind, n, rng)
@@ -222,7 +223,7 @@ class TestBatchedLines:
         # lines sampled for a larger box miss this one now and then
         segs = _sampled_segs(box.dilate(1.5), 24, seed) + _grazing_lines(box)
         ps = (2, math.inf)
-        with mock.patch.object(betamod, "LINE_BLOCK", block):
+        with mock.patch.object(betamod, "ROW_BLOCK", block):
             kept, values = restricted_line_betas(fld, box, *_rows(segs), ps, quad)
         expect = {p: [] for p in ps}
         for i, seg in enumerate(segs):
@@ -259,7 +260,7 @@ class TestBatchedLines:
         fld = make_field("cone", 2, x0=[0.3, 0.6])
         box = Box((0.0, 0.0), (1.0, 1.0))
         segs = _sampled_segs(box.dilate(1.5), 12, 5)
-        with mock.patch.object(betamod, "LINE_BLOCK", 5), \
+        with mock.patch.object(betamod, "ROW_BLOCK", 5), \
                 mock.patch.object(fld, "eval", wraps=fld.eval) as spy:
             kept, values = restricted_line_betas(fld, box, *_rows(segs), (p,), QUAD)
         assert kept.sum() > 5 and spy.call_count == -(-int(kept.sum()) // 5)
@@ -317,6 +318,90 @@ class TestMidpointRule:
         u, v = midpoint_nodes([0.0, 1.0], [1.0, 2.0], 3)
         mesh = midpoint_mesh([0.0, 1.0], [1.0, 2.0], 3)
         assert mesh.tolist() == [[a, b] for a in u for b in v]
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), k=st.integers(1, 5), d=st.integers(1, 3),
+           count=st.integers(1, 7))
+    def test_stacked_meshes(self, seed, k, d, count):
+        rng = np.random.default_rng(seed)
+        lo, sides = rng.uniform(-10.0, 10.0, (k, d)), rng.uniform(1e-3, 10.0, d)
+        mesh = midpoint_mesh(lo, sides, count)
+        assert mesh.shape == (k, count ** d, d)
+        for i in range(k):
+            axes = midpoint_nodes(lo[i], sides, count)
+            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+            assert mesh[i].tolist() == midpoint_mesh(lo[i], sides, count).tolist() == grid.tolist()
+
+
+def _any_catalog_field(kind, n, rng):
+    """A field of any Euclidean catalog kind, its parameters drawn from rng."""
+    params = {
+        "affine": dict(a=rng.uniform(-1.0, 1.0, n), b=rng.uniform(-1.0, 1.0)),
+        "pwlinear": dict(xs=np.sort(rng.uniform(-2.0, 2.0, 5)) + np.arange(5) * 1e-3,
+                         ys=rng.uniform(-1.0, 1.0, 5)),
+        "cone": dict(x0=rng.uniform(-2.0, 2.0, n)),
+        "distset": dict(points=rng.uniform(-2.0, 2.0, (3, n))),
+        "bump": dict(x0=rng.uniform(-1.0, 1.0, n), scale=rng.uniform(0.2, 1.0)),
+        "square": {},
+    }
+    return make_field(kind, n, **params[kind])
+
+
+def _scalar_beta2(fld, frontier, dilation, quad):
+    return [SELECTORS["beta2"](fld, cube.as_box().dilate(dilation), quad) for cube in frontier]
+
+
+class TestBeta2Level:
+    """beta2_level equals the scalar beta2 selector cube by cube, exactly."""
+
+    @settings(max_examples=100)
+    @given(kind=st.sampled_from(EUCLIDEAN_CATALOG), n=st.integers(1, 3),
+           nodes=st.sampled_from([3, 5, 7, 9, 11]), dilation=st.floats(1.0, 4.0),
+           level=st.integers(0, 3), split=st.sampled_from([2, 3]),
+           seed=st.integers(0, 2 ** 31 - 1), block=st.sampled_from([7, betamod.ROW_BLOCK]))
+    def test_level_equals_scalar(self, kind, n, nodes, dilation, level, split, seed, block):
+        rng = np.random.default_rng(seed)
+        fld = _any_catalog_field(kind, n, rng)
+        # a split of 3 gives sides that are not powers of two, so regrouping
+        # the corner's arithmetic changes its bits
+        root = DyadicBox(level, tuple(int(k) for k in rng.integers(-4, 4, n)), (split,) * n)
+        quad = QuadratureSpec(nodes=nodes)
+        # the deepest level has at least 16 cubes: several blocks of 7
+        depth = next(d for d in range(1, 5) if split ** (n * d) >= 16)
+        for frontier in dyadic_levels(root, depth):
+            with mock.patch.object(betamod, "ROW_BLOCK", block):
+                values = beta2_level(fld, frontier, dilation, quad)
+            assert values == _scalar_beta2(fld, frontier, dilation, quad)
+
+    @pytest.mark.parametrize("marked", [slice(1, None, 3), slice(None)], ids=["some", "all"])
+    def test_rows_not_ok_take_the_scalar_path(self, marked, monkeypatch):
+        fld = make_field("bump", 2, x0=[0.3, -0.6], scale=0.5)
+        quad = QuadratureSpec(nodes=5)
+        frontier = list(dyadic_levels(DyadicBox(1, (-1, 0), (2, 2)), 2))[-1]
+        expect = _scalar_beta2(fld, frontier, 1.5, quad)
+        stack, cubes = fitting.fit_affine_l2_stack, []
+
+        def marking(x, y, w):
+            ok, a, b = stack(x, y, w)
+            ok[marked], a[marked], b[marked] = False, np.nan, np.nan
+            return ok, a, b
+
+        def counting(fld, box, p, quad, L=None):
+            cubes.append(box)
+            return beta_p_cube(fld, box, p, quad, L)
+
+        monkeypatch.setattr(fitting, "fit_affine_l2_stack", marking)
+        monkeypatch.setattr(betamod, "beta_p_cube", counting)
+        monkeypatch.setattr(betamod, "ROW_BLOCK", 7)
+        assert beta2_level(fld, frontier, 1.5, quad) == expect
+        blocks = [range(16)[i:i + 7] for i in range(0, 16, 7)]
+        assert len(cubes) == sum(len(rows[marked]) for rows in blocks)
+
+    def test_carleson_walk_uses_the_level_values(self):
+        fld = make_field("cone", 2, x0=[0.3, 0.7])
+        with mock.patch.object(betamod, "beta2_level", wraps=beta2_level) as spy:
+            rep = carleson_sum(fld, DyadicBox(0, (0, 0), (2, 2)), 3.0, 2, "beta2", QUAD)
+        assert spy.call_count == 3
+        assert [v for _, v in rep.nodes] == _scalar_beta2(fld, [q for q, _ in rep.nodes], 3.0, QUAD)
 
 
 class TestCarleson:

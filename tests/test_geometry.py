@@ -160,7 +160,7 @@ class TestDyadic:
 
     def test_parabolic_box_relation(self):
         pbox = DyadicBox(2, (3, 7), PARABOLIC2).as_parabolic_box()
-        assert pbox.t_len == pytest.approx(pbox.side ** 2)
+        assert pbox.t_len == pytest.approx(pbox.spatial.sides[0] ** 2)
 
     def test_index_and_split_lengths_must_match(self):
         with pytest.raises(ValueError):

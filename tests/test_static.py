@@ -57,17 +57,37 @@ def _is_dataclass(node) -> bool:
     return False
 
 
+def attribute_loads(sources):
+    """Every attribute name that ``sources`` read (load, not store)."""
+    return {node.attr for text in sources for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def unread_fields(source: str, sources):
     """(line, "Class.field") of every annotated field of a module-level
     dataclass of ``source`` whose name no attribute load in ``sources`` reads."""
-    read = {node.attr for text in sources for node in ast.walk(ast.parse(text))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = attribute_loads(sources)
     return sorted((stmt.lineno, f"{node.name}.{stmt.target.id}")
                   for node in ast.parse(source).body
                   if isinstance(node, ast.ClassDef) and _is_dataclass(node)
                   for stmt in node.body
                   if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                   and stmt.target.id not in read)
+
+
+def _is_property(node) -> bool:
+    return any(getattr(deco, "id", None) == "property" for deco in node.decorator_list)
+
+
+def unread_properties(source: str, sources):
+    """(line, "Class.name") of every ``@property`` of a module-level class of
+    ``source`` whose name no attribute load in ``sources`` reads."""
+    read = attribute_loads(sources)
+    return sorted((stmt.lineno, f"{node.name}.{stmt.name}")
+                  for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+                  for stmt in node.body
+                  if isinstance(stmt, ast.FunctionDef) and _is_property(stmt)
+                  and stmt.name not in read)
 
 
 def _private(name: str) -> bool:
@@ -131,6 +151,21 @@ def test_checker_flags_unread_field():
 def test_no_unread_fields(path):
     sources = [p.read_text() for p in SRC + TESTS + PERFBENCH]
     assert unread_fields(path.read_text(), sources) == []
+
+
+def test_checker_flags_unread_property():
+    source = ("class Seg:\n    @property\n    def length(self):\n        return 1.0\n\n"
+              "    @property\n    def mid(self):\n        return 0.5\n\n"
+              "    def ends(self):\n        return 0, 1\n\n"
+              "    @staticmethod\n    def unit():\n        return Seg()\n")
+    caller = "seg = Seg.unit()\nseg.mid = 2\nprint(seg.length, seg.ends())\n"
+    assert unread_properties(source, [source, caller]) == [(7, "Seg.mid")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_unread_properties(path):
+    sources = [p.read_text() for p in SRC]
+    assert unread_properties(path.read_text(), sources) == []
 
 
 def test_checker_flags_private_reference():
