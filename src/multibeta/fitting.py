@@ -9,11 +9,12 @@ The kernel owns the memory layout: it reduces C-contiguous arrays, so a
 strided column fits with the bits of its contiguous copy. L2 fits solve the
 centered normal equations (exactly translation-equivariant). The fit with
 |a| <= L is a trust-region problem: exact multiplier by bisection on the
-ridge path, intercept re-optimized. Discrete minimax starts from the L2 map
-``base`` (the caller's, if it has one): a three-point exchange in one
-dimension, else IRLS exponent escalation and an active-set LP polish. A
-rank-deficient design falls back to the minimum-norm least-squares map in
-one place, ``affine_fit``.
+ridge path, intercept re-optimized, on a stack of sets whose steep rows
+bisect in lockstep; the one-set fit is a stack of one. Discrete minimax
+starts from the L2 map ``base`` (the caller's, if it has one): a
+three-point exchange in one dimension, else IRLS exponent escalation and
+an active-set LP polish. A rank-deficient design falls back to the
+minimum-norm least-squares map in one place, ``affine_fit``.
 """
 
 from __future__ import annotations
@@ -79,6 +80,25 @@ def _l2_map(ok, xbar, ybar, C, c) -> AffineMap:
     return AffineMap(tuple(a), ybar - a @ xbar)
 
 
+def _row_norm(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of v (K, d), bit for bit: sqrt of the row's
+    dot product, as norm takes it (einsum or sum(v * v) round differently)."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _l2_rows(ok, xbar, ybar, C, c):
+    """(ok, a, b) of each set's L2 map from stacked _affine_moments; every row
+    is not ok when the stacked solve fails on any set."""
+    a, b = np.zeros(c.shape), np.zeros(len(c))
+    try:
+        a_ok = np.linalg.solve(C[ok], c[ok][:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return np.zeros(len(c), dtype=bool), a, b
+    a[ok] = a_ok
+    b[ok] = ybar[ok] - (a_ok[:, None, :] @ xbar[ok][:, :, None])[:, 0, 0]
+    return ok, a, b
+
+
 def fit_affine_l2_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     """fit_affine_l2 of each sample set in a stack: x (K, N, d), y and w (K, N).
 
@@ -86,16 +106,12 @@ def fit_affine_l2_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     would raise RankDeficient, and every row is not ok when the stacked
     SVD or solve fails on any set.
     """
-    K, N, d = x.shape
-    a, b = np.zeros((K, d)), np.zeros(K)
     try:
-        ok, xbar, ybar, C, c = _affine_moments(x, y, w)
-        a_ok = np.linalg.solve(C[ok], c[ok][:, :, None])[:, :, 0]
+        moments = _affine_moments(x, y, w)
     except np.linalg.LinAlgError:
-        return np.zeros(K, dtype=bool), a, b
-    a[ok] = a_ok
-    b[ok] = ybar[ok] - (a_ok[:, None, :] @ xbar[ok][:, :, None])[:, 0, 0]
-    return ok, a, b
+        K, _, d = np.shape(x)
+        return np.zeros(K, dtype=bool), np.zeros((K, d)), np.zeros(K)
+    return _l2_rows(*moments)
 
 
 def fit_affine_l2(x, y, w) -> AffineMap:
@@ -103,38 +119,61 @@ def fit_affine_l2(x, y, w) -> AffineMap:
     return _l2_map(*_affine_moments(x, y, w))
 
 
-def fit_affine_l2_constrained(x, y, w, L: float) -> AffineMap:
-    """L2 fit subject to |gradient| <= L, solved exactly on the ridge path."""
+def fit_affine_l2_constrained_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray, L: float):
+    """fit_affine_l2_constrained of each sample set in a stack, with the
+    ok, a, b and solve failure of fit_affine_l2_stack.
+
+    Rows steeper than L double, then bisect, their ridge multipliers in
+    lockstep, each with its own stopping test, and each step computes only
+    on the rows a one-row fit takes through it: a row has the bits of its
+    one-row fit, and a stack raises a floating-point error only where one
+    of its rows would. LinAlgError if the SVD or eigh does not converge.
+    """
     if L <= 0:
         raise ValueError("L must be positive")
     ok, xbar, ybar, C, c = _affine_moments(x, y, w)
-    base = _l2_map(ok, xbar, ybar, C, c)
-    if base.lipschitz <= L * (1.0 + 1e-12):
-        return base
-    evals, evecs = np.linalg.eigh(C)
-    proj = evecs.T @ c
+    ok, a, b = _l2_rows(ok, xbar, ybar, C, c)
+    rows = np.flatnonzero(ok)
+    S = rows[~(_row_norm(a[rows]) <= L * (1.0 + 1e-12))]
+    if not S.size:
+        return ok, a, b
+    evals, evecs = np.linalg.eigh(C[S])
+    proj = (np.swapaxes(evecs, -1, -2) @ c[S][:, :, None])[:, :, 0]
 
-    def grad_norm(lam):
-        return float(np.linalg.norm(proj / (evals + lam)))
+    def grad_norm(i, lam):
+        return _row_norm(proj[i] / (evals[i] + lam[:, None]))
 
-    lo, hi = 0.0, max(float(np.linalg.norm(c)) / L, 1e-30)
-    g_hi = grad_norm(hi)
-    while g_hi > L:
-        hi *= 2.0
-        g_hi = grad_norm(hi)
+    lo, hi = np.zeros(S.size), np.maximum(_row_norm(c[S]) / L, 1e-30)
+    g_hi = grad_norm(slice(None), hi)
+    active = np.flatnonzero(g_hi > L)
+    while active.size:
+        hi[active] *= 2.0
+        g_hi[active] = grad_norm(active, hi[active])
+        active = active[g_hi[active] > L]
+    active = np.arange(S.size)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = grad_norm(mid)
-        if g_mid > L:
-            lo = mid
-        else:
-            hi, g_hi = mid, g_mid
-        if abs(g_hi - L) <= GRAD_BISECT_TOL:
+        mid = 0.5 * (lo[active] + hi[active])
+        g_mid = grad_norm(active, mid)
+        up = g_mid > L
+        lo[active[up]] = mid[up]
+        hi[active[~up]], g_hi[active[~up]] = mid[~up], g_mid[~up]
+        active = active[~(np.abs(g_hi[active] - L) <= GRAD_BISECT_TOL)]
+        if not active.size:
             break
-    a = evecs @ (proj / (evals + hi))
-    if np.linalg.norm(a) > L:
-        a *= L / np.linalg.norm(a)
-    return AffineMap(tuple(a), ybar - a @ xbar)
+    aS = (evecs @ (proj / (evals + hi[:, None]))[:, :, None])[:, :, 0]
+    norm = _row_norm(aS)
+    aS[norm > L] *= (L / norm[norm > L])[:, None]
+    a[S], b[S] = aS, ybar[S] - (aS[:, None, :] @ xbar[S][:, :, None])[:, 0, 0]
+    return ok, a, b
+
+
+def fit_affine_l2_constrained(x, y, w, L: float) -> AffineMap:
+    """L2 fit subject to |gradient| <= L, solved exactly on the ridge path."""
+    ok, a, b = fit_affine_l2_constrained_stack(
+        *(np.asarray(v, dtype=float)[None] for v in (x, y, w)), L)
+    if not ok[0]:
+        raise RankDeficient("affine design matrix is rank deficient")
+    return AffineMap(tuple(a[0]), b[0])
 
 
 def fit_affine_lp(x, y, w, p: float) -> AffineMap:

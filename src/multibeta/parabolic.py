@@ -6,7 +6,10 @@ averages per-time affine fits, vertical oscillation averages per-point time
 variances, and the space-only beta coefficient fits one affine map of the
 spatial variables to the whole space-time cloud. The combination bound
 certifies, with explicit constants, that the time-averaged affine map is as
-good as the two directional quantities promise.
+good as the two directional quantities promise. The A and AL packing sums
+take each level from ``horizontal_affinity_level`` (one stacked fit of the
+time slices of a block of boxes), which matches the scalar
+``horizontal_affinity`` bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fitting
+from . import beta, fitting
 from .beta import CarlesonReport, QuadratureSpec, midpoint_grid, midpoint_mesh, midpoint_nodes
 from .errors import BoundViolation, DegenerateBox
 from .funcmodel import FunctionField, lipschitz_estimate
@@ -83,13 +86,49 @@ def _time_variance(vals, wx, wt) -> float:
 def horizontal_affinity(s: ParabolicSample, L: float | None = None) -> float:
     """Time average of per-time affine misfit of the sample, relative to the
     spatial diameter; each slice fit is L-Lipschitz when L is given."""
-    pbox, X, wx, t, wt, vals = s
-    d1 = pbox.spatial.diameter
-    W = wx.sum()
+    return _affinity(s, [sq for _, sq in _slice_fits(s.X, s.vals, s.wx, L)])
+
+
+def _affinity(s: ParabolicSample, sqs) -> float:
+    """horizontal_affinity of the sample from the weighted squared residual
+    sum of each of its time slices."""
+    W = s.wx.sum()
     acc = 0.0
-    for k, (_, sq) in enumerate(_slice_fits(X, vals, wx, L)):
-        acc += wt[k] * sq / W
-    return math.sqrt(acc / wt.sum()) / d1
+    for k, sq in enumerate(sqs):
+        acc += s.wt[k] * sq / W
+    return math.sqrt(acc / s.wt.sum()) / s.pbox.spatial.diameter
+
+
+def horizontal_affinity_level(psi: FunctionField, frontier: list, dilation: float,
+                              quad: QuadratureSpec, L: float | None = None) -> list:
+    """horizontal_affinity(s, L) of the sample s of each dilated box of one
+    dyadic level, in order and bit for bit: PARABOLIC_SELECTORS["A"] when L
+    is None, else ["AL"].
+
+    The time slices of each block of beta.ROW_BLOCK boxes, sampled box by
+    box, are fitted in one stacked call (the ridge stack when L is given);
+    a slice the stack marks not ok is fitted by fitting.affine_fit, which
+    owns the rank fallback. Residuals and their weighted squares repeat the
+    scalar expressions with a stack axis (a matrix-vector and a dot product
+    per slice), and each box sums its slices in the scalar order.
+    """
+    Nt, values = quad.nodes, []
+    for start in range(0, len(frontier), beta.ROW_BLOCK):
+        samples = [ParabolicSample.of(psi, node.as_parabolic_box().dilate(dilation), quad)
+                   for node in frontier[start:start + beta.ROW_BLOCK]]
+        x = np.repeat(np.stack([s.X for s in samples]), Nt, axis=0)
+        y = np.concatenate([s.vals.T for s in samples])
+        w = np.repeat(np.stack([s.wx for s in samples]), Nt, axis=0)
+        ok, a, b = (fitting.fit_affine_l2_stack(x, y, w) if L is None
+                    else fitting.fit_affine_l2_constrained_stack(x, y, w, L))
+        for row in np.flatnonzero(~ok):
+            s, k = samples[row // Nt], row % Nt
+            amap = fitting.affine_fit(s.X, s.vals[:, k], s.wx, 2, L)
+            a[row], b[row] = amap.a, amap.intercept
+        r = y - ((x @ a[:, :, None])[:, :, 0] + b[:, None])
+        sq = (w[:, None, :] @ (r * r)[:, :, None])[:, 0, 0]
+        values += [_affinity(s, sq[i * Nt:(i + 1) * Nt]) for i, s in enumerate(samples)]
+    return values
 
 
 def vertical_osc(s: ParabolicSample) -> float:
@@ -239,7 +278,8 @@ def parabolic_carleson_sum(psi: FunctionField, root: DyadicBox,
                            dilation: float, depth: int, selector: str,
                            quad: QuadratureSpec,
                            L: float | None = None) -> CarlesonReport:
-    """Sum selector(CQ)^power |Q| over the parabolic dyadic tree below root."""
+    """Sum selector(CQ)^power |Q| over the parabolic dyadic tree below root;
+    A and AL take their values a level at a time from horizontal_affinity_level."""
     if selector not in PARABOLIC_SELECTORS:
         raise ValueError(f"unknown parabolic selector {selector!r}")
     coefficient, power_of, needs_L = PARABOLIC_SELECTORS[selector]
@@ -250,11 +290,16 @@ def parabolic_carleson_sum(psi: FunctionField, root: DyadicBox,
     if Lhat is None:
         Lhat = lipschitz_estimate(psi, root.as_parabolic_box().dilate(dilation).as_box(),
                                   4096, quad.seed, parabolic=True)
-    return CarlesonReport.walk(
-        selector, power, Lhat, root.volume, root, depth,
-        lambda frontier: [coefficient(ParabolicSample.of(
-            psi, node.as_parabolic_box().dilate(dilation), quad), L) for node in frontier],
-        lambda v: v ** power)
+    if selector in ("A", "AL"):
+        def values(frontier):
+            return horizontal_affinity_level(psi, frontier, dilation, quad,
+                                             L if needs_L else None)
+    else:
+        def values(frontier):
+            return [coefficient(ParabolicSample.of(
+                psi, node.as_parabolic_box().dilate(dilation), quad), L) for node in frontier]
+    return CarlesonReport.walk(selector, power, Lhat, root.volume, root, depth, values,
+                               lambda v: v ** power)
 
 
 @dataclass

@@ -70,6 +70,11 @@ class TestExitCodes:
         ("igbeta", {"box": {"lo": [0.0, 0.0], "sides": [1e300, 1e300]}}),
         ("analyze", {"root": {"level": 0, "index": [10 ** 300, 0]}}),
         ("carleson", {"dilation": 1e300}),
+        ("parabolic", {"selector": "AL", "L": 0.5, "dilation": 1e300}),
+        # a slope of 1e200 overflows first in the |a| of the slice fits
+        ("parabolic", {"selector": "AL", "L": 0.5, "field": {
+            "kind": "p_additive", "dim": 2, "params": {
+                "space": "pwlinear", "space_params": {"xs": [0.0, 1.0], "ys": [0.0, 1e200]}}}}),
     ])
     def test_overflow_is_a_numerical_failure(self, tmp_path, capsys, command, extra):
         # finite config numbers whose arithmetic overflows exit 3 and write

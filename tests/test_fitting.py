@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -382,6 +383,56 @@ class TestOneMomentsKernel:
         fit = fit_affine_l2_constrained(*s, L)
         assert fit.gradient == tuple(a) and fit.intercept == b
         assert mean_sq(*s, fit) == res
+
+
+def reference_rows(x, y, w, L):
+    """parent_constrained of each row of a stack: (a, b), or the RankDeficient message."""
+    rows = []
+    for k in range(len(x)):
+        try:
+            rows.append(parent_constrained(x[k], y[k], w[k], L)[:2])
+        except RankDeficient as exc:
+            rows.append(str(exc))
+    return rows
+
+
+class TestConstrainedStack:
+    """fit_affine_l2_constrained_stack equals the frozen reference row by row."""
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), K=st.integers(2, 8),
+           N=st.integers(2, 30), factor=st.sampled_from([1e-20, 0.3, 1.0, 3.0]))
+    def test_rows_equal_reference_and_one_row_fits(self, seed, d, K, N, factor):
+        x, y, w = random_sets(seed, d, K, N)
+        # one row on a coarse lattice: repeated abscissas, often rank deficient
+        x[0], y[0], w[0] = gridded_set(seed, d, N)
+        frees = [np.linalg.norm(r[0]) for r in reference_rows(x, y, w, math.inf)
+                 if not isinstance(r, str)]
+        # one L for the stack, so rows steeper and flatter than L mix; a factor
+        # of 1e-20 leaves the eigenvalues below the rounding of the first
+        # multiplier, which drives the doubling loop
+        L = max(float(np.median(frees)) if frees else 1.0, 1e-3) * factor
+        expect = reference_rows(x, y, w, L)
+        ok, a, b = fitting.fit_affine_l2_constrained_stack(x, y, w, L)
+        if "singular" in expect:
+            assert not ok.any()  # a singular stacked solve gives up on the whole stack
+            return
+        for k, ref in enumerate(expect):
+            one = outcome(fit_affine_l2_constrained, x[k], y[k], w[k], L)
+            if isinstance(ref, str):
+                assert not ok[k] and one == "RankDeficient"
+                continue
+            assert ok[k]
+            assert tuple(a[k]) == tuple(ref[0]) and b[k] == ref[1]
+            assert one == AffineMap(tuple(ref[0]), ref[1])
+
+    def test_row_norm_is_numpy_norm(self):
+        # 10^5 rows over 200 decades: a reduction such as einsum rounds some
+        # of them differently at d >= 2
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3, 4):
+            v = rng.normal(size=(25_000, d)) * 10.0 ** rng.uniform(-100, 100, (25_000, 1))
+            assert fitting._row_norm(v).tolist() == [float(np.linalg.norm(r)) for r in v]
 
 
 def strided(v):

@@ -5,10 +5,11 @@ the sha256 of every CSV it writes with ``golden_digests.json``. The matrix
 covers what the benchmark workloads do not reach: every norm of
 ``analyze`` at n = 1, 2, 3; every selector of ``carleson`` at n = 2 and 3;
 ``igbeta`` for each m; every ``parabolic`` selector with ``L`` unset and
-set at n = 2 and with ``L`` at n = 3; ``analyze``, ``carleson`` and
-``parabolic`` below a root other than the unit cube (negative indices
-included); ``reconstruct`` and ``rademacher`` at n = 2 and 3; and
-``verify``. The digests hold for the numpy, scipy and
+set at n = 2 and with ``L`` at n = 3; the ``AL`` walk two levels deep at
+n = 3 (273 boxes of ridge fits in two spatial variables); ``analyze``,
+``carleson`` and ``parabolic`` below a root other than the unit cube
+(negative indices included); ``reconstruct`` and ``rademacher`` at n = 2
+and 3; and ``verify``. The digests hold for the numpy, scipy and
 Python versions recorded beside them; under any other versions the test
 skips.
 
@@ -68,6 +69,9 @@ def _cases():
                 if L is not None:
                     cfg["L"] = L
                 cases[f"parabolic_n{n}_{sel}_L{L}"] = ("parabolic", cfg)
+    # 273 boxes of two-dimensional time slices, each a ridge fit
+    cases["parabolic_n3_AL_depth2"] = ("parabolic", {"field": PARABOLIC[3], "depth": 2,
+                                                     "selector": "AL", "L": 0.5})
     cases["analyze_n2_root"] = ("analyze", {"field": FIELDS[2], "depth": 1,
                                             "root": {"level": 2, "index": [1, 3]}})
     cases["analyze_n3_root"] = ("analyze", {"field": FIELDS[3], "depth": 1, "ps": [2],

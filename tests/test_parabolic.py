@@ -1,20 +1,25 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multibeta import beta as betamod
 from multibeta import fitting
+from multibeta import parabolic as pbmod
 from multibeta.beta import QuadratureSpec, midpoint_grid, midpoint_nodes
 from multibeta.calibration import C_HOLD
 from multibeta.errors import BoundViolation, MultibetaError
-from multibeta.funcmodel import FunctionField, default_parabolic_catalog, make_field
-from multibeta.geometry import AffineMap, Box, DyadicBox, ParabolicBox
+from multibeta.funcmodel import (EUCLIDEAN_CATALOG, FunctionField, default_parabolic_catalog,
+                                 make_field)
+from multibeta.geometry import AffineMap, Box, DyadicBox, ParabolicBox, dyadic_levels
 from multibeta.parabolic import (PARABOLIC_SELECTORS, ParabolicSample, coefficient_table,
                                  combine_affine_bound,
                                  dt_carleson_quotient, holder_exponent_check,
-                                 horizontal_affinity, parabolic_beta2,
+                                 horizontal_affinity, horizontal_affinity_level,
+                                 parabolic_beta2,
                                  parabolic_beta_inf, parabolic_carleson_sum,
                                  rademacher_probe, vertical_osc)
 from multibeta.rng import stream
@@ -240,6 +245,93 @@ class TestParabolicCarleson:
         with pytest.raises(ValueError):
             parabolic_carleson_sum(SQUARE_0, DyadicBox(0, (0, 0), (2, 4)), 3.0, 1,
                                    "beta2L", QUAD)
+
+
+def _any_additive_field(space, time, n, rng):
+    """p_additive on R^{n-1} x R with any Euclidean space part, its parameters drawn from rng."""
+    m = n - 1
+    params = {
+        "affine": dict(a=rng.uniform(-1.0, 1.0, m).tolist(), b=float(rng.uniform(-1.0, 1.0))),
+        "pwlinear": dict(xs=(np.sort(rng.uniform(-2.0, 2.0, 5)) + np.arange(5) * 1e-3).tolist(),
+                         ys=rng.uniform(-1.0, 1.0, 5).tolist()),
+        "cone": dict(x0=rng.uniform(-2.0, 2.0, m).tolist()),
+        "distset": dict(points=rng.uniform(-2.0, 2.0, (3, m)).tolist()),
+        "bump": dict(x0=rng.uniform(-1.0, 1.0, m).tolist(), scale=float(rng.uniform(0.2, 1.0))),
+        "square": {},
+    }
+    return make_field("p_additive", n, space=space, space_params=params[space], time=time)
+
+
+def _scalar_affinity(psi, frontier, dilation, quad, L):
+    coefficient = PARABOLIC_SELECTORS["A" if L is None else "AL"][0]
+    return [coefficient(ParabolicSample.of(psi, node.as_parabolic_box().dilate(dilation), quad), L)
+            for node in frontier]
+
+
+class TestAffinityLevel:
+    """horizontal_affinity_level equals the scalar A and AL selectors box by box, exactly."""
+
+    @settings(max_examples=60)
+    @given(space=st.sampled_from(EUCLIDEAN_CATALOG),
+           time=st.sampled_from(["zero", "sin", "linear"]), n=st.integers(2, 3),
+           nodes=st.sampled_from([3, 5, 7, 9]), dilation=st.floats(1.0, 4.0),
+           level=st.integers(0, 3), seed=st.integers(0, 2 ** 31 - 1),
+           L=st.one_of(st.none(), st.floats(0.05, 5.0), st.just(1e-20)))
+    def test_level_equals_scalar(self, space, time, n, nodes, dilation, level, seed, L):
+        rng = np.random.default_rng(seed)
+        psi = _any_additive_field(space, time, n, rng)
+        index = tuple(int(k) for k in rng.integers(-4, 4, n))
+        root = DyadicBox(level, index, (2,) * (n - 1) + (4,))
+        quad = QuadratureSpec(nodes=nodes)
+        # the 8 (n = 2) or 16 (n = 3) children span several blocks of 7
+        for frontier in dyadic_levels(root, 1):
+            with mock.patch.object(betamod, "ROW_BLOCK", 7):
+                values = horizontal_affinity_level(psi, frontier, dilation, quad, L)
+            assert values == _scalar_affinity(psi, frontier, dilation, quad, L)
+
+    @pytest.mark.parametrize("marked", [slice(1, None, 3), slice(None)], ids=["some", "all"])
+    @pytest.mark.parametrize("L", [None, 0.5])
+    def test_rows_not_ok_take_the_scalar_path(self, marked, L, monkeypatch):
+        psi = additive("cone", "sin", x0=[0.4])
+        quad = QuadratureSpec(nodes=5)
+        frontier = list(dyadic_levels(DyadicBox(1, (-1, 2), (2, 4)), 1))[-1]
+        expect = _scalar_affinity(psi, frontier, 2.0, quad, L)
+        name = "fit_affine_l2_stack" if L is None else "fit_affine_l2_constrained_stack"
+        stack, affine_fit, slices = getattr(fitting, name), fitting.affine_fit, []
+
+        def marking(*args):
+            ok, a, b = stack(*args)
+            if len(ok) > 1:  # a one-row stack is the scalar fit itself
+                ok[marked], a[marked], b[marked] = False, np.nan, np.nan
+            return ok, a, b
+
+        def counting(x, y, w, p, L=None):
+            slices.append(y)
+            return affine_fit(x, y, w, p, L)
+
+        monkeypatch.setattr(fitting, name, marking)
+        monkeypatch.setattr(fitting, "affine_fit", counting)
+        monkeypatch.setattr(betamod, "ROW_BLOCK", 3)
+        assert horizontal_affinity_level(psi, frontier, 2.0, quad, L) == expect
+        # blocks of 3, 3 and 2 boxes, 5 time slices each
+        blocks = [range(15), range(15), range(10)]
+        assert len(slices) == sum(len(rows[marked]) for rows in blocks)
+
+    @pytest.mark.parametrize("selector", ["A", "AL", "beta2"])
+    def test_carleson_walk_uses_the_level_values(self, selector):
+        psi = additive("cone", "sin", x0=[0.4])
+        quad = QuadratureSpec(nodes=5)
+        with mock.patch.object(pbmod, "horizontal_affinity_level",
+                               wraps=horizontal_affinity_level) as spy:
+            rep = parabolic_carleson_sum(psi, DyadicBox(0, (0, 0), (2, 4)), 3.0, 2, selector,
+                                         quad, L=0.5)
+        if selector == "beta2":
+            assert spy.call_count == 0
+            return
+        assert spy.call_count == 3
+        L = 0.5 if selector == "AL" else None
+        assert [v for _, v in rep.nodes] == _scalar_affinity(psi, [q for q, _ in rep.nodes],
+                                                             3.0, quad, L)
 
 
 def holder_boxes():
