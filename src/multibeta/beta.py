@@ -2,26 +2,27 @@
 
 A cube or slice coefficient is ``norm_value`` of one residual: the field's
 values on the set's quadrature nodes minus the affine map that ``fitting``
-returns for them. Cube coefficients discretize the defining integral on a
-midpoint tensor grid and normalize by diam(Q)^n (not |Q|). Restricted
-coefficients parametrize the slice (line interval or hyperplane patch), fit
-in slice coordinates, and report the fitted map in ambient coordinates.
-Integral-geometric coefficients are Monte Carlo averages of restricted
-coefficients against the weighted Grassmannian samplers. A sampled line
-family takes one path, ``restricted_line_betas`` (one clip per line, one
-field call per block, a stacked L2 fit where it applies), which matches the
-scalar reference ``beta_p_restricted`` bit for bit. The combined
-coefficient is the hypot of its two ``combined_parts``; at n = 2 they
-share one sampled line family. Carleson sums walk the dyadic tree and
-profile per-scale contributions; the beta2 sum takes each level from
-``beta2_level`` (one field call and one stacked L2 fit per block of cubes),
-which matches the scalar reference ``beta_p_cube`` bit for bit.
+returns for them. Cube coefficients read one ``CubeSample`` of the box (the
+midpoint tensor grid of ``sample_grids``, the one sampler) and normalize by
+diam(Q)^n (not |Q|). Restricted coefficients parametrize the slice (line
+interval or hyperplane patch), fit in slice coordinates, and report the
+fitted map in ambient coordinates. Integral-geometric coefficients are Monte
+Carlo averages of restricted coefficients against the weighted Grassmannian
+samplers. A sampled line family takes one path, ``restricted_line_betas``
+(one clip per line, one field call per block, a stacked L2 fit where it
+applies), which matches the scalar reference ``beta_p_restricted`` bit for
+bit. The combined coefficient is the hypot of its two ``combined_parts``; at
+n = 2 they share one sampled line family. Carleson sums walk the dyadic tree
+and profile per-scale contributions; the beta2 sum takes each level from
+``beta2_level`` (one ``sample_grids`` call and one ``fitting.l2_squares``
+stack per block of cubes), which matches ``beta_p_cube`` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,11 +83,28 @@ def midpoint_mesh(lo, sides, count: int) -> np.ndarray:
     return mesh.reshape(*lead, count ** d, d)
 
 
-def midpoint_grid(box: Box, nodes: int):
-    """Tensor midpoint rule: points (N, n), weights summing to |box|."""
-    mesh = midpoint_mesh(box.lo, box.sides, nodes)
-    w = np.full(mesh.shape[0], box.volume / mesh.shape[0])
-    return mesh, w
+def sample_grids(fld: FunctionField, lo, sides, nodes: int):
+    """The midpoint grids of the boxes with corners lo (K, n) and common sides,
+    and fld on them in one field call: points (K, N, n) and values (K, N)."""
+    X = midpoint_mesh(lo, sides, nodes)
+    return X, fld.eval(X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
+
+
+class CubeSample(NamedTuple):
+    """fld on a box by the midpoint rule, read by every norm of the box:
+    nodes X (N, n), weights w (N,) summing to |box| and values y (N,)."""
+    box: Box
+    X: np.ndarray
+    w: np.ndarray
+    y: np.ndarray
+
+    @classmethod
+    def of(cls, fld: FunctionField, box: Box, quad: QuadratureSpec) -> CubeSample:
+        """Sample fld on box with quad.nodes nodes per axis, in one field call."""
+        if box.volume <= 0:
+            raise DegenerateBox("empty box")
+        X, y = sample_grids(fld, np.asarray([box.lo]), box.sides, quad.nodes)
+        return cls(box, X[0], np.full(y.shape[1], box.volume / y.shape[1]), y[0])
 
 
 def norm_value(r: np.ndarray, w: np.ndarray, p: float, diam: float, m: int) -> float:
@@ -101,15 +119,15 @@ def _lp_value(integral: float, p: float, diam: float, m: int) -> float:
     return (integral / diam ** m) ** (1.0 / p) / diam
 
 
+def cube_beta(s: CubeSample, p: float, L: float | None = None) -> BetaRecord:
+    """beta_p of the sampled cube/box itself (the m = n case)."""
+    amap = fitting.affine_fit(s.X, s.y, s.w, p, L)
+    return BetaRecord(norm_value(s.y - amap(s.X), s.w, p, s.box.diameter, s.box.dim), amap)
+
+
 def beta_p_cube(fld: FunctionField, box: Box, p: float, quad: QuadratureSpec,
                 L: float | None = None) -> BetaRecord:
-    """beta_p of the cube/box itself (the m = n case)."""
-    if box.volume <= 0:
-        raise DegenerateBox("empty box")
-    X, w = midpoint_grid(box, quad.nodes)
-    y = fld.eval(X)
-    amap = fitting.affine_fit(X, y, w, p, L)
-    return BetaRecord(norm_value(y - amap(X), w, p, box.diameter, box.dim), amap)
+    return cube_beta(CubeSample.of(fld, box, quad), p, L)
 
 
 def _line_record(fld, box, seg: LineSeg, p, quad):
@@ -376,10 +394,8 @@ def beta2_level(fld: FunctionField, frontier: list, dilation: float,
     cube of one dyadic level, in order and bit for bit.
 
     The cubes of a level share their sides, so only the corner differs: a
-    block of ROW_BLOCK cubes is one stacked midpoint grid, one field call and
-    one stacked L2 fit, and each residual repeats the scalar expressions. A
-    cube the stacked fit marks not ok (a rank-deficient design, a failed
-    stack) is computed by beta_p_cube, whose fit owns the fallback.
+    block of ROW_BLOCK cubes is one sample_grids call and one
+    fitting.l2_squares stack, each of whose rows has its scalar bits.
     """
     box = frontier[0].as_box().dilate(dilation)  # the sides of every cube here
     if box.volume <= 0:
@@ -389,19 +405,10 @@ def beta2_level(fld: FunctionField, frontier: list, dilation: float,
     # Box.dilate's corner of each cube, lo = k * s
     lo = (np.asarray([cube.index for cube in frontier], dtype=float) * s + 0.5 * s
           - 0.5 * np.asarray(box.sides))
-    values = []
-    for start in range(0, len(frontier), ROW_BLOCK):
-        X = midpoint_mesh(lo[start:start + ROW_BLOCK], box.sides, quad.nodes)
-        y = fld.eval(X.reshape(-1, n)).reshape(len(X), N)
-        w = np.full(y.shape, box.volume / N)
-        ok, a, b = fitting.fit_affine_l2_stack(X, y, w)
-        for k, cube in enumerate(frontier[start:start + ROW_BLOCK]):
-            if ok[k]:
-                r = y[k] - (X[k] @ a[k] + b[k])
-                values.append(_lp_value(float(w[k] @ np.abs(r) ** 2), 2, diam, n))
-            else:
-                values.append(beta_p_cube(fld, cube.as_box().dilate(dilation), 2, quad).value)
-    return values
+    blocks = (sample_grids(fld, lo[i:i + ROW_BLOCK], box.sides, quad.nodes)
+              for i in range(0, len(frontier), ROW_BLOCK))
+    return [_lp_value(float(sq), 2, diam, n) for X, y in blocks
+            for sq in fitting.l2_squares(X, y, np.full(y.shape, box.volume / N))]
 
 
 def carleson_sum(fld: FunctionField, root: DyadicBox, dilation: float, depth: int,

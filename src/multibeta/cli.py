@@ -231,8 +231,8 @@ def cmd_analyze(cfg, args, seed):
     rows = []
     for frontier in dyadic_levels(root, depth):
         for cube in frontier:
-            vals = [betamod.beta_p_cube(fld, cube.as_box(), p, quad).value for p in ps]
-            rows.append([cube.level, cube.index, *vals])
+            s = betamod.CubeSample.of(fld, cube.as_box(), quad)
+            rows.append([cube.level, cube.index, *(betamod.cube_beta(s, p).value for p in ps)])
     header = ["level", "index"] + [
         "beta_inf" if math.isinf(p) else f"beta_{p:g}" for p in ps]
     path = _out(args, "analyze.csv")
@@ -360,7 +360,8 @@ def cmd_verify(cfg, args, seed):
     for n in (1, 2, 3):
         fld = make_field("affine", n, a=[0.3] * n, b=-0.2)
         box = Box((0.0,) * n, (1.0,) * n)
-        worst = max(betamod.beta_p_cube(fld, box, p, quad).value for p in (1, 2, math.inf))
+        s = betamod.CubeSample.of(fld, box, quad)
+        worst = max(betamod.cube_beta(s, p).value for p in (1, 2, math.inf))
         if n >= 2:
             worst = max(worst, betamod.combined_beta(fld, box, quad))
         check(f"affine_annihilation_n{n}", worst <= 1e-10, f"max {worst!r}")
@@ -368,9 +369,8 @@ def cmd_verify(cfg, args, seed):
     # norm monotonicity spot check
     fld = make_field("cone", 2, x0=[0.4, 0.6])
     box = Box((0.0, 0.0), (1.0, 1.0))
-    b1 = betamod.beta_p_cube(fld, box, 1, quad).value
-    b2 = betamod.beta_p_cube(fld, box, 2, quad).value
-    binf = betamod.beta_p_cube(fld, box, math.inf, quad).value
+    s = betamod.CubeSample.of(fld, box, quad)
+    b1, b2, binf = (betamod.cube_beta(s, p).value for p in (1, 2, math.inf))
     check("norm_monotone", b1 <= b2 + 1e-9 and b2 <= binf + 1e-9,
           f"{b1!r} <= {b2!r} <= {binf!r}")
 

@@ -2,19 +2,20 @@
 
 Every fit takes one sample set as arrays, abscissas x (N, d), values y (N,)
 and positive weights w (N,), and returns its ``AffineMap``; a caller
-measures the residual it needs. Every affine L2 fit, single or stacked,
-takes its rank decision and centered moments from one kernel,
-``_affine_moments``, so a set's map has the same bits in a stack as alone.
-The kernel owns the memory layout: it reduces C-contiguous arrays, so a
-strided column fits with the bits of its contiguous copy. L2 fits solve the
-centered normal equations (exactly translation-equivariant). The fit with
-|a| <= L is a trust-region problem: exact multiplier by bisection on the
-ridge path, intercept re-optimized, on a stack of sets whose steep rows
-bisect in lockstep; the one-set fit is a stack of one. Discrete minimax
-starts from the L2 map ``base`` (the caller's, if it has one): a
-three-point exchange in one dimension, else IRLS exponent escalation and
-an active-set LP polish. A rank-deficient design falls back to the
-minimum-norm least-squares map in one place, ``affine_fit``.
+measures the residual it needs (``l2_squares``: the L2 sum of a stack).
+Every affine L2 fit, single or stacked, takes its rank decision and centered
+moments from one kernel, ``_affine_moments``, so a set's map has the same
+bits in a stack as alone. The kernel owns the memory layout: it reduces
+C-contiguous arrays, so a strided column fits with the bits of its
+contiguous copy. L2 fits solve the centered normal equations (exactly
+translation-equivariant). The fit with |a| <= L is a trust-region problem:
+exact multiplier by bisection on the ridge path, intercept re-optimized, on
+a stack of sets whose steep rows bisect in lockstep; the one-set fit is a
+stack of one. Discrete minimax starts from the L2 map ``base`` (the
+caller's, if it has one): a three-point exchange in one dimension, else IRLS
+exponent escalation and an active-set LP polish. A rank-deficient design
+falls back to the minimum-norm least-squares map in one place,
+``affine_fit``.
 """
 
 from __future__ import annotations
@@ -174,6 +175,19 @@ def fit_affine_l2_constrained(x, y, w, L: float) -> AffineMap:
     if not ok[0]:
         raise RankDeficient("affine design matrix is rank deficient")
     return AffineMap(tuple(a[0]), b[0])
+
+
+def l2_squares(x: np.ndarray, y: np.ndarray, w: np.ndarray, L: float | None = None):
+    """w[k] @ (r * r), r the residual of affine_fit(x[k], y[k], w[k], 2, L), for
+    each set of a stack x (K, N, d), y and w (K, N), bit for bit: one stacked
+    fit, and affine_fit for each row it marks not ok; stacked matmul sums."""
+    ok, a, b = (fit_affine_l2_stack(x, y, w) if L is None
+                else fit_affine_l2_constrained_stack(x, y, w, L))
+    for k in np.flatnonzero(~ok):
+        amap = affine_fit(x[k], y[k], w[k], 2, L)
+        a[k], b[k] = amap.a, amap.intercept
+    r = y - ((x @ a[:, :, None])[:, :, 0] + b[:, None])
+    return (w[:, None, :] @ (r * r)[:, :, None])[:, 0, 0]
 
 
 def fit_affine_lp(x, y, w, p: float) -> AffineMap:

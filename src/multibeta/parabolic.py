@@ -6,10 +6,11 @@ averages per-time affine fits, vertical oscillation averages per-point time
 variances, and the space-only beta coefficient fits one affine map of the
 spatial variables to the whole space-time cloud. The combination bound
 certifies, with explicit constants, that the time-averaged affine map is as
-good as the two directional quantities promise. The A and AL packing sums
-take each level from ``horizontal_affinity_level`` (one stacked fit of the
-time slices of a block of boxes), which matches the scalar
-``horizontal_affinity`` bit for bit.
+good as the two directional quantities promise. A box is sampled as the
+Euclidean box it is, by ``beta``'s midpoint sampler. The A and AL packing
+sums take each level from ``horizontal_affinity_level`` (one field call and
+one ``fitting.l2_squares`` stack of the time slices of a block of boxes),
+which matches the scalar ``horizontal_affinity`` bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import beta, fitting
-from .beta import CarlesonReport, QuadratureSpec, midpoint_grid, midpoint_mesh, midpoint_nodes
+from .beta import CarlesonReport, QuadratureSpec, midpoint_mesh
 from .errors import BoundViolation, DegenerateBox
 from .funcmodel import FunctionField, lipschitz_estimate
 from .geometry import AffineMap, DyadicBox, ParabolicBox, parabolic_distance
@@ -54,16 +55,14 @@ class ParabolicSample(NamedTuple):
 
     @classmethod
     def of(cls, psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec) -> ParabolicSample:
-        """Sample psi on pbox with quad.nodes nodes per axis, in one field call."""
+        """The cube sample of pbox.as_box() (time runs fastest), one field call;
+        X is C-contiguous, as combine_affine_bound's X @ a_bar needs for its bits."""
         if pbox.volume <= 0:
             raise DegenerateBox("empty parabolic box")
-        X, wx = midpoint_grid(pbox.spatial, quad.nodes)
-        t = midpoint_nodes(pbox.t0, pbox.t_len, quad.nodes)
-        Ns, Nt = X.shape[0], t.shape[0]
-        pts = np.concatenate(
-            [np.repeat(X, Nt, axis=0), np.tile(t, Ns)[:, None]], axis=1)
-        return cls(pbox, X, wx, t, np.full(quad.nodes, pbox.t_len / quad.nodes),
-                   psi.eval(pts).reshape(Ns, Nt))
+        s, Nt = beta.CubeSample.of(psi, pbox.as_box(), quad), quad.nodes
+        Ns = len(s.y) // Nt
+        return cls(pbox, np.ascontiguousarray(s.X[::Nt, :-1]), np.full(Ns, pbox.spatial.volume / Ns),
+                   s.X[:Nt, -1], np.full(Nt, pbox.t_len / Nt), s.y.reshape(Ns, Nt))
 
 
 def _slice_fits(X, vals, wx, L):
@@ -86,17 +85,17 @@ def _time_variance(vals, wx, wt) -> float:
 def horizontal_affinity(s: ParabolicSample, L: float | None = None) -> float:
     """Time average of per-time affine misfit of the sample, relative to the
     spatial diameter; each slice fit is L-Lipschitz when L is given."""
-    return _affinity(s, [sq for _, sq in _slice_fits(s.X, s.vals, s.wx, L)])
+    return _affinity(s.pbox, s.wx, s.wt, [sq for _, sq in _slice_fits(s.X, s.vals, s.wx, L)])
 
 
-def _affinity(s: ParabolicSample, sqs) -> float:
-    """horizontal_affinity of the sample from the weighted squared residual
-    sum of each of its time slices."""
-    W = s.wx.sum()
+def _affinity(pbox, wx, wt, sqs) -> float:
+    """horizontal_affinity of a sample of pbox with weights wx and wt from the
+    weighted squared residual sum of each of its time slices."""
+    W = wx.sum()
     acc = 0.0
     for k, sq in enumerate(sqs):
-        acc += s.wt[k] * sq / W
-    return math.sqrt(acc / s.wt.sum()) / s.pbox.spatial.diameter
+        acc += wt[k] * sq / W
+    return math.sqrt(acc / wt.sum()) / pbox.spatial.diameter
 
 
 def horizontal_affinity_level(psi: FunctionField, frontier: list, dilation: float,
@@ -105,29 +104,24 @@ def horizontal_affinity_level(psi: FunctionField, frontier: list, dilation: floa
     dyadic level, in order and bit for bit: PARABOLIC_SELECTORS["A"] when L
     is None, else ["AL"].
 
-    The time slices of each block of beta.ROW_BLOCK boxes, sampled box by
-    box, are fitted in one stacked call (the ridge stack when L is given);
-    a slice the stack marks not ok is fitted by fitting.affine_fit, which
-    owns the rank fallback. Residuals and their weighted squares repeat the
-    scalar expressions with a stack axis (a matrix-vector and a dot product
-    per slice), and each box sums its slices in the scalar order.
+    The boxes of a level share their sides, so only the corner differs: each
+    block of beta.ROW_BLOCK boxes is one beta.sample_grids call, regrouped
+    into one row per time slice, and one fitting.l2_squares stack, each of
+    whose rows has its scalar bits; each box sums its slices in the scalar
+    order. The corners are ParabolicBox.dilate's, box by box.
     """
-    Nt, values = quad.nodes, []
+    pbox = frontier[0].as_parabolic_box().dilate(dilation)  # the sides of every box here
+    if pbox.volume <= 0:
+        raise DegenerateBox("empty parabolic box")
+    Nt, Ns, values = quad.nodes, quad.nodes ** pbox.spatial.dim, []
+    wx, wt = np.full(Ns, pbox.spatial.volume / Ns), np.full(Nt, pbox.t_len / Nt)
+    lo = np.asarray([node.as_parabolic_box().dilate(dilation).as_box().lo for node in frontier])
     for start in range(0, len(frontier), beta.ROW_BLOCK):
-        samples = [ParabolicSample.of(psi, node.as_parabolic_box().dilate(dilation), quad)
-                   for node in frontier[start:start + beta.ROW_BLOCK]]
-        x = np.repeat(np.stack([s.X for s in samples]), Nt, axis=0)
-        y = np.concatenate([s.vals.T for s in samples])
-        w = np.repeat(np.stack([s.wx for s in samples]), Nt, axis=0)
-        ok, a, b = (fitting.fit_affine_l2_stack(x, y, w) if L is None
-                    else fitting.fit_affine_l2_constrained_stack(x, y, w, L))
-        for row in np.flatnonzero(~ok):
-            s, k = samples[row // Nt], row % Nt
-            amap = fitting.affine_fit(s.X, s.vals[:, k], s.wx, 2, L)
-            a[row], b[row] = amap.a, amap.intercept
-        r = y - ((x @ a[:, :, None])[:, :, 0] + b[:, None])
-        sq = (w[:, None, :] @ (r * r)[:, :, None])[:, 0, 0]
-        values += [_affinity(s, sq[i * Nt:(i + 1) * Nt]) for i, s in enumerate(samples)]
+        X, y = beta.sample_grids(psi, lo[start:start + beta.ROW_BLOCK], pbox.as_box().sides, Nt)
+        y = y.reshape(len(X), Ns, Nt).transpose(0, 2, 1).reshape(-1, Ns)
+        sqs = fitting.l2_squares(np.repeat(X[:, ::Nt, :-1], Nt, axis=0), y,
+                                 np.tile(wx, (len(y), 1)), L)
+        values += [_affinity(pbox, wx, wt, sq) for sq in sqs.reshape(-1, Nt)]
     return values
 
 

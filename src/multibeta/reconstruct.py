@@ -20,8 +20,8 @@ import numpy as np
 
 from . import fitting
 from .calibration import KAPPA_B, KAPPA_C
-from .beta import (QuadratureSpec, beta_integralgeometric, beta_p_cube, beta_p_restricted,
-                   combined_parts, midpoint_grid, midpoint_mesh, midpoint_nodes, norm_value,
+from .beta import (CubeSample, QuadratureSpec, beta_integralgeometric, beta_p_restricted,
+                   combined_parts, cube_beta, midpoint_mesh, midpoint_nodes, norm_value,
                    restricted_line_betas)
 from .errors import BudgetExhausted, DegenerateSimplex, EmptyIntersection
 from .funcmodel import FunctionField
@@ -302,9 +302,9 @@ def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: 
         raise DegenerateSimplex("small box escaped the reconstruction simplex")
     A = build_global_affine(simplex.v, selection.corner_values)
 
-    direct = beta_p_cube(fld, cQ, 2, quad).value
-    X, w = midpoint_grid(cQ, quad.nodes)
-    via = norm_value(fld.eval(X) - A(X), w, 2, cQ.diameter, cQ.dim)
+    s = CubeSample.of(fld, cQ, quad)
+    direct = cube_beta(s, 2).value
+    via = norm_value(s.y - A(s.X), s.w, 2, cQ.diameter, cQ.dim)
 
     plane_part, line_part = combined_parts(fld, CQ, quad, ("reconstruct", seed))
     combined = math.hypot(plane_part, line_part)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from multibeta import beta as betamod
 from multibeta import fitting
-from multibeta.beta import (SELECTORS, QuadratureSpec, beta2_level, beta_integralgeometric,
-                            beta_p_cube, beta_p_restricted, carleson_sum,
-                            combined_beta, midpoint_grid, midpoint_mesh,
-                            midpoint_nodes, restricted_line_betas)
+from multibeta.beta import (SELECTORS, BetaRecord, CubeSample, QuadratureSpec, beta2_level,
+                            beta_integralgeometric, beta_p_cube, beta_p_restricted,
+                            carleson_sum, combined_beta, cube_beta, midpoint_mesh,
+                            midpoint_nodes, norm_value, restricted_line_betas)
 from multibeta.errors import EmptyIntersection
 from multibeta.funcmodel import EUCLIDEAN_CATALOG, make_field
 from multibeta.geometry import (Box, DyadicBox, Hyperplane, LineSeg, dyadic_levels,
@@ -48,11 +48,11 @@ class TestCubeBeta:
         rec = beta_p_cube(fld, box, 2, FINE)
         assert rec.value == pytest.approx(1.0 / math.sqrt(45.0), rel=1e-4)
 
-    def test_midpoint_grid_mass(self):
+    def test_cube_sample_mass(self):
         box = Box((0.0, 1.0), (2.0, 3.0))
-        X, w = midpoint_grid(box, 5)
-        assert X.shape == (25, 2)
-        assert w.sum() == pytest.approx(box.volume)
+        s = CubeSample.of(make_field("square", 2), box, QuadratureSpec(nodes=5))
+        assert s.X.shape == (25, 2) and s.y.shape == (25,)
+        assert s.w.sum() == pytest.approx(box.volume)
 
     def test_scale_invariance(self):
         # f_lam(x) = f(lam x)/lam has the same coefficient on Q/lam;
@@ -77,6 +77,37 @@ class TestCubeBeta:
         free = beta_p_cube(fld, box, 2, QUAD).value
         tied = beta_p_cube(fld, box, 2, QUAD, L=0.1).value
         assert tied >= free - 1e-15
+
+
+def _ref_beta_p_cube(fld, box, p, quad, L=None):
+    """beta_p_cube as it was when each call built its own grid, frozen: the
+    sample path must reproduce every bit of it."""
+    X = midpoint_mesh(box.lo, box.sides, quad.nodes)
+    w = np.full(X.shape[0], box.volume / X.shape[0])
+    y = fld.eval(X)
+    amap = fitting.affine_fit(X, y, w, p, L)
+    return BetaRecord(norm_value(y - amap(X), w, p, box.diameter, box.dim), amap)
+
+
+class TestCubeSample:
+    """Every norm read off one CubeSample equals the resampling reference, exactly."""
+
+    @settings(max_examples=40)
+    @given(kind=st.sampled_from(EUCLIDEAN_CATALOG), n=st.integers(1, 3),
+           nodes=st.sampled_from([3, 5, 7]), seed=st.integers(0, 2 ** 31 - 1),
+           L=st.one_of(st.none(), st.floats(0.05, 5.0)))
+    def test_every_norm_equals_the_resampling_reference(self, kind, n, nodes, seed, L):
+        rng = np.random.default_rng(seed)
+        fld = _any_catalog_field(kind, n, rng)
+        box = Box(tuple(rng.uniform(-2.0, 2.0, n)), tuple(rng.uniform(0.05, 3.0, n)))
+        quad = QuadratureSpec(nodes=nodes)
+        s = CubeSample.of(fld, box, quad)
+        assert s.X.flags.c_contiguous and s.y.flags.c_contiguous
+        for p in (1, 1.5, 2, 3, math.inf):
+            assert cube_beta(s, p) == _ref_beta_p_cube(fld, box, p, quad), p
+            assert beta_p_cube(fld, box, p, quad) == _ref_beta_p_cube(fld, box, p, quad), p
+            if L is not None and p in (2, math.inf):
+                assert cube_beta(s, p, L) == _ref_beta_p_cube(fld, box, p, quad, L), p
 
 
 class TestRestrictedBeta:
@@ -378,19 +409,19 @@ class TestBeta2Level:
         quad = QuadratureSpec(nodes=5)
         frontier = list(dyadic_levels(DyadicBox(1, (-1, 0), (2, 2)), 2))[-1]
         expect = _scalar_beta2(fld, frontier, 1.5, quad)
-        stack, cubes = fitting.fit_affine_l2_stack, []
+        stack, affine_fit, cubes = fitting.fit_affine_l2_stack, fitting.affine_fit, []
 
         def marking(x, y, w):
             ok, a, b = stack(x, y, w)
             ok[marked], a[marked], b[marked] = False, np.nan, np.nan
             return ok, a, b
 
-        def counting(fld, box, p, quad, L=None):
-            cubes.append(box)
-            return beta_p_cube(fld, box, p, quad, L)
+        def counting(x, y, w, p, L=None):
+            cubes.append(y)
+            return affine_fit(x, y, w, p, L)
 
         monkeypatch.setattr(fitting, "fit_affine_l2_stack", marking)
-        monkeypatch.setattr(betamod, "beta_p_cube", counting)
+        monkeypatch.setattr(fitting, "affine_fit", counting)
         monkeypatch.setattr(betamod, "ROW_BLOCK", 7)
         assert beta2_level(fld, frontier, 1.5, quad) == expect
         blocks = [range(16)[i:i + 7] for i in range(0, 16, 7)]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from multibeta import cli
 from multibeta.cli import main
 from multibeta.errors import BudgetExhausted, RankDeficient
-from multibeta.funcmodel import PARABOLIC_CATALOG
+from multibeta.funcmodel import PARABOLIC_CATALOG, FunctionField
 from multibeta.reports import config_hash
 
 
@@ -555,3 +555,18 @@ class TestWalkOrder:
         assert analyze == cubes
         assert len(cubes) == 1 + 4 + 16
         assert cubes[:2] == [["1", "1;0"], ["2", "2;0"]]
+
+
+class TestFieldWork:
+    def test_analyze_samples_each_cube_once(self, tmp_path, monkeypatch):
+        sizes, evaluate = [], FunctionField.eval
+
+        def counted(self, points):
+            sizes.append(len(points))
+            return evaluate(self, points)
+
+        monkeypatch.setattr(FunctionField, "eval", counted)
+        cfg = write_config(tmp_path, "cfg.json", CONE_CFG)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        # depth 2 below a 2-D root is 1 + 4 + 16 cubes, each one 5 x 5 grid read by every p
+        assert sizes == [25] * 21

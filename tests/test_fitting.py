@@ -435,6 +435,27 @@ class TestConstrainedStack:
             assert fitting._row_norm(v).tolist() == [float(np.linalg.norm(r)) for r in v]
 
 
+class TestL2Squares:
+    """l2_squares equals affine_fit and the scalar residual sum row by row, exactly."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), K=st.integers(1, 6),
+           N=st.one_of(st.integers(2, 40), st.integers(2, 11 ** 3)),
+           L=st.sampled_from([None, 1e-20, 0.5]))
+    def test_rows_equal_affine_fit_and_scalar_sum(self, seed, d, K, N, L):
+        # L = 1e-20 leaves the eigenvalues below the rounding of the first
+        # multiplier, which drives the ridge stack's doubling loop
+        x, y, w = random_sets(seed, d, K, N)
+        # every other row on a coarse lattice: repeated abscissas, often rank deficient
+        for k in range(0, K, 2):
+            x[k], y[k], w[k] = gridded_set(seed + k, d, N)
+        sqs = fitting.l2_squares(x, y, w, L)
+        assert sqs.shape == (K,)
+        for k in range(K):
+            r = y[k] - fitting.affine_fit(x[k], y[k], w[k], 2, L)(x[k])
+            assert sqs[k] == w[k] @ (r * r), k
+
+
 def strided(v):
     """v as a non-contiguous view: every other column of a wider 2-D array."""
     v2 = v.reshape(len(v), -1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from multibeta import beta as betamod
 from multibeta import fitting
 from multibeta import parabolic as pbmod
-from multibeta.beta import QuadratureSpec, midpoint_grid, midpoint_nodes
+from multibeta.beta import QuadratureSpec, midpoint_mesh, midpoint_nodes
 from multibeta.calibration import C_HOLD
 from multibeta.errors import BoundViolation, MultibetaError
 from multibeta.funcmodel import (EUCLIDEAN_CATALOG, FunctionField, default_parabolic_catalog,
@@ -39,6 +39,24 @@ SQUARE_T = additive("square", "linear")   # psi = x^2 + t
 SQUARE_0 = additive("square", "zero")     # psi = x^2
 SIN_T = additive("affine", "sin", a=[0.0], b=0.0)   # psi = sin t
 LINEAR_T = additive("affine", "linear", a=[0.0], b=0.0)  # psi = t
+
+
+def count_top_level_evals(monkeypatch):
+    """A list that gets True for each top-level FunctionField.eval call (and
+    False for a nested one: p_additive evaluates its spatial field inside)."""
+    depth, top = [0], []
+    evaluate = FunctionField.eval
+
+    def counted(self, points):
+        top.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return evaluate(self, points)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(FunctionField, "eval", counted)
+    return top
 
 
 class TestAffinity:
@@ -317,6 +335,16 @@ class TestAffinityLevel:
         blocks = [range(15), range(15), range(10)]
         assert len(slices) == sum(len(rows[marked]) for rows in blocks)
 
+    @pytest.mark.parametrize("L", [None, 0.5])
+    def test_one_field_call_per_block(self, L, monkeypatch):
+        psi = additive("cone", "sin", x0=[0.4])
+        frontier = list(dyadic_levels(DyadicBox(1, (-1, 2), (2, 4)), 1))[-1]
+        expect = _scalar_affinity(psi, frontier, 2.0, QuadratureSpec(nodes=5), L)
+        top = count_top_level_evals(monkeypatch)
+        monkeypatch.setattr(betamod, "ROW_BLOCK", 3)
+        assert horizontal_affinity_level(psi, frontier, 2.0, QuadratureSpec(nodes=5), L) == expect
+        assert sum(top) == 3  # blocks of 3, 3 and 2 boxes
+
     @pytest.mark.parametrize("selector", ["A", "AL", "beta2"])
     def test_carleson_walk_uses_the_level_values(self, selector):
         psi = additive("cone", "sin", x0=[0.4])
@@ -400,7 +428,8 @@ class TestRademacherProbe:
 # The coefficients as they were when each one sampled psi on its box itself,
 # frozen: the single-sample path must reproduce every bit of them.
 def _ref_sample(psi, pbox, quad):
-    X, wx = midpoint_grid(pbox.spatial, quad.nodes)
+    X = midpoint_mesh(pbox.spatial.lo, pbox.spatial.sides, quad.nodes)
+    wx = np.full(X.shape[0], pbox.spatial.volume / X.shape[0])
     t = midpoint_nodes(pbox.t0, pbox.t_len, quad.nodes)
     Ns, Nt = X.shape[0], t.shape[0]
     pts = np.concatenate([np.repeat(X, Nt, axis=0), np.tile(t, Ns)[:, None]], axis=1)
@@ -553,19 +582,21 @@ class TestOneSample:
         assert (_outcome(combine_affine_bound, s, L)
                 == _outcome(_ref_combine, psi, pbox, quad, L))
 
+    @given(index=st.integers(0, len(default_parabolic_catalog(2)) - 1), n=st.integers(2, 3),
+           x0=st.floats(-1.0, 1.0), side=st.floats(0.05, 2.0), t0=st.floats(-1.0, 1.0),
+           t_len=st.floats(0.01, 2.0), nodes=st.sampled_from([3, 5, 7, 9, 11]))
+    def test_sample_equals_the_frozen_sampler(self, index, n, x0, side, t0, t_len, nodes):
+        psi = default_parabolic_catalog(n)[index]
+        pbox = ParabolicBox(Box((x0,) * (n - 1), (side,) * (n - 1)), t0, t_len)
+        quad = QuadratureSpec(nodes=nodes)
+        s = ParabolicSample.of(psi, pbox, quad)
+        assert s.pbox == pbox
+        for got, ref in zip(s[1:], _ref_sample(psi, pbox, quad)):
+            assert got.shape == ref.shape and got.tolist() == ref.tolist()
+        # combine_affine_bound's X @ a_bar has the bits of a C-contiguous X
+        assert s.X.flags.c_contiguous
+
     def test_table_evaluates_the_field_once(self, monkeypatch):
-        # top-level calls only: p_additive evaluates its spatial field inside
-        depth, top = [0], []
-        evaluate = FunctionField.eval
-
-        def counted(self, points):
-            top.append(depth[0] == 0)
-            depth[0] += 1
-            try:
-                return evaluate(self, points)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(FunctionField, "eval", counted)
+        top = count_top_level_evals(monkeypatch)
         coefficient_table(additive("cone", "sin", x0=[0.4]), UNIT, QUAD, L=0.5)
         assert sum(top) == 1

@@ -10,7 +10,7 @@ from multibeta.beta import (QuadratureSpec, combined_beta, combined_parts, midpo
                             restricted_line_betas)
 from multibeta.calibration import KAPPA_C
 from multibeta.errors import DegenerateSimplex
-from multibeta.funcmodel import make_field
+from multibeta.funcmodel import FunctionField, make_field
 from multibeta.geometry import (Box, LineSeg, clip_line_to_box, orthonormal_complement,
                                 shadow_area, transversality)
 from multibeta.reconstruct import (_cap_directions, _line_family_integral, base_planes,
@@ -130,6 +130,22 @@ class TestVerify:
         # the reconstructed map is f itself
         assert np.allclose(rep.affine.a, [0.7, -0.3], atol=1e-10)
         assert rep.affine.intercept == pytest.approx(0.25, abs=1e-10)
+
+    def test_small_box_is_sampled_once(self, monkeypatch):
+        # beta2_small_direct and beta2_small_via_affine read one sample of cQ
+        quad = QuadratureSpec(nodes=5, restricted_nodes=9, mc_samples=64, seed=3)
+        cQ = UNIT2.dilate(1.0 / 20.0)
+        grid, hits, evaluate = midpoint_mesh(cQ.lo, cQ.sides, quad.nodes), [], FunctionField.eval
+
+        def counted(self, points):
+            hits.append(np.shape(points) == grid.shape and np.array_equal(points, grid))
+            return evaluate(self, points)
+
+        monkeypatch.setattr(FunctionField, "eval", counted)
+        rep = verify_reconstruction(make_field("cone", 2, x0=[0.45, 0.55]), UNIT2, seed=7,
+                                    quad=quad)
+        assert sum(hits) == 1
+        assert rep.beta2_small_direct <= rep.beta2_small_via_affine
 
     def test_corner_interpolation_exact(self):
         fld = make_field("cone", 2, x0=[0.45, 0.55])
