@@ -8,14 +8,15 @@ diam(Q)^n (not |Q|). Restricted coefficients parametrize the slice (line
 interval or hyperplane patch), fit in slice coordinates, and report the
 fitted map in ambient coordinates. Integral-geometric coefficients are Monte
 Carlo averages of restricted coefficients against the weighted Grassmannian
-samplers. A sampled line family takes one path, ``restricted_line_betas``
-(one clip per line, one field call per block, a stacked L2 fit where it
-applies), which matches the scalar reference ``beta_p_restricted`` bit for
-bit. The combined coefficient is the hypot of its two ``combined_parts``; at
-n = 2 they share one sampled line family. Carleson sums walk the dyadic tree
-and profile per-scale contributions; the beta2 sum takes each level from
-``beta2_level`` (one ``sample_grids`` call and one ``fitting.l2_squares``
-stack per block of cubes), which matches ``beta_p_cube`` bit for bit.
+samplers. Every stacked fit goes through ``fitting.fit_rows``. A sampled
+line family takes one path, ``restricted_line_betas`` (one clip per line,
+one field call per block and one stack per block and norm), which matches
+the scalar reference ``beta_p_restricted`` bit for bit. The combined
+coefficient is the hypot of its two ``combined_parts``; at n = 2 they share
+one sampled line family. Carleson sums walk the dyadic tree and profile
+per-scale contributions; the beta2 sum takes each level from
+``beta2_level`` (one ``sample_grids`` call and one stack per block of
+cubes), which matches ``beta_p_cube`` bit for bit.
 """
 
 from __future__ import annotations
@@ -196,10 +197,8 @@ def restricted_line_betas(fld: FunctionField, box: Box, bases, directions, ps,
     Returns (kept, values): ``kept`` masks the lines that meet the box and
     ``values[p]`` holds their coefficients in order, for each p in ``ps``.
     Each line is clipped once; each block of ROW_BLOCK clipped lines is
-    evaluated in one field call. p = 2 reads its values off one stacked L2
-    fit of the block and p = inf starts each line's 1-D exchange from it;
-    every other line (a failed rank check, another p) is fitted on its own
-    by ``fitting.affine_fit``. Every value equals the scalar one exactly.
+    one field call and, in each p, one ``fitting.fit_rows`` stack, through
+    which every stacked fit goes. Every value equals the scalar one exactly.
     """
     clips = [clip_line_to_box(b, d, box) for b, d in zip(bases, directions)]
     kept = np.asarray([c is not None for c in clips], dtype=bool)
@@ -222,27 +221,12 @@ def _line_block_betas(fld, box, bases, directions, ends, ps, quad):
     del pts
     x = s[:, :, None]
     w = np.repeat(h[:, None], nodes, axis=1)
-    ok, a, b = fitting.fit_affine_l2_stack(x, y, w)
     diam = box.diameter
     values = {}
     for p in ps:
-        a_p, b_p = a.copy(), b.copy()
-        for k in range(len(ends)):
-            if ok[k] and p == 2:
-                continue
-            if ok[k] and math.isinf(p):
-                # each line's 1-D exchange starts from its L2 map
-                amap = fitting.fit_affine_minimax(x[k], y[k], w[k],
-                                                  base=AffineMap(tuple(a[k]), b[k]))
-            else:
-                amap = fitting.affine_fit(x[k], y[k], w[k], p)
-            a_p[k], b_p[k] = amap.a, amap.intercept
-        r = np.abs(y - ((x @ a_p[:, :, None])[:, :, 0] + b_p[:, None]))
-        if math.isinf(p):
-            values[p] = r.max(axis=1) / diam
-        else:
-            values[p] = np.asarray([_lp_value(float(i), p, diam, 1)
-                                    for i in (w[:, None, :] @ (r ** p)[:, :, None])[:, 0, 0]])
+        sums = fitting.fit_rows(x, y, w, p)[2]
+        values[p] = (sums / diam if math.isinf(p)
+                     else np.asarray([_lp_value(float(i), p, diam, 1) for i in sums]))
     return values
 
 
@@ -395,7 +379,7 @@ def beta2_level(fld: FunctionField, frontier: list, dilation: float,
 
     The cubes of a level share their sides, so only the corner differs: a
     block of ROW_BLOCK cubes is one sample_grids call and one
-    fitting.l2_squares stack, each of whose rows has its scalar bits.
+    fitting.fit_rows stack at p = 2, each of whose rows has its scalar bits.
     """
     box = frontier[0].as_box().dilate(dilation)  # the sides of every cube here
     if box.volume <= 0:
@@ -408,7 +392,7 @@ def beta2_level(fld: FunctionField, frontier: list, dilation: float,
     blocks = (sample_grids(fld, lo[i:i + ROW_BLOCK], box.sides, quad.nodes)
               for i in range(0, len(frontier), ROW_BLOCK))
     return [_lp_value(float(sq), 2, diam, n) for X, y in blocks
-            for sq in fitting.l2_squares(X, y, np.full(y.shape, box.volume / N))]
+            for sq in fitting.fit_rows(X, y, np.full(y.shape, box.volume / N), 2)[2]]
 
 
 def carleson_sum(fld: FunctionField, root: DyadicBox, dilation: float, depth: int,

@@ -228,13 +228,15 @@ def cmd_analyze(cfg, args, seed):
     quad = load_quad(cfg, seed)
     root, depth = load_root(cfg, fld.dim, 2)
     ps = [_exponent(p) for p in cfg.numbers("ps", default=[1, 2, "inf"], minimum=1, inf=True)]
+    columns = ["beta_inf" if math.isinf(p) else f"beta_{p:g}" for p in ps]
+    if len(set(columns)) < len(columns):
+        cfg.fail("ps", f"entries must be distinct exponents with distinct columns, got {columns}")
     rows = []
     for frontier in dyadic_levels(root, depth):
         for cube in frontier:
             s = betamod.CubeSample.of(fld, cube.as_box(), quad)
             rows.append([cube.level, cube.index, *(betamod.cube_beta(s, p).value for p in ps)])
-    header = ["level", "index"] + [
-        "beta_inf" if math.isinf(p) else f"beta_{p:g}" for p in ps]
+    header = ["level", "index"] + columns
     path = _out(args, "analyze.csv")
     reports.write_csv(path, header, rows)
     reports.write_manifest(_out(args, "manifest.json"), cfg.data, seed, [path])

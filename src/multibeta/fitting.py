@@ -1,8 +1,8 @@
 """Best affine approximation over weighted point sets.
 
 Every fit takes one sample set as arrays, abscissas x (N, d), values y (N,)
-and positive weights w (N,), and returns its ``AffineMap``; a caller
-measures the residual it needs (``l2_squares``: the L2 sum of a stack).
+and positive weights w (N,), and returns its ``AffineMap``; every stacked
+fit goes through ``fit_rows``, each set's map and residual size in one norm.
 Every affine L2 fit, single or stacked, takes its rank decision and centered
 moments from one kernel, ``_affine_moments``, so a set's map has the same
 bits in a stack as alone. The kernel owns the memory layout: it reduces
@@ -175,19 +175,6 @@ def fit_affine_l2_constrained(x, y, w, L: float) -> AffineMap:
     if not ok[0]:
         raise RankDeficient("affine design matrix is rank deficient")
     return AffineMap(tuple(a[0]), b[0])
-
-
-def l2_squares(x: np.ndarray, y: np.ndarray, w: np.ndarray, L: float | None = None):
-    """w[k] @ (r * r), r the residual of affine_fit(x[k], y[k], w[k], 2, L), for
-    each set of a stack x (K, N, d), y and w (K, N), bit for bit: one stacked
-    fit, and affine_fit for each row it marks not ok; stacked matmul sums."""
-    ok, a, b = (fit_affine_l2_stack(x, y, w) if L is None
-                else fit_affine_l2_constrained_stack(x, y, w, L))
-    for k in np.flatnonzero(~ok):
-        amap = affine_fit(x[k], y[k], w[k], 2, L)
-        a[k], b[k] = amap.a, amap.intercept
-    r = y - ((x @ a[:, :, None])[:, :, 0] + b[:, None])
-    return (w[:, None, :] @ (r * r)[:, :, None])[:, 0, 0]
 
 
 def fit_affine_lp(x, y, w, p: float) -> AffineMap:
@@ -384,3 +371,25 @@ def affine_fit(x, y, w, p: float, L: float | None = None) -> AffineMap:
     except RankDeficient:
         coef, *_ = np.linalg.lstsq(_weighted_design(x, w), y * np.sqrt(w), rcond=None)
         return AffineMap(tuple(coef[:-1]), coef[-1])
+
+
+def fit_rows(x, y, w, p: float, L: float | None = None):
+    """affine_fit(x[k], y[k], w[k], p, L) and the size of its residual r for
+    each set of a stack x (K, N, d), y and w (K, N), bit for bit.
+
+    Returns (a (K, d), b (K,), sums (K,)): sums is w @ (r * r) at p = 2,
+    w @ |r| ** p at another finite p and max |r| at p = inf. One stacked L2
+    fit, bounded by L only at p = 2, is p = 2's answer and the base of each
+    ok row's minimax fit at p = inf; every other row goes through affine_fit.
+    """
+    x, y, w = _arrays(x, y, w)
+    ok, a, b = (fit_affine_l2_constrained_stack(x, y, w, L) if p == 2 and L is not None
+                else fit_affine_l2_stack(x, y, w))
+    for k in np.flatnonzero(~ok) if p == 2 else range(len(x)):
+        amap = (fit_affine_minimax(x[k], y[k], w[k], L, base=AffineMap(tuple(a[k]), b[k]))
+                if ok[k] and math.isinf(p) else affine_fit(x[k], y[k], w[k], p, L))
+        a[k], b[k] = amap.a, amap.intercept
+    r = np.abs(y - ((x @ a[:, :, None])[:, :, 0] + b[:, None]))
+    if math.isinf(p):
+        return a, b, r.max(axis=1)
+    return a, b, (w[:, None, :] @ (r * r if p == 2 else r ** p)[:, :, None])[:, 0, 0]

@@ -7,9 +7,10 @@ variances, and the space-only beta coefficient fits one affine map of the
 spatial variables to the whole space-time cloud. The combination bound
 certifies, with explicit constants, that the time-averaged affine map is as
 good as the two directional quantities promise. A box is sampled as the
-Euclidean box it is, by ``beta``'s midpoint sampler. The A and AL packing
-sums take each level from ``horizontal_affinity_level`` (one field call and
-one ``fitting.l2_squares`` stack of the time slices of a block of boxes),
+Euclidean box it is, by ``beta``'s midpoint sampler. Every stacked fit goes
+through ``fitting.fit_rows``: a sample's time slices are one stack, and the
+A and AL packing sums take each level from ``horizontal_affinity_level``
+(one field call and one stack of the time slices of a block of boxes),
 which matches the scalar ``horizontal_affinity`` bit for bit.
 """
 
@@ -66,13 +67,10 @@ class ParabolicSample(NamedTuple):
 
 
 def _slice_fits(X, vals, wx, L):
-    """(map, weighted squared residual sum) of the L2 fit of each time slice vals[:, k]."""
-    out = []
-    for k in range(vals.shape[1]):
-        amap = fitting.affine_fit(X, vals[:, k], wx, 2, L)
-        r = vals[:, k] - amap(X)
-        out.append((amap, float(wx @ (r * r))))
-    return out
+    """fitting.fit_rows (a, b, wx @ (r * r)) of the time slices vals[:, k] at p = 2."""
+    Nt = vals.shape[1]
+    return fitting.fit_rows(np.broadcast_to(X, (Nt, *X.shape)), vals.T,
+                            np.broadcast_to(wx, (Nt, len(wx))), 2, L)
 
 
 def _time_variance(vals, wx, wt) -> float:
@@ -85,7 +83,7 @@ def _time_variance(vals, wx, wt) -> float:
 def horizontal_affinity(s: ParabolicSample, L: float | None = None) -> float:
     """Time average of per-time affine misfit of the sample, relative to the
     spatial diameter; each slice fit is L-Lipschitz when L is given."""
-    return _affinity(s.pbox, s.wx, s.wt, [sq for _, sq in _slice_fits(s.X, s.vals, s.wx, L)])
+    return _affinity(s.pbox, s.wx, s.wt, _slice_fits(s.X, s.vals, s.wx, L)[2])
 
 
 def _affinity(pbox, wx, wt, sqs) -> float:
@@ -106,7 +104,7 @@ def horizontal_affinity_level(psi: FunctionField, frontier: list, dilation: floa
 
     The boxes of a level share their sides, so only the corner differs: each
     block of beta.ROW_BLOCK boxes is one beta.sample_grids call, regrouped
-    into one row per time slice, and one fitting.l2_squares stack, each of
+    into one row per time slice, and one fitting.fit_rows stack, each of
     whose rows has its scalar bits; each box sums its slices in the scalar
     order. The corners are ParabolicBox.dilate's, box by box.
     """
@@ -119,8 +117,8 @@ def horizontal_affinity_level(psi: FunctionField, frontier: list, dilation: floa
     for start in range(0, len(frontier), beta.ROW_BLOCK):
         X, y = beta.sample_grids(psi, lo[start:start + beta.ROW_BLOCK], pbox.as_box().sides, Nt)
         y = y.reshape(len(X), Ns, Nt).transpose(0, 2, 1).reshape(-1, Ns)
-        sqs = fitting.l2_squares(np.repeat(X[:, ::Nt, :-1], Nt, axis=0), y,
-                                 np.tile(wx, (len(y), 1)), L)
+        sqs = fitting.fit_rows(np.repeat(X[:, ::Nt, :-1], Nt, axis=0), y,
+                               np.tile(wx, (len(y), 1)), 2, L)[2]
         values += [_affinity(pbox, wx, wt, sq) for sq in sqs.reshape(-1, Nt)]
     return values
 
@@ -177,12 +175,9 @@ def combine_affine_bound(s: ParabolicSample, L: float | None = None):
     pbox, X, wx, t, wt, vals = s
     W = wx.sum()
     Wt = wt.sum()
-    grads = np.zeros((t.size, X.shape[1]))
-    icepts = np.zeros(t.size)
+    grads, icepts, sqs = _slice_fits(X, vals, wx, L)
     beta_h = 0.0
-    for k, (amap, sq) in enumerate(_slice_fits(X, vals, wx, L)):
-        grads[k] = amap.a
-        icepts[k] = amap.intercept
+    for k, sq in enumerate(sqs):
         beta_h += wt[k] / Wt * sq / W
 
     a_bar = wt @ grads / Wt

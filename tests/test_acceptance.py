@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from multibeta.beta import (QuadratureSpec, beta_integralgeometric,
+from multibeta.beta import (CubeSample, QuadratureSpec, beta_integralgeometric,
                             beta_p_cube, beta_p_restricted, carleson_sum,
-                            combined_beta)
+                            combined_beta, cube_beta)
 from multibeta.calibration import C_HOLD, C_REC, CARLESON_RATIO
 from multibeta.cli import main as cli_main
 from multibeta.funcmodel import (default_catalog, default_parabolic_catalog,
@@ -89,8 +89,8 @@ def test_acceptance_2_norm_monotonicity():
         boxes = random_boxes(n, 100, 2)
         for fld in default_catalog(n):
             for box in boxes:
-                vals = {p: beta_p_cube(fld, box, p, quad).value
-                        for p in (1, 2, 4, math.inf)}
+                s = CubeSample.of(fld, box, quad)
+                vals = {p: cube_beta(s, p).value for p in (1, 2, 4, math.inf)}
                 for p, q in pairs:
                     worst_gap = max(worst_gap, vals[p] - vals[q])
                     checked += 1

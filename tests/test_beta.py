@@ -110,6 +110,35 @@ class TestCubeSample:
                 assert cube_beta(s, p, L) == _ref_beta_p_cube(fld, box, p, quad, L), p
 
 
+class TestAffineAnnihilation:
+    """Every cube and sampled-line coefficient of an affine field is 0 up to
+    rounding, on generated boxes: acceptance 1's bound beyond the unit cube."""
+
+    @settings(max_examples=50)
+    @given(data=st.data(), n=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
+    def test_every_norm_is_zero(self, data, n, seed):
+        def coords(lo, hi):
+            return st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+
+        a, lo, sides = (data.draw(coords(*bounds)) for bounds in ((-3, 3), (-4, 4), (0.1, 4)))
+        fld = make_field("affine", n, a=a, b=data.draw(st.floats(-3, 3)))
+        box = Box(tuple(lo), tuple(sides))
+        quad = QuadratureSpec(nodes=9, restricted_nodes=17)
+        s = CubeSample.of(fld, box, quad)
+        for p in (1, 2, 4, math.inf):
+            assert cube_beta(s, p).value <= 1e-10, p
+        if n >= 2:
+            # lines through interior points of the box, in random directions
+            rng = np.random.default_rng(seed)
+            bases = np.asarray(lo) + rng.uniform(0.05, 0.95, (8, n)) * np.asarray(sides)
+            directions = rng.normal(size=(8, n))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            kept, values = restricted_line_betas(fld, box, bases, directions, (2, math.inf), quad)
+            assert kept.all()
+            for p in (2, math.inf):
+                assert values[p].max() <= 1e-10, p
+
+
 class TestRestrictedBeta:
     def test_line_through_vee(self):
         # f(x, y) = |x| along the segment y = 0: sup coefficient is the 1-D

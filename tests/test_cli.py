@@ -424,7 +424,8 @@ BOX = {("box",): OBJECT, ("box", "lo"): _lists(2), ("box", "sides"): _lists(2, p
 # command -> (small valid config, {documented key path: values it must refuse})
 FUZZ = {
     "analyze": (dict(CONE_CFG, depth=0),
-                {("depth",): _ints(0), ("ps",): [[v] for v in EXPONENTS] + ["abc", 5, {}, []], **ROOT}),
+                {("depth",): _ints(0), ("ps",): [[v] for v in EXPONENTS] + [
+                    "abc", 5, {}, [], [2, 2.0], ["inf", "infinity"]], **ROOT}),
     "carleson": (dict(CONE_CFG, depth=0, selector="beta2"),
                  {("depth",): _ints(0), ("dilation",): _floats(1.0), ("selector",): SELECTOR,
                   **ROOT}),

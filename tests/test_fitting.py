@@ -435,25 +435,33 @@ class TestConstrainedStack:
             assert fitting._row_norm(v).tolist() == [float(np.linalg.norm(r)) for r in v]
 
 
-class TestL2Squares:
-    """l2_squares equals affine_fit and the scalar residual sum row by row, exactly."""
+class TestFitRows:
+    """fit_rows equals affine_fit and the scalar residual sum row by row, exactly."""
 
-    @settings(max_examples=60)
+    @settings(max_examples=100)
     @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), K=st.integers(1, 6),
-           N=st.one_of(st.integers(2, 40), st.integers(2, 11 ** 3)),
-           L=st.sampled_from([None, 1e-20, 0.5]))
-    def test_rows_equal_affine_fit_and_scalar_sum(self, seed, d, K, N, L):
+           N=st.sampled_from([2, 3, 5, 9, 17, 40, 81, 343, 11 ** 3]),
+           pL=st.sampled_from([(1, None), (1.5, None), (3, None)]
+                              + [(p, L) for p in (2, math.inf) for L in (None, 1e-20, 0.5)]))
+    def test_rows_equal_affine_fit_and_scalar_sum(self, seed, d, K, N, pL):
         # L = 1e-20 leaves the eigenvalues below the rounding of the first
-        # multiplier, which drives the ridge stack's doubling loop
+        # multiplier, which drives the ridge stack's doubling loop. N is drawn
+        # from a list: derandomized integer draws give N = 2 in half the examples.
+        p, L = pL
         x, y, w = random_sets(seed, d, K, N)
         # every other row on a coarse lattice: repeated abscissas, often rank deficient
         for k in range(0, K, 2):
             x[k], y[k], w[k] = gridded_set(seed + k, d, N)
-        sqs = fitting.l2_squares(x, y, w, L)
-        assert sqs.shape == (K,)
+        a, b, sums = fitting.fit_rows(x, y, w, p, L)
+        assert a.shape == (K, d) and b.shape == sums.shape == (K,)
         for k in range(K):
-            r = y[k] - fitting.affine_fit(x[k], y[k], w[k], 2, L)(x[k])
-            assert sqs[k] == w[k] @ (r * r), k
+            amap = fitting.affine_fit(x[k], y[k], w[k], p, L)
+            assert tuple(a[k]) == amap.gradient and b[k] == amap.intercept, k
+            r = y[k] - amap(x[k])
+            if math.isinf(p):
+                assert sums[k] == np.max(np.abs(r)), k
+            else:
+                assert sums[k] == (w[k] @ (r * r) if p == 2 else w[k] @ np.abs(r) ** p), k
 
 
 def strided(v):

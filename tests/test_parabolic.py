@@ -180,8 +180,10 @@ class TestCombine:
     def test_steep_slice_fits_are_a_numerical_failure(self, monkeypatch):
         # slice fits that break |a| <= L make the time mean too steep; that
         # is a package error (CLI exit 3), not an assertion
-        steep = AffineMap((5.0,), 0.0)
-        monkeypatch.setattr(fitting, "affine_fit", lambda x, y, w, p, L=None: steep)
+        def steep(x, y, w, p, L=None):
+            return np.full((len(x), 1), 5.0), np.zeros(len(x)), np.zeros(len(x))
+
+        monkeypatch.setattr(fitting, "fit_rows", steep)
         psi = additive("affine", "zero", a=[2.0], b=0.0)
         with pytest.raises(BoundViolation) as info:
             combine_affine_bound(ParabolicSample.of(psi, UNIT, QUAD), L=1.0)

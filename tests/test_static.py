@@ -94,20 +94,29 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def private_references(source: str):
-    """(line, "mod._name") of every private name of another module that
-    ``source`` reads: an attribute ``mod._name`` of an imported module
-    ``mod``, or a ``from .mod import _name``."""
-    tree = ast.parse(source)
-    modules, found = set(), []
+def imports(tree):
+    """(modules, names) of a parsed module: the names it binds to modules
+    (``import mod``, ``from . import mod``) and (line, module, name) of
+    every other name it imports (``from .mod import name``)."""
+    modules, names = set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             if node.module is None:  # from . import mod
                 modules.update(alias.asname or alias.name for alias in node.names)
-            found += [(node.lineno, f"{node.module}.{alias.name}")
-                      for alias in node.names if _private(alias.name)]
+            else:
+                names += [(node.lineno, node.module, alias.name) for alias in node.names]
+    return modules, names
+
+
+def private_references(source: str):
+    """(line, "mod._name") of every private name of another module that
+    ``source`` reads: an attribute ``mod._name`` of an imported module
+    ``mod``, or a ``from .mod import _name``."""
+    tree = ast.parse(source)
+    modules, names = imports(tree)
+    found = [(line, f"{module}.{name}") for line, module, name in names if _private(name)]
     found += [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
               and isinstance(node.value, ast.Name) and node.value.id in modules
@@ -178,6 +187,30 @@ def test_checker_flags_private_reference():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_private_references(path):
     assert private_references(path.read_text()) == []
+
+
+STACK_FITS = {"fit_affine_l2_stack", "fit_affine_l2_constrained_stack"}
+
+
+def stack_fit_reads(source: str):
+    """The stacked L2 fits of ``fitting`` that ``source`` reads, as an
+    attribute or an imported name."""
+    _, names = imports(ast.parse(source))
+    return sorted(STACK_FITS & (attribute_loads([source]) | {name for _, _, name in names}))
+
+
+def test_checker_flags_stack_fit_reads():
+    source = ("from . import fitting\nfrom .fitting import fit_affine_l2_constrained_stack as c\n"
+              "fitting.fit_affine_l2_stack = None\n"
+              "def f(x):\n    return fitting.fit_rows(x, x, x, 2), fitting.fit_affine_l2_stack(x)\n")
+    assert stack_fit_reads(source) == ["fit_affine_l2_constrained_stack", "fit_affine_l2_stack"]
+    assert stack_fit_reads("from . import fitting\nfitting.fit_affine_l2_stack = None\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "fitting.py"], ids=lambda p: p.name)
+def test_stacked_fits_go_through_fit_rows(path):
+    # only fitting.fit_rows reads the stacked L2 fits, so p is chosen in one place
+    assert stack_fit_reads(path.read_text()) == []
 
 
 READERS = {"get", "section", "number", "numbers", "string"}
