@@ -12,10 +12,12 @@ translation-equivariant). The fit with |a| <= L is a trust-region problem:
 exact multiplier by bisection on the ridge path, intercept re-optimized, on
 a stack of sets whose steep rows bisect in lockstep; the one-set fit is a
 stack of one. Discrete minimax starts from the L2 map ``base`` (the
-caller's, if it has one): a three-point exchange in one dimension, else IRLS
-exponent escalation and an active-set LP polish. A rank-deficient design
-falls back to the minimum-norm least-squares map in one place,
-``affine_fit``.
+caller's, if it has one): in one dimension a three-point exchange, which
+runs on a stack of lines in lockstep (``fit_rows`` sends all its 1-D lines
+through it at once; the one-line fit is a stack of one), else, or where the
+exchange does not settle, IRLS exponent escalation and an active-set LP
+polish. A rank-deficient design falls back to the minimum-norm
+least-squares map in one place, ``affine_fit``.
 """
 
 from __future__ import annotations
@@ -213,46 +215,75 @@ def fit_affine_lp(x, y, w, p: float) -> AffineMap:
 # ---------------------------------------------------------------------------
 
 
-def _exchange_1d(x: np.ndarray, y: np.ndarray):
-    """Exact minimax line through 1-D data by three-point exchange."""
-    order = np.argsort(x, kind="stable")
-    x, y = x[order], y[order]
-    if x[-1] - x[0] < 1e-14 * max(1.0, abs(x[-1])):
-        raise RankDeficient("all abscissas coincide")
-    # seed: endpoints plus worst point of the chord
-    a0 = (y[-1] - y[0]) / (x[-1] - x[0])
-    b0 = y[0] - a0 * x[0]
-    r = y - (a0 * x + b0)
-    refs = sorted({0, int(np.argmax(np.abs(r))), x.size - 1})
-    while len(refs) < 3:
-        extra = [i for i in range(x.size) if i not in refs]
-        refs = sorted(refs + [extra[len(extra) // 2]])
+def _solve_rows(M: np.ndarray, rhs: np.ndarray):
+    """np.linalg.solve of each system M (K, 3, 3), rhs (K, 3): (solved, sol);
+    when the stacked solve finds a singular matrix, the rows are solved one
+    at a time and the singular ones are not solved."""
+    try:
+        return np.ones(len(M), dtype=bool), np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        solved, sol = np.ones(len(M), dtype=bool), np.zeros(rhs.shape)
+        for i in range(len(M)):
+            try:
+                sol[i] = np.linalg.solve(M[i], rhs[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return solved, sol
+
+
+def _exchange_rows(x: np.ndarray, y: np.ndarray):
+    """Exact minimax line through each row of 1-D data x, y (K, N) by
+    three-point exchange, the rows in lockstep.
+
+    Returns (done, a (K,), b (K,)). A row is not done where its abscissas
+    coincide, a reference set is singular or it has not settled in 100
+    rounds. Each round computes only on the rows still active, so a row
+    has the bits, and the floating-point errors, of its one-row exchange.
+    """
+    K, N = x.shape
+    done, a, b = np.zeros(K, dtype=bool), np.zeros(K), np.zeros(K)
+    if N < 3:
+        return done, a, b
+    order = np.argsort(x, axis=1, kind="stable")
+    x, y = np.take_along_axis(x, order, 1), np.take_along_axis(y, order, 1)
+    act = np.flatnonzero(~(x[:, -1] - x[:, 0] < 1e-14 * np.maximum(1.0, np.abs(x[:, -1]))))
+    x, y = x[act], y[act]
+    # seed: endpoints plus the worst point of the chord, or the middle point
+    # when that is an endpoint
+    a0 = (y[:, -1] - y[:, 0]) / (x[:, -1] - x[:, 0])
+    b0 = y[:, 0] - a0 * x[:, 0]
+    j = np.argmax(np.abs(y - (a0[:, None] * x + b0[:, None])), axis=1)
+    refs = np.empty((act.size, 3), dtype=np.intp)
+    refs[:, 0], refs[:, 2] = 0, N - 1
+    refs[:, 1] = np.where((j == 0) | (j == N - 1), 1 + (N - 2) // 2, j)
     for _ in range(100):
-        i0, i1, i2 = refs
-        M = np.array([[x[i0], 1.0, 1.0], [x[i1], 1.0, -1.0], [x[i2], 1.0, 1.0]])
-        try:
-            a, b, h = np.linalg.solve(M, np.array([y[i0], y[i1], y[i2]]))
-        except np.linalg.LinAlgError:
-            raise RankDeficient("degenerate reference set in exchange")
-        r = y - (a * x + b)
-        j = int(np.argmax(np.abs(r)))
-        if abs(r[j]) <= abs(h) * (1.0 + 1e-12) + 1e-15 * max(1.0, abs(h)):
-            return a, b, float(abs(r[j]))
-        sj = math.copysign(1.0, r[j]) if r[j] != 0 else 1.0
-        signs = [math.copysign(1.0, r[i]) if r[i] != 0 else s0
-                 for i, s0 in zip(refs, (1.0, -1.0, 1.0))]
-        if j < refs[0]:
-            refs = [j, refs[1], refs[2]] if sj == signs[0] else [j, refs[0], refs[1]]
-        elif j > refs[2]:
-            refs = [refs[0], refs[1], j] if sj == signs[2] else [refs[1], refs[2], j]
-        else:
-            k = 0 if j < refs[1] else 1
-            if sj == signs[k]:
-                refs[k] = j
-            else:
-                refs[k + 1] = j
-        refs = sorted(refs)
-    raise NonConvergence("1-D exchange did not settle")
+        if not act.size:
+            break
+        M = np.empty((act.size, 3, 3))
+        M[:, :, 0], M[:, :, 1], M[:, :, 2] = np.take_along_axis(x, refs, 1), 1.0, (1.0, -1.0, 1.0)
+        solved, sol = _solve_rows(M, np.take_along_axis(y, refs, 1))
+        act, x, y, refs, sol = (v[solved] for v in (act, x, y, refs, sol))
+        r = y - (sol[:, :1] * x + sol[:, 1:2])
+        j = np.argmax(np.abs(r), axis=1)
+        rj = r[np.arange(act.size), j]
+        h = np.abs(sol[:, 2])
+        settled = np.abs(rj) <= h * (1.0 + 1e-12) + 1e-15 * np.maximum(1.0, h)
+        fin = act[settled]
+        done[fin], a[fin], b[fin] = True, sol[settled, 0], sol[settled, 1]
+        act, x, y, refs, r, j, rj = (v[~settled] for v in (act, x, y, refs, r, j, rj))
+        # j replaces the reference point next to it whose residual has its
+        # sign; outside the set, if the nearer end has the other sign, j
+        # replaces the far end, so the signs keep alternating
+        sj = np.copysign(1.0, rj)  # rj is not 0 on a row that has not settled
+        rr = np.take_along_axis(r, refs, 1)
+        signs = np.where(rr != 0, np.copysign(1.0, rr), (1.0, -1.0, 1.0))
+        left, right = j < refs[:, 0], j > refs[:, 2]
+        c = np.where(left, 0, np.where(right, 2, (j >= refs[:, 1]).astype(np.intp)))
+        same = sj == signs[np.arange(act.size), c]
+        pos = np.where(same, c, np.where(left, 2, np.where(right, 0, c + 1)))
+        refs[np.arange(act.size), pos] = j
+        refs.sort(axis=1)
+    return done, a, b
 
 
 def _grad_constraint_rows(d: int, L: float):
@@ -308,11 +339,10 @@ def fit_affine_minimax(x, y, w, L: float | None = None,
         return base
 
     if d == 1 and L is None:
-        try:
-            a, b, _ = _exchange_1d(x[:, 0].copy(), y.copy())
-            return AffineMap((a,), b)
-        except (NonConvergence, RankDeficient):
-            pass  # duplicated abscissas or cycling: fall through to the LP path
+        done, a, b = _exchange_rows(x[None, :, 0], y[None])
+        if done[0]:
+            return AffineMap((a[0],), b[0])
+        # duplicated abscissas or cycling: fall through to the LP path
 
     # IRLS with exponent escalation; r is the residual of the last iterate
     best_map, best_val, best_r = base, float(r.max()), r
@@ -380,12 +410,27 @@ def fit_rows(x, y, w, p: float, L: float | None = None):
     Returns (a (K, d), b (K,), sums (K,)): sums is w @ (r * r) at p = 2,
     w @ |r| ** p at another finite p and max |r| at p = inf. One stacked L2
     fit, bounded by L only at p = 2, is p = 2's answer and the base of each
-    ok row's minimax fit at p = inf; every other row goes through affine_fit.
+    ok row's minimax fit at p = inf. At p = inf with d = 1 and no L, the ok
+    rows take the exact-fit exit and one lockstep exchange as stacks, and
+    only rows the exchange does not settle go on to fit_affine_minimax;
+    every other row goes through affine_fit.
     """
     x, y, w = _arrays(x, y, w)
     ok, a, b = (fit_affine_l2_constrained_stack(x, y, w, L) if p == 2 and L is not None
                 else fit_affine_l2_stack(x, y, w))
-    for k in np.flatnonzero(~ok) if p == 2 else range(len(x)):
+    scalar = ~ok if p == 2 else np.ones(len(x), dtype=bool)
+    if math.isinf(p) and L is None and x.shape[2] == 1:
+        # fit_affine_minimax's exact-fit exit and 1-D exchange on the ok rows
+        # as stacks; a row the exchange does not settle takes the scalar path
+        rows = np.flatnonzero(ok)
+        r = np.abs(y[rows] - ((x[rows] @ a[rows, :, None])[:, :, 0] + b[rows, None]))
+        scale = np.maximum(np.max(np.abs(y[rows]), axis=1), 1.0)
+        rows = rows[~(r.max(axis=1) <= 1e-13 * scale)]
+        done, a1, b1 = _exchange_rows(x[rows, :, 0], y[rows])
+        a[rows[done], 0], b[rows[done]] = a1[done], b1[done]
+        scalar = ~ok
+        scalar[rows[~done]] = True
+    for k in np.flatnonzero(scalar):
         amap = (fit_affine_minimax(x[k], y[k], w[k], L, base=AffineMap(tuple(a[k]), b[k]))
                 if ok[k] and math.isinf(p) else affine_fit(x[k], y[k], w[k], p, L))
         a[k], b[k] = amap.a, amap.intercept

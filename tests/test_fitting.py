@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -296,6 +296,15 @@ def random_sets(seed, d, K, N):
     return x, y, w
 
 
+# Sample sizes are drawn from lists: under the derandomized profile an integer
+# range gives its lower end in about half the examples, where fits are exact
+# or rank deficient at every d. The derandomized draws favour some list
+# positions over others, so small and large sizes alternate in the list.
+def sizes(lo, hi):
+    """Sample sizes from lo to hi: both ends and a few between."""
+    return st.sampled_from([n for n in (12, 4, 30, 2, 20, 7, 40, 3) if lo <= n <= hi])
+
+
 def parent_constrained(x, y, w, L):
     """The two-pass constrained fit as it was written before the shared moments kernel."""
     W = float(w.sum())
@@ -352,7 +361,7 @@ def parent_constrained(x, y, w, L):
 
 class TestOneMomentsKernel:
     @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), K=st.integers(2, 6),
-           N=st.integers(2, 30))
+           N=sizes(2, 30))
     def test_stack_rows_equal_scalar_fits(self, seed, d, K, N):
         x, y, w = random_sets(seed, d, K, N)
         ok, a, b = fitting.fit_affine_l2_stack(x, y, w)
@@ -367,7 +376,7 @@ class TestOneMomentsKernel:
             assert ok[k]
             assert amap.gradient == tuple(a[k]) and amap.intercept == b[k]
 
-    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=st.integers(2, 30),
+    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=sizes(2, 30),
            factor=st.sampled_from([0.3, 2.0]))
     def test_constrained_equals_two_pass_reference(self, seed, d, N, factor):
         x, y, w = random_sets(seed, d, 1, N)
@@ -401,7 +410,7 @@ class TestConstrainedStack:
 
     @settings(max_examples=100)
     @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), K=st.integers(2, 8),
-           N=st.integers(2, 30), factor=st.sampled_from([1e-20, 0.3, 1.0, 3.0]))
+           N=sizes(2, 30), factor=st.sampled_from([1e-20, 0.3, 1.0, 3.0]))
     def test_rows_equal_reference_and_one_row_fits(self, seed, d, K, N, factor):
         x, y, w = random_sets(seed, d, K, N)
         # one row on a coarse lattice: repeated abscissas, often rank deficient
@@ -463,6 +472,23 @@ class TestFitRows:
             else:
                 assert sums[k] == (w[k] @ (r * r) if p == 2 else w[k] @ np.abs(r) ** p), k
 
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 31 - 1), K=st.integers(1, 6), N=sizes(2, 40))
+    def test_near_affine_lines_equal_affine_fit(self, seed, K, N):
+        # 1-D rows whose L2 residual lies on either side of the exact-fit
+        # exit at 1e-13 * max(max |y|, 1), with values below and above 1
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, (K, N, 1))
+        noise = 10.0 ** rng.uniform(-16.0, -10.0, (K, 1)) * rng.normal(size=(K, N))
+        y = rng.normal(size=(K, 1)) * x[:, :, 0] + rng.normal(size=(K, 1)) + noise
+        y *= 10.0 ** rng.uniform(-3.0, 3.0, (K, 1))
+        w = rng.uniform(0.01, 2.0, (K, N))
+        a, b, sups = fitting.fit_rows(x, y, w, math.inf)
+        for k in range(K):
+            amap = fitting.affine_fit(x[k], y[k], w[k], math.inf)
+            assert tuple(a[k]) == amap.gradient and b[k] == amap.intercept, k
+            assert sups[k] == np.max(np.abs(y[k] - amap(x[k]))), k
+
 
 def strided(v):
     """v as a non-contiguous view: every other column of a wider 2-D array."""
@@ -496,7 +522,7 @@ LAYOUT_FITS = [(fit_affine_l2, {}), (fit_affine_l2_constrained, {"L": 0.5}),
 class TestArrayLayout:
     @pytest.mark.parametrize("fit, kwargs", LAYOUT_FITS,
                              ids=["l2", "l2-L", "lp1", "lp3", "minimax", "minimax-L"])
-    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=st.integers(2, 40))
+    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=sizes(2, 40))
     def test_strided_columns_fit_like_contiguous_copies(self, fit, kwargs, seed, d, N):
         x, y, w = (v[0].copy() for v in random_sets(seed, d, 1, N))
         views = [strided(v) for v in (x, y, w)]
@@ -533,6 +559,49 @@ def parent_lp(x, y, w, p):
     return best_map
 
 
+# The one-line exchange loop that fitting._exchange_rows replaced, frozen as it was.
+def parent_exchange_1d(x: np.ndarray, y: np.ndarray):
+    """Exact minimax line through 1-D data by three-point exchange."""
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[order]
+    if x[-1] - x[0] < 1e-14 * max(1.0, abs(x[-1])):
+        raise RankDeficient("all abscissas coincide")
+    # seed: endpoints plus worst point of the chord
+    a0 = (y[-1] - y[0]) / (x[-1] - x[0])
+    b0 = y[0] - a0 * x[0]
+    r = y - (a0 * x + b0)
+    refs = sorted({0, int(np.argmax(np.abs(r))), x.size - 1})
+    while len(refs) < 3:
+        extra = [i for i in range(x.size) if i not in refs]
+        refs = sorted(refs + [extra[len(extra) // 2]])
+    for _ in range(100):
+        i0, i1, i2 = refs
+        M = np.array([[x[i0], 1.0, 1.0], [x[i1], 1.0, -1.0], [x[i2], 1.0, 1.0]])
+        try:
+            a, b, h = np.linalg.solve(M, np.array([y[i0], y[i1], y[i2]]))
+        except np.linalg.LinAlgError:
+            raise RankDeficient("degenerate reference set in exchange")
+        r = y - (a * x + b)
+        j = int(np.argmax(np.abs(r)))
+        if abs(r[j]) <= abs(h) * (1.0 + 1e-12) + 1e-15 * max(1.0, abs(h)):
+            return a, b, float(abs(r[j]))
+        sj = math.copysign(1.0, r[j]) if r[j] != 0 else 1.0
+        signs = [math.copysign(1.0, r[i]) if r[i] != 0 else s0
+                 for i, s0 in zip(refs, (1.0, -1.0, 1.0))]
+        if j < refs[0]:
+            refs = [j, refs[1], refs[2]] if sj == signs[0] else [j, refs[0], refs[1]]
+        elif j > refs[2]:
+            refs = [refs[0], refs[1], j] if sj == signs[2] else [refs[1], refs[2], j]
+        else:
+            k = 0 if j < refs[1] else 1
+            if sj == signs[k]:
+                refs[k] = j
+            else:
+                refs[k + 1] = j
+        refs = sorted(refs)
+    raise NonConvergence("1-D exchange did not settle")
+
+
 def parent_minimax(x, y, w, L=None):
     """fit_affine_minimax as written when it computed each iterate's residual twice."""
     base = fit_affine_l2(x, y, w)
@@ -543,7 +612,7 @@ def parent_minimax(x, y, w, L=None):
         return base
     if d == 1 and L is None:
         try:
-            a, b, _ = fitting._exchange_1d(x[:, 0].copy(), y.copy())
+            a, b, _ = parent_exchange_1d(x[:, 0].copy(), y.copy())
             return AffineMap((a,), b)
         except (NonConvergence, RankDeficient):
             pass
@@ -582,13 +651,13 @@ def parent_minimax(x, y, w, L=None):
 
 
 class TestOneResidualPerIterate:
-    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=st.integers(3, 40),
+    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=sizes(3, 40),
            p=st.sampled_from([1.0, 1.5, 3.0, 6.0]))
     def test_lp_equals_two_residual_reference(self, seed, d, N, p):
         s = gridded_set(seed, d, N)
         assert outcome(fit_affine_lp, *s, p) == outcome(parent_lp, *s, p)
 
-    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=st.integers(3, 40),
+    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=sizes(3, 40),
            L=st.sampled_from([None, 0.5]))
     def test_minimax_equals_two_residual_reference(self, seed, d, N, L):
         s = gridded_set(seed, d, N)
@@ -598,3 +667,95 @@ class TestOneResidualPerIterate:
         x, y, w = gridded_set(3, 2, 30)
         base = fit_affine_l2(x, y, w)
         assert fit_affine_minimax(x, y, w, base=base) == fit_affine_minimax(x, y, w)
+
+
+def exchange_rows(seed, K, N):
+    """K rows of 1-D data x, y (K, N), each of one kind: random or oscillating
+    values (several exchange rounds), constant or affine values (the chord's
+    worst point is an endpoint), abscissas on a coarse lattice (repeats and
+    singular reference sets), all equal, or within 1e-14 of each other near
+    0 (coincident by the test's floor of 1)."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (K, N)) * rng.uniform(0.01, 100.0, (K, 1))
+    x += rng.uniform(-50.0, 50.0, (K, 1))
+    y = rng.normal(size=(K, N))
+    for k in range(K):
+        kind = rng.integers(7)
+        if kind == 1:
+            t = (x[k] - x[k].min()) / (x[k].max() - x[k].min())
+            y[k] = np.cos(rng.uniform(3.0, 40.0) * t) + 0.01 * y[k]
+        elif kind == 2:
+            y[k] = y[k, 0]
+        elif kind == 3:
+            y[k] = rng.normal() * x[k] + rng.normal()
+        elif kind == 4:
+            m = rng.integers(1, 4)
+            x[k] = np.round(rng.uniform(0.0, 1.0, N) * m) / m
+        elif kind == 5:
+            x[k] = x[k, 0]
+        elif kind == 6:
+            x[k] = rng.uniform(-0.01, 0.01) + rng.uniform(0.0, 5e-15, N)
+    return x, y
+
+
+def exchange_outcome(x, y):
+    """(a, b) of parent_exchange_1d on one row, or None where it gives up."""
+    try:
+        a, b, _ = parent_exchange_1d(x.copy(), y.copy())
+    except (NonConvergence, RankDeficient):
+        return None
+    return a, b
+
+
+class TestExchangeRows:
+    """fitting._exchange_rows: the 1-D exchange on a stack of rows in lockstep."""
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2 ** 31 - 1), K=st.integers(1, 16), N=sizes(3, 40))
+    # rows whose exchange drops the first reference point for a new last one
+    # on the way to a different set: the random draws rarely reach such a row
+    @example(seed=2854, K=2, N=30)
+    @example(seed=2897, K=1, N=40)
+    def test_rows_equal_frozen_one_line_exchange(self, seed, K, N):
+        x, y = exchange_rows(seed, K, N)
+        with np.errstate(all="raise"):
+            done, a, b = fitting._exchange_rows(x, y)
+            expect = [exchange_outcome(x[k], y[k]) for k in range(K)]
+        for k, ref in enumerate(expect):
+            if ref is None:
+                assert not done[k], k
+            else:
+                assert done[k] and a[k] == ref[0] and b[k] == ref[1], k
+
+    def test_two_points_are_not_done(self):
+        # the one-line loop had no third reference point to add here
+        done, _, _ = fitting._exchange_rows(np.array([[0.0, 1.0]]), np.array([[0.0, 2.0]]))
+        assert not done.any()
+
+    @given(seed=st.integers(0, 2 ** 31 - 1), N=sizes(3, 40))
+    def test_sup_residual_matches_lp_oracle(self, seed, N):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-1.0, 1.0, (4, N))
+        y = np.vstack([rng.normal(size=(2, N)), np.cos(rng.uniform(3.0, 40.0, (2, 1)) * x[2:])])
+        done, a, b = fitting._exchange_rows(x, y)
+        assert done.all()
+        for k in range(len(x)):
+            _, _, h = lp_minimax_oracle(x[k][:, None], y[k])
+            sup = float(np.max(np.abs(y[k] - (a[k] * x[k] + b[k]))))
+            assert sup == pytest.approx(h, rel=1e-8, abs=1e-12)
+
+    def test_settled_stack_makes_no_scalar_minimax_fit(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, (16, 17, 1))
+        y = np.abs(x[:, :, 0] - 0.2) + 0.1 * rng.normal(size=(16, 17))
+        assert fitting._exchange_rows(x[:, :, 0], y)[0].all()
+        calls = []
+        fit = fitting.fit_affine_minimax
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "fit_affine_minimax", spy)
+        fitting.fit_rows(x, y, np.ones(y.shape), math.inf)
+        assert calls == []
