@@ -31,7 +31,7 @@ from . import fitting
 from .errors import DegenerateBox, EmptyIntersection
 from .funcmodel import FunctionField, lipschitz_estimate
 from .geometry import (AffineMap, Box, DyadicBox, Hyperplane, LineSeg,
-                       clip_line_to_box, dyadic_levels, sample_hyperplanes,
+                       clip_line_to_box, clip_lines, dyadic_levels, sample_hyperplanes,
                        sample_lines, support_interval)
 from .rng import stream
 
@@ -196,23 +196,24 @@ def restricted_line_betas(fld: FunctionField, box: Box, bases, directions, ps,
 
     Returns (kept, values): ``kept`` masks the lines that meet the box and
     ``values[p]`` holds their coefficients in order, for each p in ``ps``.
-    Each line is clipped once; each block of ROW_BLOCK clipped lines is
-    one field call and, in each p, one ``fitting.fit_rows`` stack, through
+    The lines are clipped as one stack; each block of ROW_BLOCK clipped lines
+    is one field call and, in each p, one ``fitting.fit_rows`` stack, through
     which every stacked fit goes. Every value equals the scalar one exactly.
     """
-    clips = [clip_line_to_box(b, d, box) for b, d in zip(bases, directions)]
-    kept = np.asarray([c is not None for c in clips], dtype=bool)
-    ends = [c for c in clips if c is not None]
-    bases, directions = np.asarray(bases)[kept], np.asarray(directions)[kept]
-    blocks = [_line_block_betas(fld, box, bases[rows], directions[rows], ends[rows], ps, quad)
-              for rows in (slice(i, i + ROW_BLOCK) for i in range(0, len(ends), ROW_BLOCK))]
+    # an empty family may come as an empty list
+    bases = np.asarray(bases, dtype=float).reshape(-1, box.dim)
+    directions = np.asarray(directions, dtype=float).reshape(-1, box.dim)
+    kept, s0, s1 = clip_lines(bases, directions, box)
+    bases, directions, s0, s1 = bases[kept], directions[kept], s0[kept], s1[kept]
+    blocks = [_line_block_betas(fld, box, bases[rows], directions[rows], s0[rows], s1[rows],
+                                ps, quad)
+              for rows in (slice(i, i + ROW_BLOCK) for i in range(0, len(s0), ROW_BLOCK))]
     return kept, {p: np.concatenate([blk[p] for blk in blocks] or [np.zeros(0)]) for p in ps}
 
 
-def _line_block_betas(fld, box, bases, directions, ends, ps, quad):
-    """restricted_line_betas of lines that meet the box, clipped to (s0, s1) = ends."""
+def _line_block_betas(fld, box, bases, directions, s0, s1, ps, quad):
+    """restricted_line_betas of lines that meet the box, clipped to [s0, s1]."""
     nodes = quad.restricted_nodes
-    s0, s1 = np.asarray(ends).T
     h = (s1 - s0) / nodes
     s = midpoint_nodes(s0, s1 - s0, nodes)
     pts = s[:, :, None] * directions[:, None, :]

@@ -273,14 +273,27 @@ class Hyperplane:
 
 def orthonormal_complement(e: np.ndarray) -> np.ndarray:
     """Columns form an orthonormal basis of e^perp (deterministic)."""
-    e = np.asarray(e, dtype=float)
-    n = e.size
-    # Householder reflection mapping e to +/- e_1; remaining columns span e^perp.
-    v = e.copy()
-    v[0] += math.copysign(1.0, e[0] if e[0] != 0 else 1.0)
-    v /= np.linalg.norm(v)
-    H = np.eye(n) - 2.0 * np.outer(v, v)
-    return H[:, 1:]
+    return _householder_frames(np.asarray(e, dtype=float)[None])[0]
+
+
+def _householder_frames(E: np.ndarray) -> np.ndarray:
+    """(K, n, n-1): the orthonormal_complement of each row of E (K, n).
+
+    The Householder reflection mapping e to +/- e_1; its remaining columns
+    span e^perp.
+    """
+    V = E.copy()
+    V[:, 0] += np.where(E[:, 0] != 0, np.copysign(1.0, E[:, 0]), 1.0)
+    V /= np.sqrt(_row_dots(V, V))[:, None]
+    H = np.eye(E.shape[1]) - 2.0 * (V[:, :, None] * V[:, None, :])
+    return H[:, :, 1:]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for each row of a and b (K, n), bit for bit: a (1, n) @ (n, 1)
+    matmul takes the dot product that a 1-D ``@`` and np.linalg.norm take
+    (einsum or sum(a * b) round differently)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -452,6 +465,32 @@ def clip_line_to_box(base: np.ndarray, direction: np.ndarray, box: Box):
     return s_lo, s_hi
 
 
+def clip_lines(bases, directions, box: Box):
+    """clip_line_to_box of each line base + s * direction given as rows of
+    ``bases`` (K, n) and ``directions`` (K, n) or one direction (n,):
+    (ok, s0, s1), where ``ok`` masks the lines that meet the box and
+    (s0, s1) is the clip of each of them.
+
+    The values equal the scalar clip's bit for bit, signed zeros included:
+    the same swap, and axis by axis the same tie rules as its ``max`` and
+    ``min``. Components with |d| < 1e-14 are masked before the division, so
+    under ``np.errstate(all="raise")`` no axis-parallel line raises.
+    """
+    bases, directions = np.asarray(bases, dtype=float), np.asarray(directions, dtype=float)
+    lo, hi = box.lo_arr, box.hi
+    flat = np.abs(directions) < 1e-14
+    d = np.where(flat, 1.0, directions)
+    a0, a1 = (lo - bases) / d, (hi - bases) / d
+    # the swap orders each pair; where a0 == a1 both have the same bits
+    a0, a1 = np.minimum(a0, a1), np.maximum(a0, a1)
+    a0, a1 = np.where(flat, -math.inf, a0), np.where(flat, math.inf, a1)
+    # the first extreme along the axes, as max(s0, a0) and min(s1, a1) keep
+    rows = np.arange(len(a0))
+    s0, s1 = a0[rows, a0.argmax(axis=1)], a1[rows, a1.argmin(axis=1)]
+    outside = flat & ((bases < lo) | (bases > hi))
+    return ~outside.any(axis=1) & (s0 < s1), s0, s1
+
+
 def clip_line_to_ball(base: np.ndarray, direction: np.ndarray, ball: Ball):
     d = np.asarray(direction, dtype=float)
     rel = np.asarray(base, dtype=float) - np.asarray(ball.center)
@@ -471,18 +510,22 @@ def clip_line_to_ball(base: np.ndarray, direction: np.ndarray, ball: Ball):
 
 def support_interval(region, e: np.ndarray):
     """Range of x . e over the region (offsets of hyperplanes meeting it)."""
+    t0, t1 = _support_intervals(region, np.asarray(e, dtype=float)[None])
+    return float(t0[0]), float(t1[0])
+
+
+def _support_intervals(region, E: np.ndarray):
+    """(t0, t1): the support_interval of the region for each row of E (K, n)."""
     if isinstance(region, Ball):
-        c = np.asarray(region.center) @ e
+        c = _row_dots(E, np.broadcast_to(region.center, E.shape))
         return c - region.radius, c + region.radius
     lo, hi = region.lo_arr, region.hi
-    t0 = float(np.sum(np.minimum(e * lo, e * hi)))
-    t1 = float(np.sum(np.maximum(e * lo, e * hi)))
-    return t0, t1
+    return np.sum(np.minimum(E * lo, E * hi), axis=1), np.sum(np.maximum(E * lo, E * hi), axis=1)
 
 
 def shadow_area(box: Box, e: np.ndarray) -> float:
     """(n-1)-volume of the orthogonal projection of the box onto e^perp."""
-    return _box_shadow(_face_areas(box), e)
+    return float(_box_shadow(_face_areas(box), e))
 
 
 def _face_areas(box: Box) -> list:
@@ -491,11 +534,13 @@ def _face_areas(box: Box) -> list:
     return [np.prod(np.delete(sides, i)) for i in range(box.dim)]
 
 
-def _box_shadow(faces: list, e: np.ndarray) -> float:
+def _box_shadow(faces: list, e: np.ndarray):
+    """shadow_area of the box with these faces on e^perp, for one unit vector
+    e or for each row of a stack; summed axis by axis."""
     total = 0.0
-    for ei, face in zip(e, faces):
-        total += abs(ei) * face
-    return float(total)
+    for ei, face in zip(np.asarray(e).T, faces):
+        total = total + np.abs(ei) * face
+    return total
 
 
 def meets_region(base: np.ndarray, direction: np.ndarray, region) -> bool:
@@ -504,14 +549,18 @@ def meets_region(base: np.ndarray, direction: np.ndarray, region) -> bool:
     return clip_line_to_box(base, direction, region) is not None
 
 
-def plane_meets_region(plane: Hyperplane, region) -> bool:
-    t0, t1 = support_interval(region, plane.e)
-    return t0 <= plane.offset <= t1
+def _lines_meet(bases: np.ndarray, directions: np.ndarray, region) -> np.ndarray:
+    """meets_region of each line given as rows of bases and directions (K, n)."""
+    if isinstance(region, Ball):
+        rel = bases - np.asarray(region.center)
+        b = _row_dots(rel, directions)
+        return ~(b * b - (_row_dots(rel, rel) - region.radius ** 2) <= 0)
+    return clip_lines(bases, directions, region)[0]
 
 
-def _unit_vectors(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    g = rng.standard_normal((count, n))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+def _unit_rows(G: np.ndarray) -> np.ndarray:
+    """Each row of G divided by its length, the norm taken along axis 1."""
+    return G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
 def sample_hyperplanes(region, count: int, seed: int):
@@ -523,16 +572,13 @@ def sample_hyperplanes(region, count: int, seed: int):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = region.dim
     rng = stream(seed, "hyperplanes")
-    E = _unit_vectors(rng, count, n)
-    out = []
-    for e in E:
-        t0, t1 = support_interval(region, e)
-        t = rng.uniform(t0, t1)
-        # c_{n-1} = 1 / (2 sigma(S^{n-1})); weight = c * sigma * slab width
-        out.append((Hyperplane(tuple(e), t), 0.5 * (t1 - t0)))
-    return out
+    E = _unit_rows(rng.standard_normal((count, region.dim)))
+    T0, T1 = _support_intervals(region, E)
+    offsets = rng.uniform(T0, T1).tolist()
+    # c_{n-1} = 1 / (2 sigma(S^{n-1})); weight = c * sigma * slab width
+    weights = (0.5 * (T1 - T0)).tolist()
+    return [(Hyperplane(tuple(e), t), w) for e, t, w in zip(E, offsets, weights)]
 
 
 def shadow_rect(corners: np.ndarray, e: np.ndarray):
@@ -543,6 +589,17 @@ def shadow_rect(corners: np.ndarray, e: np.ndarray):
     return B, frame.min(axis=0), frame.max(axis=0)
 
 
+def _draw_lines(rng: np.random.Generator, count: int, n: int):
+    """The draws of ``count`` lines in stream order, each line's normal
+    vector (count, n) and then the n - 1 uniforms of its first base point."""
+    G, U = np.empty((count, n)), np.empty((count, n - 1))
+    normal, uniform = rng.standard_normal, rng.random
+    for g, u in zip(G, U):
+        normal(out=g)
+        uniform(out=u)
+    return G, U
+
+
 def sample_lines(box: Box, count: int, seed: int) -> np.ndarray:
     """Weighted line samples for Monte Carlo integration over A_1(box).
 
@@ -550,40 +607,81 @@ def sample_lines(box: Box, count: int, seed: int) -> np.ndarray:
     from its bounding rectangle); the weight is the exact shadow area
     divided by the unit-ball normalizer. Returns ``count`` rows of fields
     ``base``, ``direction`` and ``weight``. A direction is the drawn unit
-    vector normalized again, one line at a time, as ``LineSeg`` does: that
-    second rounding is part of the sampled bits.
+    vector normalized again, as ``LineSeg`` does: that second rounding is
+    part of the sampled bits.
+
+    Only the draws are made line by line. The geometry of a window of lines
+    is done as one stack, as if each line's first base point met the box.
+    When line j of the window misses, the stream is put back to the start
+    of the window and its draws are replayed up to line j's first try;
+    line j's rejection loop then runs alone, and the next window starts
+    after it. Each window is twice as wide as the lines the last one kept.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     n = box.dim
     rng = stream(seed, "lines")
     norm = ball_volume(n - 1)
-    # invariants of the box, hoisted out of the per-line loop
+    # invariants of the box, hoisted out of the window loop
     corners, faces = box.corners(), _face_areas(box)
     out = np.empty(count, dtype=[("base", float, (n,)), ("direction", float, (n,)), ("weight", float)])
-    for row in out:
-        e = _unit_vectors(rng, 1, n)[0]
-        B, lo, hi = shadow_rect(corners, e)
-        for _ in range(MAX_LINE_REJECTIONS):
-            base = B @ rng.uniform(lo, hi)
-            if clip_line_to_box(base, e, box) is not None:
-                break
-        else:
-            raise DegenerateBox(f"{MAX_LINE_REJECTIONS} draws in a row missed the box {box}")
-        row["base"], row["direction"] = base, e / np.linalg.norm(e)
-        row["weight"] = _box_shadow(faces, e) / norm
+    E = np.empty((count, n))
+    start, width = 0, 2
+    while start < count:
+        state = rng.bit_generator.state
+        G, U = _draw_lines(rng, min(width, count - start), n)
+        W = _unit_rows(G)
+        B = _householder_frames(W)
+        frame = corners @ B
+        lo, hi = frame.min(axis=1), frame.max(axis=1)
+        bases = (B @ (lo + (hi - lo) * U)[:, :, None])[:, :, 0]
+        ok = clip_lines(bases, W, box)[0]
+        j = ok.argmin()
+        kept = len(W) if ok[j] else j + 1
+        if not ok[j]:
+            rng.bit_generator.state = state
+            _draw_lines(rng, kept, n)
+            bases[j] = _retry_base(rng, box, B[j], lo[j], hi[j], W[j])
+        out["base"][start:start + kept], E[start:start + kept] = bases[:kept], W[:kept]
+        start += kept
+        width = 2 * kept
+    out["direction"] = E / np.sqrt(_row_dots(E, E))[:, None]
+    out["weight"] = _box_shadow(faces, E) / norm
     return out
+
+
+def _retry_base(rng, box: Box, B: np.ndarray, lo: np.ndarray, hi: np.ndarray, e: np.ndarray):
+    """The base point B @ t, t uniform on [lo, hi], of the line along e whose
+    first try missed the box: the rest of its rejection loop. The tries are
+    drawn in blocks of doubling size; after the first that meets the box the
+    stream is put back just past that try's draws."""
+    tried, block = 1, 1
+    while tried < MAX_LINE_REJECTIONS:
+        block = min(2 * block, MAX_LINE_REJECTIONS - tried)
+        state = rng.bit_generator.state
+        bases = (B @ (lo + (hi - lo) * rng.random((block, e.size - 1)))[:, :, None])[:, :, 0]
+        ok = clip_lines(bases, e, box)[0]
+        i = ok.argmax()
+        if ok[i]:
+            rng.bit_generator.state = state
+            rng.random((i + 1, e.size - 1))
+            return bases[i]
+        tried += block
+    raise DegenerateBox(f"{MAX_LINE_REJECTIONS} draws in a row missed the box {box}")
 
 
 def estimate_plane_measure(sample_region, target_region, count: int, seed: int):
     """MC estimate (mean, stderr) of the hyperplane measure of A_{n-1}(target)."""
     samples = sample_hyperplanes(sample_region, count, seed)
-    vals = np.asarray([w if plane_meets_region(p, target_region) else 0.0 for p, w in samples])
+    t = np.asarray([plane.offset for plane, _ in samples])
+    t0, t1 = _support_intervals(target_region, np.asarray([plane.normal for plane, _ in samples]))
+    vals = np.where((t0 <= t) & (t <= t1), [w for _, w in samples], 0.0)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count))
 
 
 def estimate_line_measure(sample_region, target_region, count: int, seed: int):
     """MC estimate (mean, stderr) of the line measure of A_1(target)."""
     lines = sample_lines(sample_region, count, seed)
-    vals = np.asarray([w if meets_region(b, d, target_region) else 0.0 for b, d, w in lines])
+    meets = _lines_meet(lines["base"], lines["direction"], target_region)
+    vals = np.where(meets, lines["weight"], 0.0)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count))

@@ -4,18 +4,19 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multibeta import geometry
-from multibeta.errors import DegenerateSimplex, ParallelOrDegenerate
+from multibeta.errors import DegenerateBox, DegenerateSimplex, ParallelOrDegenerate
 from multibeta.geometry import (Ball, Box, DyadicBox,
                                 Hyperplane, ParabolicBox, Simplex, clip_line_to_box,
-                                dyadic_levels,
+                                clip_lines, dyadic_levels,
                                 estimate_line_measure, estimate_plane_measure,
-                                intersect_hyperplanes, parabolic_distance,
+                                intersect_hyperplanes, meets_region,
+                                orthonormal_complement, parabolic_distance,
                                 plane_metric, sample_hyperplanes, sample_lines,
-                                shadow_area, simplex_from_planes,
+                                shadow_area, simplex_from_planes, support_interval,
                                 transversality)
 from multibeta.rng import stream
 
@@ -381,18 +382,42 @@ class TestSamplers:
         assert all(p1 == p2 and w1 == w2 for (p1, w1), (p2, w2) in zip(a, b))
 
 
-def _reference_sample_lines(box, count, seed):
-    """The line sampler as it was when it built one LineSeg per line, frozen:
-    (base, direction, weight) tuples, the direction normalized a second time
-    as LineSeg's constructor did."""
+def parent_orthonormal_complement(e):
+    """geometry.orthonormal_complement as it was before the stacked frames, frozen."""
+    e = np.asarray(e, dtype=float)
+    n = e.size
+    # Householder reflection mapping e to +/- e_1; remaining columns span e^perp.
+    v = e.copy()
+    v[0] += math.copysign(1.0, e[0] if e[0] != 0 else 1.0)
+    v /= np.linalg.norm(v)
+    H = np.eye(n) - 2.0 * np.outer(v, v)
+    return H[:, 1:]
+
+
+def parent_support_interval(region, e):
+    """geometry.support_interval as it was before the stacked intervals, frozen."""
+    if isinstance(region, Ball):
+        c = np.asarray(region.center) @ e
+        return c - region.radius, c + region.radius
+    lo, hi = region.lo_arr, region.hi
+    t0 = float(np.sum(np.minimum(e * lo, e * hi)))
+    t1 = float(np.sum(np.maximum(e * lo, e * hi)))
+    return t0, t1
+
+
+def _reference_sample_lines(box, count, rng):
+    """The line sampler as it was when it drew and clipped one line at a time,
+    frozen: (base, direction, weight) tuples drawn from the generator ``rng``,
+    the direction normalized a second time as LineSeg's constructor did."""
     n = box.dim
-    rng = stream(seed, "lines")
     norm = geometry.ball_volume(n - 1)
-    corners, faces = box.corners(), geometry._face_areas(box)
+    corners = box.corners()
+    faces = [np.prod(np.delete(np.asarray(box.sides), i)) for i in range(n)]
     out = []
     for _ in range(count):
-        e = geometry._unit_vectors(rng, 1, n)[0]
-        B = geometry.orthonormal_complement(e)
+        g = rng.standard_normal((1, n))
+        e = (g / np.linalg.norm(g, axis=1, keepdims=True))[0]
+        B = parent_orthonormal_complement(e)
         corner_frame = corners @ B
         lo = corner_frame.min(axis=0)
         hi = corner_frame.max(axis=0)
@@ -402,23 +427,134 @@ def _reference_sample_lines(box, count, seed):
             if clip_line_to_box(base, e, box) is not None:
                 break
         d = np.asarray(tuple(e), dtype=float)
+        shadow = 0.0
+        for ei, face in zip(e, faces):
+            shadow += abs(ei) * face
         out.append(([float(v) for v in base], (d / np.linalg.norm(d)).tolist(),
-                    geometry._box_shadow(faces, e) / norm))
+                    float(shadow) / norm))
     return out
 
 
+def _reference_sample_hyperplanes(region, count, seed):
+    """The hyperplane sampler as it was with one rng.uniform call per plane, frozen."""
+    rng = stream(seed, "hyperplanes")
+    g = rng.standard_normal((count, region.dim))
+    out = []
+    for e in g / np.linalg.norm(g, axis=1, keepdims=True):
+        t0, t1 = parent_support_interval(region, e)
+        out.append((Hyperplane(tuple(e), rng.uniform(t0, t1)), 0.5 * (t1 - t0)))
+    return out
+
+
+def assert_lines_equal(lines, expect):
+    assert len(lines) == len(expect)
+    assert lines["base"].tolist() == [b for b, _, _ in expect]
+    assert lines["direction"].tolist() == [d for _, d, _ in expect]
+    assert lines["weight"].tolist() == [w for _, _, w in expect]
+
+
+def bits(values):
+    """The IEEE bits of each value: == on them tells 0.0 from -0.0."""
+    return [np.float64(v).tobytes() for v in values]
+
+
+def random_box(n, box_seed, shape="random"):
+    """A box in R^n; "slab" and "needle" boxes have side ratio 100."""
+    rng = np.random.default_rng(box_seed)
+    lo = tuple(rng.uniform(-5.0, 5.0, n))
+    if shape == "random":
+        return Box(lo, tuple(rng.uniform(0.01, 5.0, n)))
+    side = rng.uniform(0.05, 5.0)
+    sides = np.full(n, side if shape == "slab" else side / 100.0)
+    sides[box_seed % n] = side / 100.0 if shape == "slab" else side
+    return Box(lo, tuple(sides))
+
+
+def counting_stream(restores):
+    """geometry.stream, but each assignment to ``bit_generator.state`` of the
+    generators it returns appends to ``restores``."""
+
+    class CountingPCG64(np.random.PCG64):
+        @property
+        def state(self):
+            return np.random.PCG64.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            restores.append(value)
+            np.random.PCG64.state.__set__(self, value)
+
+    def make(seed, *tags):
+        bit_generator = CountingPCG64()
+        state = dict(stream(seed, *tags).bit_generator.state, bit_generator="CountingPCG64")
+        np.random.PCG64.state.__set__(bit_generator, state)
+        return np.random.Generator(bit_generator)
+
+    return make
+
+
+class AxisNormals(np.random.Generator):
+    """A generator that draws as its bit generator's Generator does, except
+    that each normal vector comes out as the signed axis of its largest
+    component, its other components 0.0 or -0.0 as their signs were."""
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        g = super().standard_normal(size, dtype, out)
+        rows = g.reshape(-1, g.shape[-1])
+        k, at = np.arange(len(rows)), np.abs(rows).argmax(axis=1)
+        axis = np.copysign(0.0, rows)
+        axis[k, at] = np.copysign(1.0, rows[k, at])
+        rows[...] = axis
+        return g
+
+
 class TestLineFamily:
+    # 2048 is the per-box draw count of slice_mc; 513 ends in a part window
     @given(n=st.sampled_from([2, 3]), box_seed=st.integers(0, 2 ** 31 - 1),
-           seed=st.integers(0, 2 ** 62), count=st.integers(1, 40))
-    def test_sampler_matches_reference_bit_for_bit(self, n, box_seed, seed, count):
-        rng = np.random.default_rng(box_seed)
-        box = Box(tuple(rng.uniform(-5.0, 5.0, n)), tuple(rng.uniform(0.01, 5.0, n)))
-        lines = sample_lines(box, count, seed)
-        expect = _reference_sample_lines(box, count, seed)
-        assert len(lines) == count
-        assert lines["base"].tolist() == [b for b, _, _ in expect]
-        assert lines["direction"].tolist() == [d for _, d, _ in expect]
-        assert lines["weight"].tolist() == [w for _, _, w in expect]
+           shape=st.sampled_from(["random", "slab", "needle"]),
+           seed=st.integers(0, 2 ** 62), count=st.sampled_from([513, 2, 2048, 1, 40]))
+    def test_sampler_matches_reference_bit_for_bit(self, n, box_seed, shape, seed, count):
+        box = random_box(n, box_seed, shape)
+        assert_lines_equal(sample_lines(box, count, seed),
+                           _reference_sample_lines(box, count, stream(seed, "lines")))
+
+    @pytest.mark.parametrize("box", [random_box(3, 5, "slab"), random_box(3, 5, "needle"),
+                                     Box((0.0,) * 3, (1.0,) * 3)], ids=["slab", "needle", "cube"])
+    def test_missed_lines_roll_back(self, monkeypatch, box):
+        restores = []
+        monkeypatch.setattr(geometry, "stream", counting_stream(restores))
+        lines = sample_lines(box, 513, 7)
+        # a window whose line misses puts the stream back to the window's start
+        assert restores
+        assert_lines_equal(lines, _reference_sample_lines(box, 513, stream(7, "lines")))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_axis_parallel_lines_raise_no_float_error(self, monkeypatch, n):
+        monkeypatch.setattr(geometry, "stream",
+                            lambda seed, *tags: AxisNormals(stream(seed, *tags).bit_generator))
+        box = Box((0.5, -1.0, 2.0)[:n], (1.0, 2.0, 0.25)[:n])
+        with np.errstate(all="raise"):
+            lines = sample_lines(box, 64, 11)
+        assert np.all(np.sort(np.abs(lines["direction"]), axis=1)[:, :-1] == 0.0)
+        expect = _reference_sample_lines(box, 64, AxisNormals(stream(11, "lines").bit_generator))
+        assert_lines_equal(lines, expect)
+
+    @pytest.mark.parametrize("limit", [1, 3])
+    def test_rejection_limit_raises_degenerate_box(self, monkeypatch, limit):
+        tries = []
+
+        def never(bases, directions, box):
+            ok, s0, s1 = clip_lines(bases, directions, box)
+            tries.append(len(ok))
+            return np.zeros_like(ok), s0, s1
+
+        monkeypatch.setattr(geometry, "MAX_LINE_REJECTIONS", limit)
+        monkeypatch.setattr(geometry, "clip_lines", never)
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(DegenerateBox, match=f"^{limit} draws in a row missed the box Box"):
+            sample_lines(box, 5, 1)
+        # the window of 2 lines, then the missed line's other tries
+        assert tries == [2] + ([limit - 1] if limit > 1 else [])
 
     # perfbench/tracer.py's ``_drawn`` payload counts the draws of a sampler
     # call as len(result), so each sampler returns one entry per draw
@@ -428,3 +564,106 @@ class TestLineFamily:
         box = Box((0.0,) * n, (1.0,) * n)
         assert len(sample_lines(box, count, 3)) == count
         assert len(sample_hyperplanes(box, count, 3)) == count
+
+
+class TestHyperplaneFamily:
+    @given(n=st.sampled_from([2, 3]), box_seed=st.integers(0, 2 ** 31 - 1),
+           seed=st.integers(0, 2 ** 62), count=st.sampled_from([513, 2, 40, 1]))
+    def test_sampler_matches_reference_bit_for_bit(self, n, box_seed, seed, count):
+        box = random_box(n, box_seed)
+        planes = sample_hyperplanes(box, count, seed)
+        expect = _reference_sample_hyperplanes(box, count, seed)
+        assert [(p.normal, p.offset) for p, _ in planes] == [(p.normal, p.offset) for p, _ in expect]
+        assert [w for _, w in planes] == [w for _, w in expect]
+        assert all(type(w) is float for _, w in planes)
+
+    @given(n=st.sampled_from([1, 2, 3, 9]), seed=st.integers(0, 2 ** 31 - 1),
+           ball=st.booleans())
+    def test_support_interval_matches_reference(self, n, seed, ball):
+        rng = np.random.default_rng(seed)
+        region = (Ball(tuple(rng.uniform(-3.0, 3.0, n)), 1.5) if ball
+                  else random_box(n, seed))
+        for e in rng.standard_normal((20, n)):
+            assert support_interval(region, e) == parent_support_interval(region, e)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("target", ["ball", "box"])
+    def test_plane_measure_matches_reference(self, n, target):
+        region = Box((-1.2,) * n, (2.4,) * n)
+        goal = Ball((0.1,) * n, 1.0) if target == "ball" else Box((0.0,) * n, (1.0,) * n)
+        samples = _reference_sample_hyperplanes(region, 3000, 5)
+        vals = np.asarray([w if parent_support_interval(goal, p.e)[0] <= p.offset
+                           <= parent_support_interval(goal, p.e)[1] else 0.0 for p, w in samples])
+        assert estimate_plane_measure(region, goal, 3000, 5) == (
+            float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(3000)))
+
+
+class TestStackedFrames:
+    @given(n=st.sampled_from([1, 2, 3, 4]), seed=st.integers(0, 2 ** 31 - 1),
+           first=st.sampled_from([None, 0.0, -0.0, 1e-300, -1.0]))
+    def test_frames_match_frozen_householder(self, n, seed, first):
+        E = np.random.default_rng(seed).standard_normal((40, n))
+        if first is not None and n > 1:
+            E[::2, 0] = first
+        E /= np.linalg.norm(E, axis=1, keepdims=True)
+        frames = geometry._householder_frames(E)
+        for e, B in zip(E, frames):
+            expect = parent_orthonormal_complement(e)
+            assert B.tobytes() == expect.tobytes()
+            assert orthonormal_complement(e).tobytes() == expect.tobytes()
+
+
+def line_parts(n):
+    """(base, direction) of lines through a small lattice box, with
+    direction components 0, -0, +/-1e-15, +/-1e-14 and coordinates on the
+    box's faces and corners."""
+    coords = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, 3.0]),
+                       st.floats(-3.0, 3.0, allow_nan=False))
+    comps = st.one_of(st.sampled_from([0.0, -0.0, 1e-15, -1e-15, 1e-14, -1e-14,
+                                       1.0, -1.0, 0.5, -0.5]),
+                      st.floats(-1.0, 1.0, allow_nan=False))
+    return st.tuples(st.lists(coords, min_size=n, max_size=n),
+                     st.lists(comps, min_size=n, max_size=n))
+
+
+class TestClipLines:
+    boxes = st.sampled_from([((0.0, 0.0), (1.0, 1.0)), ((-1.0, 0.5), (2.0, 0.5)),
+                             ((0.0,), (2.0,)), ((0.0, 0.0, 0.0), (1.0, 2.0, 1.0)),
+                             ((-0.0, 1.0, -1.0), (0.5, 1.0, 2.0))])
+
+    @settings(max_examples=150)
+    @given(box=boxes, data=st.data())
+    def test_stack_matches_scalar_clip(self, box, data):
+        box = Box(*box)
+        lines = data.draw(st.lists(line_parts(box.dim), min_size=1, max_size=12))
+        bases = np.asarray([b for b, _ in lines]).reshape(-1, box.dim)
+        directions = np.asarray([d for _, d in lines]).reshape(-1, box.dim)
+        with np.errstate(all="raise"):
+            ok, s0, s1 = clip_lines(bases, directions, box)
+        for k, (b, d) in enumerate(zip(bases, directions)):
+            expect = clip_line_to_box(b, d, box)
+            assert ok[k] == (expect is not None)
+            if expect is not None:
+                assert bits((s0[k], s1[k])) == bits(expect)
+        # one direction for every line, as the sampler's rejection loop passes it
+        one = clip_lines(bases, directions[0], box)
+        many = clip_lines(bases, np.tile(directions[0], (len(bases), 1)), box)
+        assert one[0].tolist() == many[0].tolist()
+        assert bits(one[1]) == bits(many[1]) and bits(one[2]) == bits(many[2])
+
+    def test_line_through_a_corner_misses(self):
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        ok, s0, s1 = clip_lines(np.zeros((1, 2)), np.array([[1.0, -1.0]]), box)
+        assert clip_line_to_box(np.zeros(2), np.array([1.0, -1.0]), box) is None
+        assert not ok[0] and bits((s0[0], s1[0])) == bits((0.0, -0.0))
+
+    @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 31 - 1), ball=st.booleans())
+    def test_meets_mask_matches_meets_region(self, n, seed, ball):
+        rng = np.random.default_rng(seed)
+        region = Ball(tuple(rng.uniform(-1.0, 1.0, n)), 1.0) if ball else random_box(n, seed)
+        bases = rng.uniform(-6.0, 6.0, (64, n))
+        directions = rng.standard_normal((64, n))
+        directions[::4, 0] = 0.0
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        mask = geometry._lines_meet(bases, directions, region)
+        assert mask.tolist() == [meets_region(b, d, region) for b, d in zip(bases, directions)]
