@@ -8,10 +8,10 @@ diam(Q)^n (not |Q|). Restricted coefficients parametrize the slice (line
 interval or hyperplane patch), fit in slice coordinates, and report the
 fitted map in ambient coordinates. Integral-geometric coefficients are Monte
 Carlo averages of restricted coefficients against the weighted Grassmannian
-samplers. Every stacked fit goes through ``fitting.fit_rows``. A sampled
-line family takes one path, ``restricted_line_betas`` (one clip per line,
-one field call per block and one stack per block and norm), which matches
-the scalar reference ``beta_p_restricted`` bit for bit. The combined
+samplers. Every stacked fit goes through ``fitting.fit_rows``. Line
+coefficients are computed only as stacks, by ``restricted_line_betas`` (one
+clip per line, one field call per block and one stack per block and norm);
+``beta_p_restricted`` is the hyperplane-patch coefficient. The combined
 coefficient is the hypot of its two ``combined_parts``; at n = 2 they share
 one sampled line family. Carleson sums walk the dyadic tree and profile
 per-scale contributions; the beta2 sum takes each level from
@@ -30,9 +30,8 @@ import numpy as np
 from . import fitting
 from .errors import DegenerateBox, EmptyIntersection
 from .funcmodel import FunctionField, lipschitz_estimate
-from .geometry import (AffineMap, Box, DyadicBox, Hyperplane, LineSeg,
-                       clip_line_to_box, clip_lines, dyadic_levels, sample_hyperplanes,
-                       sample_lines, support_interval)
+from .geometry import (AffineMap, Box, DyadicBox, Hyperplane, clip_lines, dyadic_levels,
+                       sample_hyperplanes, sample_lines, support_interval)
 from .rng import stream
 
 
@@ -131,24 +130,9 @@ def beta_p_cube(fld: FunctionField, box: Box, p: float, quad: QuadratureSpec,
     return cube_beta(CubeSample.of(fld, box, quad), p, L)
 
 
-def _line_record(fld, box, seg: LineSeg, p, quad):
-    clip = clip_line_to_box(np.asarray(seg.base), np.asarray(seg.direction), box)
-    if clip is None:
-        raise EmptyIntersection("line does not meet the box")
-    s0, s1 = clip
-    nodes = quad.restricted_nodes
-    s = midpoint_nodes(s0, s1 - s0, nodes)
-    y = fld.eval(np.asarray(seg.base) + s[:, None] * np.asarray(seg.direction))
-    w = np.full(nodes, (s1 - s0) / nodes)
-    amap = fitting.affine_fit(s[:, None], y, w, p)
-    value = norm_value(y - amap(s[:, None]), w, p, box.diameter, 1)
-    a = amap.a[0]
-    direction = np.asarray(seg.direction)
-    amb = AffineMap(tuple(a * direction), amap.intercept - a * float(direction @ np.asarray(seg.base)))
-    return BetaRecord(value, amb)
-
-
-def _plane_record(fld, box, plane: Hyperplane, p, quad):
+def beta_p_restricted(fld: FunctionField, box: Box, plane: Hyperplane, p: float,
+                      quad: QuadratureSpec) -> BetaRecord:
+    """beta_p of f restricted to the hyperplane patch (box intersect plane)."""
     t0, t1 = support_interval(box, plane.e)
     if not (t0 <= plane.offset <= t1):
         raise EmptyIntersection("plane does not meet the box")
@@ -173,16 +157,6 @@ def _plane_record(fld, box, plane: Hyperplane, p, quad):
     return BetaRecord(value, AffineMap(tuple(grad), amap.intercept - float(grad @ x0)))
 
 
-def beta_p_restricted(fld: FunctionField, box: Box, slice_obj, p: float,
-                      quad: QuadratureSpec) -> BetaRecord:
-    """beta_p of f restricted to (box intersect plane-or-line)."""
-    if isinstance(slice_obj, LineSeg):
-        return _line_record(fld, box, slice_obj, p, quad)
-    if isinstance(slice_obj, Hyperplane):
-        return _plane_record(fld, box, slice_obj, p, quad)
-    raise TypeError(f"cannot restrict to {type(slice_obj).__name__}")
-
-
 # Rows (sampled lines, cubes of one tree level) per batched pass: bounds the
 # (rows, nodes, n) arrays and the field's own temporaries while keeping
 # per-call overhead small.
@@ -191,14 +165,14 @@ ROW_BLOCK = 512
 
 def restricted_line_betas(fld: FunctionField, box: Box, bases, directions, ps,
                           quad: QuadratureSpec):
-    """beta_p_restricted(fld, box, LineSeg(base, direction), p, quad).value
-    for the lines given as (K, n) rows of ``bases`` and unit ``directions``.
+    """beta_p of f restricted to (box intersect line) for the lines given as
+    (K, n) rows of ``bases`` and unit ``directions``.
 
     Returns (kept, values): ``kept`` masks the lines that meet the box and
     ``values[p]`` holds their coefficients in order, for each p in ``ps``.
     The lines are clipped as one stack; each block of ROW_BLOCK clipped lines
     is one field call and, in each p, one ``fitting.fit_rows`` stack, through
-    which every stacked fit goes. Every value equals the scalar one exactly.
+    which every stacked fit goes. Each value has the bits of its line alone.
     """
     # an empty family may come as an empty list
     bases = np.asarray(bases, dtype=float).reshape(-1, box.dim)
@@ -245,9 +219,9 @@ def _ig_family(fld, box, m, ps, quad, seed_tags):
         return lines["weight"][kept], values
     samples = sample_hyperplanes(box, quad.mc_samples, rng_seed)
     vals, weights = {p: [] for p in ps}, []
-    for obj, w in samples:
+    for plane, w in samples:
         try:
-            recs = [beta_p_restricted(fld, box, obj, p, quad) for p in ps]
+            recs = [beta_p_restricted(fld, box, plane, p, quad) for p in ps]
         except EmptyIntersection:
             continue
         for p, rec in zip(ps, recs):

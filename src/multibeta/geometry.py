@@ -297,23 +297,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LineSeg:
-    """The line base + s * direction, direction normalized on construction:
-    one line for the scalar reference ``beta.beta_p_restricted``."""
-
-    base: tuple
-    direction: tuple
-
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        nrm = np.linalg.norm(d)
-        if nrm < 1e-14:
-            raise ValueError("line direction must be nonzero")
-        object.__setattr__(self, "direction", tuple(d / nrm))
-        object.__setattr__(self, "base", tuple(float(v) for v in self.base))
-
-
-@dataclass(frozen=True)
 class AffineMap:
     """A(x) = a . x + b; the Lipschitz constant is |a|."""
 
@@ -442,39 +425,15 @@ def simplex_from_planes(planes) -> Simplex:
     return simplex
 
 
-def clip_line_to_box(base: np.ndarray, direction: np.ndarray, box: Box):
-    """Slab-clip; returns (s0, s1) or None if the line misses the box."""
-    # Python floats: the same IEEE operations as numpy scalars, at less cost
-    base = np.asarray(base, dtype=float).tolist()
-    direction = np.asarray(direction, dtype=float).tolist()
-    s_lo, s_hi = -math.inf, math.inf
-    for lo, side, b, d in zip(box.lo, box.sides, base, direction):
-        hi = lo + side
-        if abs(d) < 1e-14:
-            if b < lo or b > hi:
-                return None
-            continue
-        a0 = (lo - b) / d
-        a1 = (hi - b) / d
-        if a0 > a1:
-            a0, a1 = a1, a0
-        s_lo = max(s_lo, a0)
-        s_hi = min(s_hi, a1)
-    if s_lo >= s_hi:
-        return None
-    return s_lo, s_hi
-
-
 def clip_lines(bases, directions, box: Box):
-    """clip_line_to_box of each line base + s * direction given as rows of
-    ``bases`` (K, n) and ``directions`` (K, n) or one direction (n,):
-    (ok, s0, s1), where ``ok`` masks the lines that meet the box and
-    (s0, s1) is the clip of each of them.
-
-    The values equal the scalar clip's bit for bit, signed zeros included:
-    the same swap, and axis by axis the same tie rules as its ``max`` and
-    ``min``. Components with |d| < 1e-14 are masked before the division, so
-    under ``np.errstate(all="raise")`` no axis-parallel line raises.
+    """Slab-clip of each line base + s * direction given as rows of ``bases``
+    (K, n) and ``directions`` (K, n) or one direction (n,): (ok, s0, s1),
+    where ``ok`` masks the lines that meet the box and (s0, s1) is the clip
+    of each of them: the first largest slab start and the first smallest
+    slab end over the axes, signed zeros included. Components with
+    |d| < 1e-14 keep a line only if its base is within that axis's slab; they
+    are masked before the division, so under ``np.errstate(all="raise")`` no
+    axis-parallel line raises.
     """
     bases, directions = np.asarray(bases, dtype=float), np.asarray(directions, dtype=float)
     lo, hi = box.lo_arr, box.hi
@@ -489,18 +448,6 @@ def clip_lines(bases, directions, box: Box):
     s0, s1 = a0[rows, a0.argmax(axis=1)], a1[rows, a1.argmin(axis=1)]
     outside = flat & ((bases < lo) | (bases > hi))
     return ~outside.any(axis=1) & (s0 < s1), s0, s1
-
-
-def clip_line_to_ball(base: np.ndarray, direction: np.ndarray, ball: Ball):
-    d = np.asarray(direction, dtype=float)
-    rel = np.asarray(base, dtype=float) - np.asarray(ball.center)
-    b = rel @ d
-    c = rel @ rel - ball.radius ** 2
-    disc = b * b - c
-    if disc <= 0:
-        return None
-    root = math.sqrt(disc)
-    return -b - root, -b + root
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +490,8 @@ def _box_shadow(faces: list, e: np.ndarray):
     return total
 
 
-def meets_region(base: np.ndarray, direction: np.ndarray, region) -> bool:
-    if isinstance(region, Ball):
-        return clip_line_to_ball(base, direction, region) is not None
-    return clip_line_to_box(base, direction, region) is not None
-
-
 def _lines_meet(bases: np.ndarray, directions: np.ndarray, region) -> np.ndarray:
-    """meets_region of each line given as rows of bases and directions (K, n)."""
+    """Whether each line, rows of bases and directions (K, n), meets the region."""
     if isinstance(region, Ball):
         rel = bases - np.asarray(region.center)
         b = _row_dots(rel, directions)
@@ -607,8 +548,8 @@ def sample_lines(box: Box, count: int, seed: int) -> np.ndarray:
     from its bounding rectangle); the weight is the exact shadow area
     divided by the unit-ball normalizer. Returns ``count`` rows of fields
     ``base``, ``direction`` and ``weight``. A direction is the drawn unit
-    vector normalized again, as ``LineSeg`` does: that second rounding is
-    part of the sampled bits.
+    vector normalized a second time: that second rounding is part of the
+    sampled bits.
 
     Only the draws are made line by line. The geometry of a window of lines
     is done as one stack, as if each line's first base point met the box.
@@ -672,6 +613,8 @@ def _retry_base(rng, box: Box, B: np.ndarray, lo: np.ndarray, hi: np.ndarray, e:
 
 def estimate_plane_measure(sample_region, target_region, count: int, seed: int):
     """MC estimate (mean, stderr) of the hyperplane measure of A_{n-1}(target)."""
+    if count < 2:
+        raise ValueError("count must be >= 2, so the estimate has a standard error")
     samples = sample_hyperplanes(sample_region, count, seed)
     t = np.asarray([plane.offset for plane, _ in samples])
     t0, t1 = _support_intervals(target_region, np.asarray([plane.normal for plane, _ in samples]))
@@ -681,6 +624,8 @@ def estimate_plane_measure(sample_region, target_region, count: int, seed: int):
 
 def estimate_line_measure(sample_region, target_region, count: int, seed: int):
     """MC estimate (mean, stderr) of the line measure of A_1(target)."""
+    if count < 2:
+        raise ValueError("count must be >= 2, so the estimate has a standard error")
     lines = sample_lines(sample_region, count, seed)
     meets = _lines_meet(lines["base"], lines["direction"], target_region)
     vals = np.where(meets, lines["weight"], 0.0)

@@ -25,9 +25,9 @@ from .beta import (CubeSample, QuadratureSpec, beta_integralgeometric, beta_p_re
                    restricted_line_betas)
 from .errors import BudgetExhausted, DegenerateSimplex, EmptyIntersection
 from .funcmodel import FunctionField
-from .geometry import (AffineMap, Box, Hyperplane, Simplex, clip_line_to_box,
-                       orthonormal_complement, plane_metric, shadow_area, shadow_rect,
-                       simplex_from_planes, transversality)
+from .geometry import (AffineMap, Box, Hyperplane, Simplex, clip_lines, orthonormal_complement,
+                       plane_metric, shadow_area, shadow_rect, simplex_from_planes,
+                       transversality)
 from .rng import stream
 
 ACCEPT_SLACK = 1e-12
@@ -252,21 +252,15 @@ def planar_beta2(fld: FunctionField, box: Box, direction, quad: QuadratureSpec) 
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
     B, (v_lo,), (v_hi,) = shadow_rect(box.corners(), direction)
-    strips = quad.restricted_nodes
-    h_v = (v_hi - v_lo) / strips
-    pts, wts = [], []
-    for v in midpoint_nodes(v_lo, v_hi - v_lo, strips):
-        base = (B * v).ravel()
-        clip = clip_line_to_box(base, direction, box)
-        if clip is None:
-            continue
-        s0, s1 = clip
-        h_s = (s1 - s0) / quad.restricted_nodes
-        s = midpoint_nodes(s0, s1 - s0, quad.restricted_nodes)
-        pts.append(base + s[:, None] * direction)
-        wts.append(np.full(s.size, h_v * h_s))
-    X = np.vstack(pts)
-    w = np.concatenate(wts)
+    nodes = quad.restricted_nodes
+    h_v = (v_hi - v_lo) / nodes
+    bases = B[:, 0] * midpoint_nodes(v_lo, v_hi - v_lo, nodes)[:, None]
+    # the strips that meet the box, in order
+    ok, s0, s1 = clip_lines(bases, direction, box)
+    bases, s0, s1 = bases[ok], s0[ok], s1[ok]
+    s = midpoint_nodes(s0, s1 - s0, nodes)
+    X = (bases[:, None, :] + s[:, :, None] * direction).reshape(-1, 2)
+    w = np.repeat(h_v * ((s1 - s0) / nodes), nodes)
     y = fld.eval(X)
     amap = fitting.fit_affine_l2(X, y, w)
     return norm_value(y - amap(X), w, 2, box.diameter, 2)

@@ -11,12 +11,12 @@ import pytest
 
 from multibeta.beta import (CubeSample, QuadratureSpec, beta_integralgeometric,
                             beta_p_cube, beta_p_restricted, carleson_sum,
-                            combined_beta, cube_beta)
+                            combined_beta, cube_beta, restricted_line_betas)
 from multibeta.calibration import C_HOLD, C_REC, CARLESON_RATIO
 from multibeta.cli import main as cli_main
 from multibeta.funcmodel import (default_catalog, default_parabolic_catalog,
                                  make_field)
-from multibeta.geometry import (Ball, Box, DyadicBox, Hyperplane, LineSeg,
+from multibeta.geometry import (Ball, Box, DyadicBox, Hyperplane,
                                 ParabolicBox, estimate_line_measure,
                                 estimate_plane_measure)
 from multibeta.parabolic import (ParabolicSample, combine_affine_bound,
@@ -62,8 +62,10 @@ def test_acceptance_1_affine_annihilation():
         for p in (1, 2, math.inf):
             worst = max(worst, beta_p_cube(fld, box, p, quad).value)
         if n >= 2:
-            seg = LineSeg((0.5,) * n, (1.0,) + (0.3,) * (n - 1))
-            worst = max(worst, beta_p_restricted(fld, box, seg, 2, quad).value)
+            d = np.asarray((1.0,) + (0.3,) * (n - 1))
+            _, line = restricted_line_betas(fld, box, [(0.5,) * n], [d / np.linalg.norm(d)],
+                                            (2,), quad)
+            worst = max(worst, line[2][0])
             plane = Hyperplane((1.0,) * n, 0.5 * n)
             worst = max(worst, beta_p_restricted(fld, box, plane, 2, quad).value)
             worst = max(worst, beta_integralgeometric(fld, box, 1, math.inf, 2, quad).value)

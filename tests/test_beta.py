@@ -15,8 +15,7 @@ from multibeta.beta import (SELECTORS, BetaRecord, CubeSample, QuadratureSpec, b
                             midpoint_nodes, norm_value, restricted_line_betas)
 from multibeta.errors import EmptyIntersection
 from multibeta.funcmodel import EUCLIDEAN_CATALOG, make_field
-from multibeta.geometry import (Box, DyadicBox, Hyperplane, LineSeg, dyadic_levels,
-                                sample_lines)
+from multibeta.geometry import Box, DyadicBox, Hyperplane, clip_lines, dyadic_levels, sample_lines
 
 QUAD = QuadratureSpec()
 FINE = QuadratureSpec(nodes=257, restricted_nodes=257, mc_samples=64)
@@ -110,6 +109,11 @@ class TestCubeSample:
                 assert cube_beta(s, p, L) == _ref_beta_p_cube(fld, box, p, quad, L), p
 
 
+def coords(n, lo, hi):
+    """Points of R^n with coordinates in [lo, hi]."""
+    return st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+
+
 class TestAffineAnnihilation:
     """Every cube and sampled-line coefficient of an affine field is 0 up to
     rounding, on generated boxes: acceptance 1's bound beyond the unit cube."""
@@ -117,10 +121,7 @@ class TestAffineAnnihilation:
     @settings(max_examples=50)
     @given(data=st.data(), n=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
     def test_every_norm_is_zero(self, data, n, seed):
-        def coords(lo, hi):
-            return st.lists(st.floats(lo, hi), min_size=n, max_size=n)
-
-        a, lo, sides = (data.draw(coords(*bounds)) for bounds in ((-3, 3), (-4, 4), (0.1, 4)))
+        a, lo, sides = (data.draw(coords(n, *bounds)) for bounds in ((-3, 3), (-4, 4), (0.1, 4)))
         fld = make_field("affine", n, a=a, b=data.draw(st.floats(-3, 3)))
         box = Box(tuple(lo), tuple(sides))
         quad = QuadratureSpec(nodes=9, restricted_nodes=17)
@@ -145,17 +146,11 @@ class TestRestrictedBeta:
         # minimax error over the restricted nodes divided by diam(Q)
         fld = make_field("pwlinear", 2, **VEE)
         box = Box((-1.0, -1.0), (2.0, 2.0))
-        seg = LineSeg((0.0, 0.0), (1.0, 0.0))
-        rec = beta_p_restricted(fld, box, seg, math.inf, FINE)
+        kept, values = restricted_line_betas(fld, box, [[0.0, 0.0]], [[1.0, 0.0]], (math.inf,),
+                                             FINE)
         expect = (1.0 - 1.0 / FINE.restricted_nodes) / (4.0 * math.sqrt(2.0))
-        assert rec.value == pytest.approx(expect, rel=1e-9)
-
-    def test_line_misses_box(self):
-        fld = make_field("square", 2)
-        box = Box((0.0, 0.0), (1.0, 1.0))
-        seg = LineSeg((5.0, 0.0), (0.0, 1.0))
-        with pytest.raises(EmptyIntersection):
-            beta_p_restricted(fld, box, seg, 2, QUAD)
+        assert kept.tolist() == [True]
+        assert values[math.inf][0] == pytest.approx(expect, rel=1e-9)
 
     def test_plane_misses_box(self):
         fld = make_field("square", 2)
@@ -163,15 +158,26 @@ class TestRestrictedBeta:
         with pytest.raises(EmptyIntersection):
             beta_p_restricted(fld, box, Hyperplane((1.0, 0.0), 5.0), 2, QUAD)
 
-    def test_affine_restriction_zero(self):
-        fld = make_field("affine", 3, a=[0.5, -0.2, 0.1], b=1.0)
-        box = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        plane = Hyperplane((1.0, 1.0, 1.0), 1.5)
-        rec = beta_p_restricted(fld, box, plane, 2, QUAD)
-        assert rec.value <= 1e-10
-        # the ambient-coordinate fitted map agrees with f on the slice
-        X = np.array([[0.5, 0.5, 0.5], [0.7, 0.5, 0.3]])
-        assert np.allclose(rec.fitted(X), fld.eval(X), atol=1e-9)
+    @given(data=st.data(), n=st.sampled_from([2, 3]))
+    def test_affine_restriction_zero(self, data, n):
+        a, lo, shape, at = (data.draw(coords(n, *bounds))
+                            for bounds in ((-3, 3), (-4, 4), (0.5, 1.0), (0.3, 0.7)))
+        fld = make_field("affine", n, a=a, b=data.draw(st.floats(-3, 3)))
+        # side ratio at most 2 and a point at least 0.3 sides from every
+        # face: the patch holds a disc that spans the plane with grid nodes
+        sides = data.draw(st.floats(0.1, 4.0)) * np.asarray(shape)
+        box = Box(tuple(lo), tuple(sides))
+        x = box.lo_arr + np.asarray(at) * sides
+        e = np.asarray(data.draw(coords(n, -1, 1).filter(lambda e: np.linalg.norm(e) > 0.1)))
+        plane = Hyperplane(tuple(e), float(e @ x))
+        # patch points: x and steps from it in the plane, inside the disc
+        U = np.vstack([np.zeros(n - 1), data.draw(st.lists(coords(n - 1, -1, 1), min_size=1,
+                                                            max_size=4))])
+        X = x + 0.2 * sides.min() / math.sqrt(n) * U @ plane.frame().T
+        for p in (1, 2, math.inf):
+            rec = beta_p_restricted(fld, box, plane, p, QUAD)
+            assert rec.value <= 1e-10, p
+            assert np.abs(rec.fitted(X) - fld.eval(X)).max() <= 1e-9, p
 
 
 class TestIntegralGeometric:
@@ -246,32 +252,53 @@ def _catalog_field(kind, n, rng):
 
 
 def _grazing_lines(box):
-    """Lines through or next to a corner: one touching only the corner, one
-    along an edge, the diagonal, and chords cutting ever smaller corners
-    (the smallest fail the rank check and take the scalar fallback)."""
+    """(bases, unit directions) of lines through or next to a corner: one
+    touching only the corner, one along an edge, the diagonal, and chords
+    cutting ever smaller corners (the smallest fail the rank check and take
+    the scalar fallback)."""
     lo, hi = box.lo_arr, box.hi
-    n = box.dim
-    out = [LineSeg(tuple(lo), tuple(np.r_[1.0, -np.ones(n - 1)])),
-           LineSeg(tuple(lo), tuple(np.eye(n)[0])),
-           LineSeg(tuple(lo), tuple(hi - lo))]
-    for gap in (1e-3, 1e-9, 1e-14):
-        base = hi - gap * np.asarray(box.sides)
-        out.append(LineSeg(tuple(base), tuple(np.r_[1.0, -np.ones(n - 1)])))
-    return out
+    slant = np.r_[1.0, -np.ones(box.dim - 1)]
+    bases = [lo, lo, lo] + [hi - gap * np.asarray(box.sides) for gap in (1e-3, 1e-9, 1e-14)]
+    directions = [slant, np.eye(box.dim)[0], hi - lo] + [slant] * 3
+    return np.asarray(bases), np.asarray([d / np.linalg.norm(d) for d in directions])
 
 
-def _sampled_segs(box, count, seed):
-    """The lines sample_lines draws, as the LineSegs of the scalar reference."""
-    return [LineSeg(tuple(b), tuple(d)) for b, d, _ in sample_lines(box, count, seed)]
+def _sampled_rows(box, count, seed):
+    """(bases, directions) of the lines sample_lines draws."""
+    lines = sample_lines(box, count, seed)
+    return lines["base"], lines["direction"]
 
 
-def _rows(segs):
-    """(bases, directions) of a list of LineSegs, the rows restricted_line_betas takes."""
-    return np.asarray([seg.base for seg in segs]), np.asarray([seg.direction for seg in segs])
+def parent_line_beta(fld, box, base, direction, p, quad):
+    """beta._line_record(...).value, the scalar line coefficient, frozen, for
+    one row (base, unit direction) of restricted_line_betas. Its clip reads
+    clip_lines, which TestClipLines proves equal to the scalar clip."""
+    ok, s0, s1 = clip_lines(base[None], direction, box)
+    if not ok[0]:
+        raise EmptyIntersection("line does not meet the box")
+    s0, s1 = s0[0], s1[0]
+    nodes = quad.restricted_nodes
+    s = midpoint_nodes(s0, s1 - s0, nodes)
+    y = fld.eval(base + s[:, None] * direction)
+    w = np.full(nodes, (s1 - s0) / nodes)
+    amap = fitting.affine_fit(s[:, None], y, w, p)
+    return norm_value(y - amap(s[:, None]), w, p, box.diameter, 1)
+
+
+def _scalar_line_betas(fld, box, bases, directions, ps, quad):
+    """(kept, values) of restricted_line_betas, line by line through parent_line_beta."""
+    rows = []
+    for base, direction in zip(bases, directions):
+        try:
+            rows.append([parent_line_beta(fld, box, base, direction, p, quad) for p in ps])
+        except EmptyIntersection:
+            rows.append(None)
+    return ([row is not None for row in rows],
+            {p: [row[i] for row in rows if row is not None] for i, p in enumerate(ps)})
 
 
 class TestBatchedLines:
-    """restricted_line_betas equals beta_p_restricted line by line, exactly."""
+    """restricted_line_betas equals the frozen scalar line coefficient line by line, exactly."""
 
     @given(n=st.sampled_from([2, 3]), kind=st.sampled_from(["cone", "bump", "distset"]),
            seed=st.integers(0, 2 ** 31 - 1), block=st.sampled_from([5, betamod.ROW_BLOCK]))
@@ -281,20 +308,13 @@ class TestBatchedLines:
         box = Box(tuple(rng.uniform(-1.0, 1.0, n)), tuple(rng.uniform(0.2, 2.0, n)))
         quad = QuadratureSpec(restricted_nodes=int(rng.choice([3, 9, 17])))
         # lines sampled for a larger box miss this one now and then
-        segs = _sampled_segs(box.dilate(1.5), 24, seed) + _grazing_lines(box)
+        rows = [np.vstack(r) for r in zip(_sampled_rows(box.dilate(1.5), 24, seed),
+                                          _grazing_lines(box))]
         ps = (2, math.inf)
         with mock.patch.object(betamod, "ROW_BLOCK", block):
-            kept, values = restricted_line_betas(fld, box, *_rows(segs), ps, quad)
-        expect = {p: [] for p in ps}
-        for i, seg in enumerate(segs):
-            try:
-                recs = [beta_p_restricted(fld, box, seg, p, quad) for p in ps]
-            except EmptyIntersection:
-                assert not kept[i]
-                continue
-            assert kept[i]
-            for p, rec in zip(ps, recs):
-                expect[p].append(rec.value)
+            kept, values = restricted_line_betas(fld, box, *rows, ps, quad)
+        expect_kept, expect = _scalar_line_betas(fld, box, *rows, ps, quad)
+        assert kept.tolist() == expect_kept
         for p in ps:
             assert values[p].tolist() == expect[p]
 
@@ -304,39 +324,31 @@ class TestBatchedLines:
     def test_line_by_line_cases_match(self, p):
         fld = make_field("cone", 2, x0=[0.3, 0.6])
         box = Box((0.0, 0.0), (1.0, 1.0))
-        segs = _sampled_segs(box.dilate(1.5), 12, 5)
-        kept, values = restricted_line_betas(fld, box, *_rows(segs), (p,), QUAD)
-        expect = []
-        for seg in segs:
-            try:
-                expect.append(beta_p_restricted(fld, box, seg, p, QUAD).value)
-            except EmptyIntersection:
-                pass
-        assert kept.sum() == len(expect)
-        assert values[p].tolist() == expect
+        rows = _sampled_rows(box.dilate(1.5), 12, 5)
+        kept, values = restricted_line_betas(fld, box, *rows, (p,), QUAD)
+        expect_kept, expect = _scalar_line_betas(fld, box, *rows, (p,), QUAD)
+        assert kept.tolist() == expect_kept
+        assert values[p].tolist() == expect[p]
 
     @pytest.mark.parametrize("p", [1, 3], ids=["1-None", "3-None"])
     def test_one_field_call_per_block(self, p):
         fld = make_field("cone", 2, x0=[0.3, 0.6])
         box = Box((0.0, 0.0), (1.0, 1.0))
-        segs = _sampled_segs(box.dilate(1.5), 12, 5)
+        rows = _sampled_rows(box.dilate(1.5), 12, 5)
         with mock.patch.object(betamod, "ROW_BLOCK", 5), \
                 mock.patch.object(fld, "eval", wraps=fld.eval) as spy:
-            kept, values = restricted_line_betas(fld, box, *_rows(segs), (p,), QUAD)
+            kept, values = restricted_line_betas(fld, box, *rows, (p,), QUAD)
         assert kept.sum() > 5 and spy.call_count == -(-int(kept.sum()) // 5)
-        expect = [beta_p_restricted(fld, box, seg, p, QUAD).value
-                  for seg, k in zip(segs, kept) if k]
-        assert values[p].tolist() == expect
+        assert values[p].tolist() == _scalar_line_betas(fld, box, *rows, (p,), QUAD)[1][p]
 
     def test_nothing_fitted_in_the_stack_falls_back(self, monkeypatch):
         fld = make_field("cone", 2, x0=[0.3, 0.6])
         box = Box((0.0, 0.0), (1.0, 1.0))
-        segs = _sampled_segs(box, 8, 5)
-        expect = {p: [beta_p_restricted(fld, box, seg, p, QUAD).value for seg in segs]
-                  for p in (2, math.inf)}
+        rows = _sampled_rows(box, 8, 5)
+        expect = _scalar_line_betas(fld, box, *rows, (2, math.inf), QUAD)[1]
         monkeypatch.setattr(fitting, "fit_affine_l2_stack", lambda x, y, w: (
             np.zeros(len(x), dtype=bool), np.zeros((len(x), 1)), np.zeros(len(x))))
-        _, values = restricted_line_betas(fld, box, *_rows(segs), (2, math.inf), QUAD)
+        _, values = restricted_line_betas(fld, box, *rows, (2, math.inf), QUAD)
         assert {p: v.tolist() for p, v in values.items()} == expect
 
     def test_singular_stacked_solve_marks_every_row(self, monkeypatch):
@@ -352,20 +364,21 @@ class TestBatchedLines:
 
     def test_family_missing_the_box(self):
         fld = make_field("cone", 2, x0=[0.3, 0.6])
-        kept, values = restricted_line_betas(fld, Box((0.0, 0.0), (1.0, 1.0)),
-                                             *_rows([LineSeg((5.0, 0.0), (0.0, 1.0))]),
-                                             (2, math.inf), QUAD)
+        kept, values = restricted_line_betas(fld, Box((0.0, 0.0), (1.0, 1.0)), [[5.0, 0.0]],
+                                             [[0.0, 1.0]], (2, math.inf), QUAD)
         assert not kept.any()
         assert values[2].size == 0 and values[math.inf].size == 0
 
 
 class TestMidpointRule:
-    @given(lo=st.floats(-1e3, 1e3), side=st.floats(1e-6, 1e3), count=st.integers(1, 40))
+    @given(lo=st.floats(-1e3, 1e3), side=st.floats(1e-6, 1e3),
+           count=st.sampled_from([12, 1, 40, 2, 7, 3, 20]))
     def test_scalar_interval(self, lo, side, count):
         expect = lo + side / count * (np.arange(count) + 0.5)
         assert midpoint_nodes(lo, side, count).tolist() == expect.tolist()
 
-    @given(seed=st.integers(0, 2 ** 31 - 1), k=st.integers(1, 6), count=st.integers(1, 20))
+    @given(seed=st.integers(0, 2 ** 31 - 1), k=st.sampled_from([3, 1, 6, 2]),
+           count=st.sampled_from([7, 1, 20, 2, 12, 3]))
     def test_stacked_intervals(self, seed, k, count):
         rng = np.random.default_rng(seed)
         lo, side = rng.uniform(-10.0, 10.0, k), rng.uniform(1e-3, 10.0, k)
@@ -379,8 +392,8 @@ class TestMidpointRule:
         mesh = midpoint_mesh([0.0, 1.0], [1.0, 2.0], 3)
         assert mesh.tolist() == [[a, b] for a in u for b in v]
 
-    @given(seed=st.integers(0, 2 ** 31 - 1), k=st.integers(1, 5), d=st.integers(1, 3),
-           count=st.integers(1, 7))
+    @given(seed=st.integers(0, 2 ** 31 - 1), k=st.sampled_from([3, 1, 5, 2]), d=st.integers(1, 3),
+           count=st.sampled_from([3, 1, 7, 2, 5]))
     def test_stacked_meshes(self, seed, k, d, count):
         rng = np.random.default_rng(seed)
         lo, sides = rng.uniform(-10.0, 10.0, (k, d)), rng.uniform(1e-3, 10.0, d)

@@ -360,8 +360,8 @@ def parent_constrained(x, y, w, L):
 
 
 class TestOneMomentsKernel:
-    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), K=st.integers(2, 6),
-           N=sizes(2, 30))
+    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3),
+           K=st.sampled_from([4, 2, 6, 3, 5]), N=sizes(2, 30))
     def test_stack_rows_equal_scalar_fits(self, seed, d, K, N):
         x, y, w = random_sets(seed, d, K, N)
         ok, a, b = fitting.fit_affine_l2_stack(x, y, w)
@@ -409,8 +409,9 @@ class TestConstrainedStack:
     """fit_affine_l2_constrained_stack equals the frozen reference row by row."""
 
     @settings(max_examples=100)
-    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), K=st.integers(2, 8),
-           N=sizes(2, 30), factor=st.sampled_from([1e-20, 0.3, 1.0, 3.0]))
+    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3),
+           K=st.sampled_from([4, 2, 8, 3, 6]), N=sizes(2, 30),
+           factor=st.sampled_from([1e-20, 0.3, 1.0, 3.0]))
     def test_rows_equal_reference_and_one_row_fits(self, seed, d, K, N, factor):
         x, y, w = random_sets(seed, d, K, N)
         # one row on a coarse lattice: repeated abscissas, often rank deficient
@@ -448,7 +449,8 @@ class TestFitRows:
     """fit_rows equals affine_fit and the scalar residual sum row by row, exactly."""
 
     @settings(max_examples=100)
-    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), K=st.integers(1, 6),
+    @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3),
+           K=st.sampled_from([3, 1, 6, 2, 4]),
            N=st.sampled_from([2, 3, 5, 9, 17, 40, 81, 343, 11 ** 3]),
            pL=st.sampled_from([(1, None), (1.5, None), (3, None)]
                               + [(p, L) for p in (2, math.inf) for L in (None, 1e-20, 0.5)]))
@@ -473,7 +475,7 @@ class TestFitRows:
                 assert sums[k] == (w[k] @ (r * r) if p == 2 else w[k] @ np.abs(r) ** p), k
 
     @settings(max_examples=60)
-    @given(seed=st.integers(0, 2 ** 31 - 1), K=st.integers(1, 6), N=sizes(2, 40))
+    @given(seed=st.integers(0, 2 ** 31 - 1), K=st.sampled_from([3, 1, 6, 2, 4]), N=sizes(2, 40))
     def test_near_affine_lines_equal_affine_fit(self, seed, K, N):
         # 1-D rows whose L2 residual lies on either side of the exact-fit
         # exit at 1e-13 * max(max |y|, 1), with values below and above 1
@@ -711,7 +713,7 @@ class TestExchangeRows:
     """fitting._exchange_rows: the 1-D exchange on a stack of rows in lockstep."""
 
     @settings(max_examples=100)
-    @given(seed=st.integers(0, 2 ** 31 - 1), K=st.integers(1, 16), N=sizes(3, 40))
+    @given(seed=st.integers(0, 2 ** 31 - 1), K=st.sampled_from([5, 1, 16, 2, 9]), N=sizes(3, 40))
     # rows whose exchange drops the first reference point for a new last one
     # on the way to a different set: the random draws rarely reach such a row
     @example(seed=2854, K=2, N=30)

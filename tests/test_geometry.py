@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from multibeta import geometry
 from multibeta.errors import DegenerateBox, DegenerateSimplex, ParallelOrDegenerate
 from multibeta.geometry import (Ball, Box, DyadicBox,
-                                Hyperplane, ParabolicBox, Simplex, clip_line_to_box,
+                                Hyperplane, ParabolicBox, Simplex,
                                 clip_lines, dyadic_levels,
                                 estimate_line_measure, estimate_plane_measure,
-                                intersect_hyperplanes, meets_region,
+                                intersect_hyperplanes,
                                 orthonormal_complement, parabolic_distance,
                                 plane_metric, sample_hyperplanes, sample_lines,
                                 shadow_area, simplex_from_planes, support_interval,
@@ -354,6 +354,15 @@ class TestSamplers:
         mean, se = estimate_line_measure(box, ball, 20000, 3)
         assert abs(mean - 1.0) <= 3 * se
 
+    @pytest.mark.parametrize("estimate", [estimate_plane_measure, estimate_line_measure],
+                             ids=["plane", "line"])
+    def test_fewer_than_two_samples_are_refused(self, estimate):
+        Q = Box((0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="count must be >= 2"):
+            estimate(Q, Q, 1, 3)
+        # two samples give a finite standard error, and no RuntimeWarning
+        assert all(map(math.isfinite, estimate(Q, Q, 2, 3)))
+
     def test_plane_doubling_ratio(self):
         Q = Box((0.0, 0.0), (1.0, 1.0))
         big = Q.dilate(2.0)
@@ -370,10 +379,9 @@ class TestSamplers:
 
     def test_sampled_lines_nonempty(self):
         Q = Box((0.0, 0.0), (1.0, 1.0))
-        for base, direction, w in sample_lines(Q, 200, 9):
-            s0, s1 = clip_line_to_box(base, direction, Q)
-            assert s1 > s0
-            assert w > 0
+        lines = sample_lines(Q, 200, 9)
+        assert clip_lines(lines["base"], lines["direction"], Q)[0].all()
+        assert (lines["weight"] > 0).all()
 
     def test_determinism(self):
         Q = Box((0.0, 0.0), (1.0, 1.0))
@@ -405,10 +413,42 @@ def parent_support_interval(region, e):
     return t0, t1
 
 
+def parent_clip_line_to_box(base, direction, box):
+    """geometry.clip_line_to_box, the scalar slab clip, frozen: (s0, s1) or
+    None if the line misses the box."""
+    base = np.asarray(base, dtype=float).tolist()
+    direction = np.asarray(direction, dtype=float).tolist()
+    s_lo, s_hi = -math.inf, math.inf
+    for lo, side, b, d in zip(box.lo, box.sides, base, direction):
+        hi = lo + side
+        if abs(d) < 1e-14:
+            if b < lo or b > hi:
+                return None
+            continue
+        a0 = (lo - b) / d
+        a1 = (hi - b) / d
+        if a0 > a1:
+            a0, a1 = a1, a0
+        s_lo = max(s_lo, a0)
+        s_hi = min(s_hi, a1)
+    if s_lo >= s_hi:
+        return None
+    return s_lo, s_hi
+
+
+def parent_meets_region(base, direction, region):
+    """geometry.meets_region, the scalar ball-or-box decision, frozen."""
+    if isinstance(region, Ball):
+        rel = np.asarray(base, dtype=float) - np.asarray(region.center)
+        b = rel @ np.asarray(direction, dtype=float)
+        return not b * b - (rel @ rel - region.radius ** 2) <= 0
+    return parent_clip_line_to_box(base, direction, region) is not None
+
+
 def _reference_sample_lines(box, count, rng):
     """The line sampler as it was when it drew and clipped one line at a time,
     frozen: (base, direction, weight) tuples drawn from the generator ``rng``,
-    the direction normalized a second time as LineSeg's constructor did."""
+    the direction normalized a second time."""
     n = box.dim
     norm = geometry.ball_volume(n - 1)
     corners = box.corners()
@@ -424,7 +464,7 @@ def _reference_sample_lines(box, count, rng):
         for _ in range(geometry.MAX_LINE_REJECTIONS):
             u = rng.uniform(lo, hi)
             base = B @ u
-            if clip_line_to_box(base, e, box) is not None:
+            if clip_lines(base[None], e, box)[0][0]:
                 break
         d = np.asarray(tuple(e), dtype=float)
         shadow = 0.0
@@ -641,7 +681,7 @@ class TestClipLines:
         with np.errstate(all="raise"):
             ok, s0, s1 = clip_lines(bases, directions, box)
         for k, (b, d) in enumerate(zip(bases, directions)):
-            expect = clip_line_to_box(b, d, box)
+            expect = parent_clip_line_to_box(b, d, box)
             assert ok[k] == (expect is not None)
             if expect is not None:
                 assert bits((s0[k], s1[k])) == bits(expect)
@@ -654,7 +694,7 @@ class TestClipLines:
     def test_line_through_a_corner_misses(self):
         box = Box((0.0, 0.0), (1.0, 1.0))
         ok, s0, s1 = clip_lines(np.zeros((1, 2)), np.array([[1.0, -1.0]]), box)
-        assert clip_line_to_box(np.zeros(2), np.array([1.0, -1.0]), box) is None
+        assert parent_clip_line_to_box(np.zeros(2), np.array([1.0, -1.0]), box) is None
         assert not ok[0] and bits((s0[0], s1[0])) == bits((0.0, -0.0))
 
     @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 31 - 1), ball=st.booleans())
@@ -666,4 +706,5 @@ class TestClipLines:
         directions[::4, 0] = 0.0
         directions /= np.linalg.norm(directions, axis=1, keepdims=True)
         mask = geometry._lines_meet(bases, directions, region)
-        assert mask.tolist() == [meets_region(b, d, region) for b, d in zip(bases, directions)]
+        assert mask.tolist() == [parent_meets_region(b, d, region)
+                                 for b, d in zip(bases, directions)]

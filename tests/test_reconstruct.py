@@ -11,8 +11,8 @@ from multibeta.beta import (QuadratureSpec, combined_beta, combined_parts, midpo
 from multibeta.calibration import KAPPA_C
 from multibeta.errors import DegenerateSimplex
 from multibeta.funcmodel import FunctionField, make_field
-from multibeta.geometry import (Box, LineSeg, clip_line_to_box, orthonormal_complement,
-                                shadow_area, transversality)
+from multibeta.geometry import (Box, clip_lines, orthonormal_complement, shadow_area,
+                                transversality)
 from multibeta.reconstruct import (_cap_directions, _line_family_integral, base_planes,
                                    base_simplex, build_global_affine, planar_beta2,
                                    select_transversal_planes, verify_reconstruction)
@@ -234,19 +234,15 @@ class TestPlanarRoute:
 
 def _reference_line_family_integral(fld, small, big, direction, quad):
     """_line_family_integral as it was when it clipped each line itself and
-    built LineSegs, frozen; the LineSegs reach restricted_line_betas as rows."""
+    built LineSegs, frozen; the lines that meet the big box reach
+    restricted_line_betas as rows, the direction normalized as LineSeg did."""
     B = orthonormal_complement(direction)
     corner_frame = small.corners() @ B
     lo = corner_frame.min(axis=0)
     hi = corner_frame.max(axis=0)
     U = midpoint_mesh(lo, hi - lo, 5)
-    segs = []
-    for u in U:
-        base = B @ u
-        if clip_line_to_box(base, direction, big) is not None:
-            segs.append(LineSeg(tuple(base), tuple(direction)))
-    bases = np.asarray([seg.base for seg in segs])
-    directions = np.asarray([seg.direction for seg in segs])
+    bases = np.asarray([B @ u for u in U if clip_lines((B @ u)[None], direction, big)[0][0]])
+    directions = np.tile(direction / np.linalg.norm(direction), (len(bases), 1))
     vals = restricted_line_betas(fld, big, bases, directions, (math.inf,), quad)[1][math.inf]
     if not vals.size:
         return 0.0

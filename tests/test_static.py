@@ -26,27 +26,36 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def referenced_names(sources):
-    """Every name, attribute and imported name that occurs in ``sources``."""
-    names = set()
-    for source in sources:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
-    return names
+# Library functions that only code outside the package calls
+ENTRY_POINTS = {"default_catalog", "default_parabolic_catalog", "estimate_plane_measure",
+                "estimate_line_measure", "holder_exponent_check"}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def unused_definitions(source: str, sources):
-    """(line, name) of every module-level function and class of ``source``
-    referenced nowhere in ``sources``."""
-    used = referenced_names(sources)
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return sorted((node.lineno, node.name) for node in ast.parse(source).body
-                  if isinstance(node, defs) and node.name not in used)
+def _names(node):
+    """Every name and attribute that occurs under ``node``."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def unreachable_definitions(sources, entry_points):
+    """For each of ``sources``, (line, name) of every module-level function
+    and class that the roots do not reach. The roots are ``entry_points`` and
+    the names in the module-level statements that are neither definitions
+    nor imports (tables, the ``__main__`` guard); a reached definition
+    reaches every name it references, in any of the sources."""
+    bodies = [ast.parse(source).body for source in sources]
+    defs = [node for body in bodies for node in body if isinstance(node, DEFINITIONS)]
+    reached = set(entry_points).union(*(
+        _names(node) for body in bodies for node in body
+        if not isinstance(node, DEFINITIONS + (ast.Import, ast.ImportFrom))))
+    size = 0
+    while size < len(reached):
+        size = len(reached)
+        reached.update(*(_names(node) for node in defs if node.name in reached))
+    return [sorted((node.lineno, node.name) for node in body
+                   if isinstance(node, DEFINITIONS) and node.name not in reached)
+            for body in bodies]
 
 
 def _is_dataclass(node) -> bool:
@@ -135,15 +144,29 @@ def test_no_unused_imports(path):
 
 
 def test_checker_flags_unused_definition():
-    source = "def used():\n    pass\n\ndef dead():\n    pass\n\nclass Kept:\n    pass\n\nclass Gone:\n    pass\n"
-    caller = "from pkg.mod import used\nimport pkg\npkg.mod.Kept()\n"
-    assert unused_definitions(source, [source, caller]) == [(4, "dead"), (10, "Gone")]
+    source = ("import os\nTABLE = {'run': run}\n\ndef run():\n    return _step()\n\n"
+              "def _step():\n    return os.sep\n\ndef dead():\n    return _only_dead()\n\n"
+              "def _only_dead():\n    return run()\n\nclass Api:\n    pass\n\n"
+              "if __name__ == '__main__':\n    Tool().go()\n")
+    # an import is no root: a test importing ``dead`` does not make it used
+    other = ("from pkg.mod import dead\n\n"
+             "class Tool:\n    def go(self):\n        return 1\n\nclass Gone:\n    pass\n")
+    assert unreachable_definitions([source, other], {"Api"}) == [
+        [(10, "dead"), (13, "_only_dead")], [(7, "Gone")]]
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_unused_definitions(path):
-    sources = [p.read_text() for p in SRC + TESTS]
-    assert unused_definitions(path.read_text(), sources) == []
+    # reached from the package's own roots, not referenced by a test
+    unreached = unreachable_definitions([p.read_text() for p in SRC], ENTRY_POINTS)
+    assert unreached[SRC.index(path)] == []
+
+
+def test_entry_points_are_tested_definitions():
+    defined = {node.name for p in SRC for node in ast.parse(p.read_text()).body
+               if isinstance(node, DEFINITIONS)}
+    tested = set().union(*(_names(ast.parse(p.read_text())) for p in TESTS))
+    assert sorted(ENTRY_POINTS - defined) == [] and sorted(ENTRY_POINTS - tested) == []
 
 
 def test_checker_flags_unread_field():
