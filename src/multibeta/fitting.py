@@ -16,16 +16,18 @@ caller's, if it has one): in one dimension a three-point exchange, which
 runs on a stack of lines in lockstep (``fit_rows`` sends all its 1-D lines
 through it at once; the one-line fit is a stack of one), else, or where the
 exchange does not settle, IRLS exponent escalation and an active-set LP
-polish. A rank-deficient design falls back to the minimum-norm
-least-squares map in one place, ``affine_fit``.
+polish. The polish solves each LP through ``linprog``, the package's one LP
+entry point (HiGHS through scipy's ``milp``); scipy's solver is imported at
+the first LP, not with the package. A rank-deficient design falls back to
+the minimum-norm least-squares map in one place, ``affine_fit``.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import NonConvergence, RankDeficient
 from .geometry import AffineMap
@@ -300,7 +302,35 @@ def _grad_constraint_rows(d: int, L: float):
     return U, np.full(U.shape[0], L)
 
 
+def linprog(cost: np.ndarray, A, ub: np.ndarray, n_free: int) -> np.ndarray:
+    """The x minimizing cost @ x subject to A @ x <= ub, x[:n_free] free and
+    x[n_free:] >= 0; A is a scipy sparse CSC array.
+
+    HiGHS solves it through scipy's ``milp`` with no integrality. Every LP of
+    the package goes through this name, which perfbench's tracer hooks to
+    count LP solves and time them (``fitting.linprog_calls`` and
+    ``linprog_total_s``). NonConvergence, with HiGHS's message, unless
+    HiGHS reports an optimum.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lo = np.zeros(len(cost))
+    lo[:n_free] = -np.inf
+    with warnings.catch_warnings():
+        # with its log output on, as milp leaves it, HiGHS can return another
+        # optimal vertex of a degenerate LP than with it off; milp passes
+        # output_flag, an option it does not name, to HiGHS with a warning
+        warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
+        res = milp(cost, constraints=LinearConstraint(A, -np.inf, ub),
+                   bounds=Bounds(lo, np.inf), options={"output_flag": False})
+    if res.status != 0:
+        raise NonConvergence(f"LP failed: {res.message}")
+    return res.x
+
+
 def _minimax_lp(x: np.ndarray, y: np.ndarray, subset, L: float | None):
+    from scipy.sparse import csc_array
+
     d = x.shape[1]
     xs, ys = x[subset], y[subset]
     m = xs.shape[0]
@@ -314,11 +344,8 @@ def _minimax_lp(x: np.ndarray, y: np.ndarray, subset, L: float | None):
         b = np.concatenate([b, lims])
     cost = np.zeros(d + 2)
     cost[-1] = 1.0
-    bounds = [(None, None)] * (d + 1) + [(0, None)]
-    res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    if not res.success:
-        raise NonConvergence(f"minimax LP failed: {res.message}")
-    return res.x[:d], float(res.x[d]), float(res.x[d + 1])
+    sol = linprog(cost, csc_array(A), b, d + 1)
+    return sol[:d], float(sol[d]), float(sol[d + 1])
 
 
 def fit_affine_minimax(x, y, w, L: float | None = None,

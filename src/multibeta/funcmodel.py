@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ConfigError, OutOfDomain
 from .geometry import Box, parabolic_distance
@@ -43,6 +42,8 @@ class GridField(FunctionField):
     """Axis-aligned sample lattice evaluated by multilinear interpolation."""
 
     def __init__(self, origin, steps, counts, values):
+        from scipy.interpolate import RegularGridInterpolator
+
         origin = np.asarray(origin, dtype=float)
         steps = np.asarray(steps, dtype=float)
         counts = np.asarray(counts, dtype=int)

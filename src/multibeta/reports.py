@@ -69,11 +69,14 @@ def config_hash(config: dict) -> str:
 
 
 def write_manifest(path: str, config: dict, seed: int, outputs: list):
+    """Write the run manifest to path. It names the outputs relative to its own
+    directory, so a run writes the same manifest bytes wherever it writes."""
+    directory = os.path.dirname(os.path.abspath(path))
     manifest = {
         "schema_version": MANIFEST_SCHEMA,
         "config_sha256": config_hash(config),
         "seed": int(seed),
-        "outputs": sorted(outputs),
+        "outputs": sorted(os.path.relpath(p, directory) for p in outputs),
         "versions": {
             "multibeta": __version__,
             "numpy": np.__version__,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from multibeta import fitting
 from multibeta.errors import NonConvergence, RankDeficient
@@ -761,3 +762,104 @@ class TestExchangeRows:
         monkeypatch.setattr(fitting, "fit_affine_minimax", spy)
         fitting.fit_rows(x, y, np.ones(y.shape), math.inf)
         assert calls == []
+
+
+def parent_minimax_lp(x, y, subset, L):
+    """fitting._minimax_lp as written when it called scipy's linprog, frozen."""
+    d = x.shape[1]
+    xs, ys = x[subset], y[subset]
+    m = xs.shape[0]
+    A1 = np.hstack([xs, np.ones((m, 1)), -np.ones((m, 1))])
+    A2 = np.hstack([-xs, -np.ones((m, 1)), -np.ones((m, 1))])
+    A = np.vstack([A1, A2])
+    b = np.concatenate([ys, -ys])
+    if L is not None:
+        U, lims = fitting._grad_constraint_rows(d, L)
+        A = np.vstack([A, np.hstack([U, np.zeros((U.shape[0], 2))])])
+        b = np.concatenate([b, lims])
+    cost = np.zeros(d + 2)
+    cost[-1] = 1.0
+    bounds = [(None, None)] * (d + 1) + [(0, None)]
+    res = linprog(cost, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    if not res.success:
+        raise NonConvergence(f"minimax LP failed: {res.message}")
+    return res.x[:d], float(res.x[d]), float(res.x[d + 1])
+
+
+# Subset sizes of 40 sample points: one point and all of them are the ends;
+# 8 to 15 are the polish's first active sets at d = 1 to 3. On one point the
+# optimal (a, b) is not unique, and HiGHS picks its vertex by its settings.
+LP_POINTS = 40
+LP_SUBSETS = [40, 1, 12, 3, 8, 25, 2, 15]
+
+
+def minimax_lp_case(seed, d, m, kind):
+    """(x, y, subset) of one minimax LP: m of 40 points of one kind. "lattice"
+    puts x and y on coarse lattices (repeated abscissas, tied residuals),
+    "duplicate" repeats the first half of the points, "constant" has one
+    value (every residual ties at the optimum 0)."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (LP_POINTS, d)) * rng.uniform(0.01, 100.0)
+    y = rng.normal(size=LP_POINTS) + x @ rng.normal(size=d)
+    if kind == "lattice":
+        x = np.round(rng.uniform(0.0, 1.0, (LP_POINTS, d)) * 2.0) / 2.0
+        y = np.round(rng.uniform(0.0, 1.0, LP_POINTS) * 2.0) / 2.0
+    elif kind == "duplicate":
+        half = LP_POINTS // 2
+        x[half:], y[half:] = x[:half], y[:half]
+    elif kind == "constant":
+        y[:] = y[0]
+    subset = rng.permutation(LP_POINTS)[:m]
+    if rng.integers(2):
+        subset = sorted(int(i) for i in subset)
+    return x, y, subset
+
+
+class TestLinprog:
+    """fitting.linprog: the package's one LP entry point."""
+
+    def test_minimax_polish_goes_through_linprog(self, monkeypatch):
+        # perfbench/tracer.py hooks fitting.linprog by this name to count and
+        # time LP solves (fitting.linprog_calls, fitting.linprog_total_s), so
+        # a rename fails here rather than in a traced benchmark run
+        rng = stream(9, "mm2")
+        x = rng.uniform(0, 1, (120, 2))
+        y = np.abs(x[:, 0] - 0.3) + 0.5 * np.sin(3 * x[:, 1])
+        w = np.ones(120)
+        expect = fit_affine_minimax(x, y, w)
+        calls = []
+        solve = fitting.linprog
+
+        def spy(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(fitting, "linprog", spy)
+        assert fit_affine_minimax(x, y, w) == expect
+        assert calls
+
+    # min cost * x subject to A x <= ub and x >= 0
+    @pytest.mark.parametrize("cost, A, ub, status", [(1.0, 1.0, -1.0, "infeasible"),
+                                                     (-1.0, -1.0, 0.0, "unbounded")])
+    def test_failure_names_highs_status(self, cost, A, ub, status):
+        with pytest.raises(NonConvergence, match=f"problem is {status}.*HiGHS Status"):
+            fitting.linprog(np.array([cost]), csc_array(np.array([[A]])), np.array([ub]), 0)
+
+    def test_minimax_lp_equals_frozen_linprog_reference(self):
+        reached = set()
+
+        @settings(max_examples=80)
+        @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3),
+               m=st.sampled_from(LP_SUBSETS),
+               kind=st.sampled_from(["random", "lattice", "duplicate", "constant"]),
+               L=st.sampled_from([None, 0.5, 1e-3]))
+        def check(seed, d, m, kind, L):
+            reached.add(m)
+            x, y, subset = minimax_lp_case(seed, d, m, kind)
+            a, b, h = fitting._minimax_lp(x, y, subset, L)
+            ref_a, ref_b, ref_h = parent_minimax_lp(x, y, subset, L)
+            assert tuple(a) == tuple(ref_a) and b == ref_b and h == ref_h
+
+        check()
+        # every listed size, both ends included, was drawn
+        assert reached == set(LP_SUBSETS)
