@@ -13,10 +13,11 @@ coefficients are computed only as stacks, by ``restricted_line_betas`` (one
 clip per line, one field call per block and one stack per block and norm);
 ``beta_p_restricted`` is the hyperplane-patch coefficient. The combined
 coefficient is the hypot of its two ``combined_parts``; at n = 2 they share
-one sampled line family. Carleson sums walk the dyadic tree and profile
-per-scale contributions; the beta2 sum takes each level from
-``beta2_level`` (one ``sample_grids`` call and one stack per block of
-cubes), which matches ``beta_p_cube`` bit for bit.
+one sampled line family. The cube coefficients of a dyadic level come from
+one level engine, ``cube_level`` (one ``sample_grids`` call per block of
+cubes and one stack per block and norm), which matches ``beta_p_cube`` bit
+for bit; ``analyze`` and the beta2 Carleson sum read their levels from it.
+Carleson sums walk the dyadic tree and profile per-scale contributions.
 """
 
 from __future__ import annotations
@@ -161,6 +162,9 @@ def beta_p_restricted(fld: FunctionField, box: Box, plane: Hyperplane, p: float,
 # (rows, nodes, n) arrays and the field's own temporaries while keeping
 # per-call overhead small.
 ROW_BLOCK = 512
+# Sample points per block of cubes: a stack of large cubes runs its lockstep
+# fits on few rows, which stay in cache
+BLOCK_POINTS = 16 * ROW_BLOCK
 
 
 def restricted_line_betas(fld: FunctionField, box: Box, bases, directions, ps,
@@ -347,33 +351,43 @@ class CarlesonReport:
                    lipschitz, ratios, nodes)
 
 
-def beta2_level(fld: FunctionField, frontier: list, dilation: float,
-                quad: QuadratureSpec) -> list:
-    """SELECTORS["beta2"](fld, cube.as_box().dilate(dilation), quad) for each
-    cube of one dyadic level, in order and bit for bit.
+def cube_level(fld: FunctionField, frontier: list, ps, quad: QuadratureSpec,
+               dilation: float | None = None) -> dict:
+    """cube_beta(CubeSample.of(fld, box, quad), p).value of the box of each
+    cube of one dyadic level, in order and bit for bit, for each p of ps:
+    {p: values}. The box is cube.as_box(), dilated by ``dilation`` if given.
 
     The cubes of a level share their sides, so only the corner differs: a
-    block of ROW_BLOCK cubes is one sample_grids call and one
-    fitting.fit_rows stack at p = 2, each of whose rows has its scalar bits.
+    block of cubes is one sample_grids call and, in each p, one
+    fitting.fit_rows stack, each of whose rows has its scalar bits. A block
+    holds at most ROW_BLOCK cubes and BLOCK_POINTS sample points, and at
+    least one cube.
     """
-    box = frontier[0].as_box().dilate(dilation)  # the sides of every cube here
+    box = frontier[0].as_box()  # the sides of every cube here
+    s = np.asarray(box.sides)
+    lo = np.asarray([cube.index for cube in frontier], dtype=float) * s  # DyadicBox.as_box's
+    if dilation is not None:
+        box = box.dilate(dilation)
+        lo = lo + 0.5 * s - 0.5 * np.asarray(box.sides)  # Box.dilate's corner
     if box.volume <= 0:
         raise DegenerateBox("empty box")
-    s = np.asarray(frontier[0].sides)
     n, N, diam = box.dim, quad.nodes ** box.dim, box.diameter
-    # Box.dilate's corner of each cube, lo = k * s
-    lo = (np.asarray([cube.index for cube in frontier], dtype=float) * s + 0.5 * s
-          - 0.5 * np.asarray(box.sides))
-    blocks = (sample_grids(fld, lo[i:i + ROW_BLOCK], box.sides, quad.nodes)
-              for i in range(0, len(frontier), ROW_BLOCK))
-    return [_lp_value(float(sq), 2, diam, n) for X, y in blocks
-            for sq in fitting.fit_rows(X, y, np.full(y.shape, box.volume / N), 2)[2]]
+    cubes = max(1, min(ROW_BLOCK, BLOCK_POINTS // N))  # per block
+    values = {p: [] for p in ps}
+    for i in range(0, len(frontier), cubes):
+        X, y = sample_grids(fld, lo[i:i + cubes], box.sides, quad.nodes)
+        w = np.full(y.shape, box.volume / N)
+        for p in ps:
+            sums = fitting.fit_rows(X, y, w, p)[2]
+            values[p] += ([float(v) / diam for v in sums] if math.isinf(p)
+                          else [_lp_value(float(v), p, diam, n) for v in sums])
+    return values
 
 
 def carleson_sum(fld: FunctionField, root: DyadicBox, dilation: float, depth: int,
                  selector: str, quad: QuadratureSpec) -> CarlesonReport:
     """Sum selector(CQ)^2 |Q| over dyadic Q inside root, down `depth` levels;
-    beta2 takes its values a level at a time from beta2_level."""
+    beta2 takes its values a level at a time from cube_level."""
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
     coefficient = SELECTORS[selector]
@@ -382,7 +396,7 @@ def carleson_sum(fld: FunctionField, root: DyadicBox, dilation: float, depth: in
         Lhat = lipschitz_estimate(fld, root.as_box().dilate(dilation), 4096, quad.seed)
     if selector == "beta2":
         def values(frontier):
-            return beta2_level(fld, frontier, dilation, quad)
+            return cube_level(fld, frontier, (2,), quad, dilation)[2]
     else:
         def values(frontier):
             return [coefficient(fld, cube.as_box().dilate(dilation), quad) for cube in frontier]

@@ -233,9 +233,9 @@ def cmd_analyze(cfg, args, seed):
         cfg.fail("ps", f"entries must be distinct exponents with distinct columns, got {columns}")
     rows = []
     for frontier in dyadic_levels(root, depth):
-        for cube in frontier:
-            s = betamod.CubeSample.of(fld, cube.as_box(), quad)
-            rows.append([cube.level, cube.index, *(betamod.cube_beta(s, p).value for p in ps)])
+        values = betamod.cube_level(fld, frontier, ps, quad)
+        rows += ([cube.level, cube.index, *vals] for cube, *vals in
+                 zip(frontier, *(values[p] for p in ps)))
     header = ["level", "index"] + columns
     path = _out(args, "analyze.csv")
     reports.write_csv(path, header, rows)

@@ -3,23 +3,26 @@
 Every fit takes one sample set as arrays, abscissas x (N, d), values y (N,)
 and positive weights w (N,), and returns its ``AffineMap``; every stacked
 fit goes through ``fit_rows``, each set's map and residual size in one norm.
-Every affine L2 fit, single or stacked, takes its rank decision and centered
-moments from one kernel, ``_affine_moments``, so a set's map has the same
-bits in a stack as alone. The kernel owns the memory layout: it reduces
-C-contiguous arrays, so a strided column fits with the bits of its
-contiguous copy. L2 fits solve the centered normal equations (exactly
-translation-equivariant). The fit with |a| <= L is a trust-region problem:
-exact multiplier by bisection on the ridge path, intercept re-optimized, on
-a stack of sets whose steep rows bisect in lockstep; the one-set fit is a
-stack of one. Discrete minimax starts from the L2 map ``base`` (the
-caller's, if it has one): in one dimension a three-point exchange, which
-runs on a stack of lines in lockstep (``fit_rows`` sends all its 1-D lines
-through it at once; the one-line fit is a stack of one), else, or where the
-exchange does not settle, IRLS exponent escalation and an active-set LP
-polish. The polish solves each LP through ``linprog``, the package's one LP
-entry point (HiGHS through scipy's ``milp``); scipy's solver is imported at
-the first LP, not with the package. A rank-deficient design falls back to
-the minimum-norm least-squares map in one place, ``affine_fit``.
+Every fit runs on a stack of sets, and the one-set fit is a stack of one.
+Every affine L2 fit, single, stacked or an IRLS step, takes its rank
+decision and centered moments from one kernel, ``_affine_moments``, so a
+set's map has the same bits in a stack as alone. The kernel owns the memory
+layout: it reduces C-contiguous arrays, so a strided column fits with the
+bits of its contiguous copy. L2 fits solve the centered normal equations
+(exactly translation-equivariant). The fit with |a| <= L is a trust-region
+problem: exact multiplier by bisection on the ridge path, intercept
+re-optimized, the steep rows bisecting in lockstep. The Lp fit is IRLS from
+the L2 map, every row's steps in lockstep (``_lp_rows``). Discrete minimax
+starts from the L2 map ``base`` (the caller's, if it has one): the
+exact-fit exit, then in one dimension a three-point exchange, run in
+lockstep; else, or where the exchange does not settle, IRLS exponent
+escalation in lockstep (``_escalate_rows``) and an active-set LP polish,
+one set at a time. A lockstep step computes only on the rows still in it,
+so each row keeps the bits and floating-point errors of its one-row fit.
+The polish solves each LP through ``linprog``, the package's one LP entry
+point (HiGHS through scipy's ``milp``); scipy's solver is imported at the
+first LP, not with the package. A rank-deficient design falls back to the
+minimum-norm least-squares map in one place, ``affine_fit``.
 """
 
 from __future__ import annotations
@@ -181,35 +184,86 @@ def fit_affine_l2_constrained(x, y, w, L: float) -> AffineMap:
     return AffineMap(tuple(a[0]), b[0])
 
 
+def _residuals(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|y - A(x)| of each row's map A = (a, b): AffineMap's expression with a
+    leading stack axis, so each row has its one-map bits."""
+    return np.abs(y - ((x @ a[:, :, None])[:, :, 0] + b[:, None]))
+
+
+def _keep(mask: np.ndarray, *arrays):
+    """The rows of each array where mask holds; the arrays themselves, not
+    copies, when it holds everywhere."""
+    return arrays if np.count_nonzero(mask) == len(mask) else tuple(v[mask] for v in arrays)
+
+
+def _step_maps(x: np.ndarray, y: np.ndarray, wi: np.ndarray):
+    """One IRLS step: the L2 map of each row under the weights wi, as
+    (ok, a, b) with a and b for the ok rows only; a row is not ok where
+    _l2_map raises RankDeficient for it alone."""
+    ok, xbar, ybar, C, c = _affine_moments(x, y, np.maximum(wi, 1e-300))
+    xbar, ybar, C, c = _keep(ok, xbar, ybar, C, c)
+    try:
+        a = np.linalg.solve(C, c[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        solved, a = _solve_rows(C, c)
+        ok[np.flatnonzero(ok)[~solved]] = False
+        xbar, ybar, a = xbar[solved], ybar[solved], a[solved]
+    return ok, a, ybar - (a[:, None, :] @ xbar[:, :, None])[:, 0, 0]
+
+
+def _lp_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
+             p: float):
+    """fit_affine_lp of each set of a stack x (K, N, d), y and w (K, N) from
+    its L2 map (a, b): every row's 40 IRLS steps in lockstep.
+
+    A row leaves the stack where its objective stops moving or its step is
+    rank deficient. Each step computes only on the rows still in it, and on
+    the stack itself while every row is, so a row has the bits, and the
+    floating-point errors, of its one-row fit. Returns (a, b), the best
+    iterate of each row, the L2 map included.
+    """
+    W = w.sum(axis=1)
+    r = _residuals(x, y, a, b)
+    best = (w[:, None, :] @ (r ** p)[:, :, None])[:, 0, 0] / W
+    a, b = a.copy(), b.copy()
+    floor = (1e-9 if p < 2 else 1e-14) * np.maximum(np.max(np.abs(y), axis=1), 1.0)[:, None]
+    live = np.arange(len(x))
+    for _ in range(40):
+        if not live.size:
+            break
+        wi = w * (np.maximum(r, floor) if p < 2 else r + floor) ** (p - 2.0)
+        top = wi.max(axis=1)
+        pos = top > 0
+        if np.count_nonzero(pos) == len(pos):
+            wi = wi / top[:, None]
+        else:
+            wi[pos] = wi[pos] / top[pos, None]
+            wi[~pos] = w[~pos]
+        ok, a1, b1 = _step_maps(x, y, wi)
+        live, x, y, w, W, floor = _keep(ok, live, x, y, w, W, floor)
+        r = _residuals(x, y, a1, b1)
+        obj = (w[:, None, :] @ (r ** p)[:, :, None])[:, 0, 0] / W
+        held = best[live]
+        better = obj < held
+        if np.count_nonzero(better):
+            won = live[better]
+            a[won], b[won], best[won] = a1[better], b1[better], obj[better]
+        go = better | ~(np.abs(obj - held) < 1e-15 * np.maximum(held, 1e-300))
+        live, x, y, w, W, floor, r = _keep(go, live, x, y, w, W, floor, r)
+    return a, b
+
+
 def fit_affine_lp(x, y, w, p: float) -> AffineMap:
     """Quasi-minimizer of the weighted L^p objective via IRLS, seeded at L2.
 
     Returns whichever of the IRLS iterates and the plain L2 fit has the
-    smaller L^p objective, so the result never does worse than L2.
+    smaller L^p objective, so the result never does worse than L2. A stack
+    of one through the lockstep IRLS of fit_rows.
     """
     x, y, w = _arrays(x, y, w)
     amap = fit_affine_l2(x, y, w)
-    W = float(w.sum())
-    r = np.abs(y - amap(x))  # the residual of the current iterate
-    best_map, best_obj = amap, float(w @ r ** p / W)
-    scale = max(float(np.max(np.abs(y))), 1.0)
-    for _ in range(40):
-        if p < 2:
-            wi = w * np.maximum(r, 1e-9 * scale) ** (p - 2.0)
-        else:
-            wi = w * (r + 1e-14 * scale) ** (p - 2.0)
-        wi = wi / wi.max() if wi.max() > 0 else w
-        try:
-            amap = _l2_map(*_affine_moments(x, y, np.maximum(wi, 1e-300)))
-        except RankDeficient:
-            break
-        r = np.abs(y - amap(x))
-        obj = float(w @ r ** p / W)
-        if obj < best_obj:
-            best_map, best_obj = amap, obj
-        elif abs(obj - best_obj) < 1e-15 * max(best_obj, 1e-300):
-            break
-    return best_map
+    a, b = _lp_rows(x[None], y[None], w[None], amap.a[None], np.array([amap.intercept]), p)
+    return AffineMap(tuple(a[0]), b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +272,7 @@ def fit_affine_lp(x, y, w, p: float) -> AffineMap:
 
 
 def _solve_rows(M: np.ndarray, rhs: np.ndarray):
-    """np.linalg.solve of each system M (K, 3, 3), rhs (K, 3): (solved, sol);
+    """np.linalg.solve of each system M (K, m, m), rhs (K, m): (solved, sol);
     when the stacked solve finds a singular matrix, the rows are solved one
     at a time and the singular ones are not solved."""
     try:
@@ -348,50 +402,52 @@ def _minimax_lp(x: np.ndarray, y: np.ndarray, subset, L: float | None):
     return sol[:d], float(sol[d]), float(sol[d + 1])
 
 
-def fit_affine_minimax(x, y, w, L: float | None = None,
-                       base: AffineMap | None = None) -> AffineMap:
-    """Minimize the max abs residual over affine maps (optionally |a| <= L).
+def _escalate_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, r: np.ndarray,
+                   scale: np.ndarray) -> np.ndarray:
+    """fit_affine_minimax's IRLS exponent escalation for each set of a stack
+    x (K, N, d), y and w (K, N) from the residual r of its L2 map, which it
+    overwrites: the residual of each row's best iterate, the L2 map included.
 
-    ``base`` is the samples' L2 map when the caller has it; by default it
-    is ``fit_affine_l2(x, y, w)``. IRLS exponent escalation from it
-    provides the warm start and the active constraint set; an exact LP on
-    that set, grown cutting-plane style, polishes to the discrete optimum.
+    Every row runs 3 steps at each exponent 4, 8, ..., 256 in lockstep, and
+    leaves an exponent at a rank-deficient step, keeping its last iterate
+    for the next. Each step computes only on the rows still in it, and on
+    the stack itself while every row is, so a row has the bits, and the
+    floating-point errors, of its one-row fit.
     """
-    x, y, w = _arrays(x, y, w)
-    base = fit_affine_l2(x, y, w) if base is None else base
-    d = x.shape[1]
-    r = np.abs(y - base(x))
-    scale = max(float(np.max(np.abs(y))), 1.0)
-    if r.max() <= 1e-13 * scale and (L is None or base.lipschitz <= L * (1 + 1e-12)):
-        return base
-
-    if d == 1 and L is None:
-        done, a, b = _exchange_rows(x[None, :, 0], y[None])
-        if done[0]:
-            return AffineMap((a[0],), b[0])
-        # duplicated abscissas or cycling: fall through to the LP path
-
-    # IRLS with exponent escalation; r is the residual of the last iterate
-    best_map, best_val, best_r = base, float(r.max()), r
+    best, best_r = r.max(axis=1), r.copy()
+    floor = 1e-14 * scale[:, None]
     for p in (4, 8, 16, 32, 64, 128, 256):
+        # live is a slice while every row is in the exponent, so the step
+        # indexes no row and copies nothing
+        live, xs, ys, ws, rs, fl = slice(None), x, y, w, r, floor
         for _ in range(3):
-            rr = r + 1e-14 * scale
+            rr = rs + fl
             # scale to [0, 1] before powering so rr**254 cannot underflow to
             # an all-zero weight vector
-            wi = w * (rr / rr.max()) ** (p - 2.0)
-            wi /= wi.max()
-            try:
-                amap = _l2_map(*_affine_moments(x, y, np.maximum(wi, 1e-300)))
-            except RankDeficient:
-                break
-            r = np.abs(y - amap(x))
-            val = float(np.max(r))
-            if val < best_val:
-                best_map, best_val, best_r = amap, val, r
+            wi = ws * (rr / rr.max(axis=1, keepdims=True)) ** (p - 2.0)
+            wi /= wi.max(axis=1, keepdims=True)
+            ok, a, b = _step_maps(xs, ys, wi)
+            if np.count_nonzero(ok) < len(ok):
+                live = np.arange(len(x))[live][ok]
+                if not live.size:
+                    break
+                xs, ys, ws, fl = xs[ok], ys[ok], ws[ok], fl[ok]
+            rs = _residuals(xs, ys, a, b)
+            r[live] = rs
+            val = rs.max(axis=1)
+            better = val < best[live]
+            if np.count_nonzero(better):
+                won = better if isinstance(live, slice) else live[better]
+                best[won], best_r[won] = val[better], rs[better]
+    return best_r
 
-    # active-set LP polish
+
+def _polish(x: np.ndarray, y: np.ndarray, r: np.ndarray, L: float | None, scale):
+    """The discrete minimax map (a, b) of one set by the active-set LP,
+    started from the points where the residual r is largest."""
+    d = x.shape[1]
     k = max(3 * (d + 2), 8)
-    subset = list(np.argsort(best_r)[-k:])
+    subset = list(np.argsort(r)[-k:])
     for _ in range(60):
         a, b, mval = _minimax_lp(x, y, subset, L)
         r = np.abs(y - (x @ a + b))
@@ -409,7 +465,58 @@ def fit_affine_minimax(x, y, w, L: float | None = None,
         a = a * (L / np.linalg.norm(a))
         rr = y - x @ a
         b = 0.5 * (rr.max() + rr.min())
-    return AffineMap(tuple(np.atleast_1d(a)), b)
+    return a, b
+
+
+def _minimax_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  L: float | None):
+    """fit_affine_minimax of each set of a stack x (K, N, d), y and w (K, N)
+    from its L2 map (a, b), as (a, b).
+
+    A row whose L2 map fits exactly (and within L) keeps it; in one
+    dimension with no L the other rows take the lockstep exchange; the rest
+    run the lockstep exponent escalation, then the active-set LP polish one
+    row at a time.
+    """
+    r = _residuals(x, y, a, b)
+    scale = np.maximum(np.max(np.abs(y), axis=1), 1.0)
+    fit = ~(r.max(axis=1) <= 1e-13 * scale)
+    if L is not None:
+        near = np.flatnonzero(~fit)
+        fit[near[~(_row_norm(a[near]) <= L * (1 + 1e-12))]] = True
+    a, b = a.copy(), b.copy()
+    if x.shape[2] == 1 and L is None and fit.any():
+        rows = np.flatnonzero(fit)
+        done, a1, b1 = _exchange_rows(x[rows, :, 0], y[rows])
+        a[rows[done], 0], b[rows[done]] = a1[done], b1[done]
+        fit[rows[done]] = False  # duplicated abscissas or cycling: the LP path
+    rows = np.flatnonzero(fit)
+    if rows.size:
+        x, y, w, r, scale = _keep(fit, x, y, w, r, scale)
+        for k, xk, yk, rk, sk in zip(rows, x, y, _escalate_rows(x, y, w, r, scale), scale):
+            a[k], b[k] = _polish(xk, yk, rk, L, sk)
+    return a, b
+
+
+def fit_affine_minimax(x, y, w, L: float | None = None,
+                       base: AffineMap | None = None) -> AffineMap:
+    """Minimize the max abs residual over affine maps (optionally |a| <= L).
+
+    ``base`` is the samples' L2 map when the caller has it; by default it
+    is ``fit_affine_l2(x, y, w)``. IRLS exponent escalation from it
+    provides the warm start and the active constraint set; an exact LP on
+    that set, grown cutting-plane style, polishes to the discrete optimum.
+    A stack of one through the lockstep front end of fit_rows.
+    """
+    x, y, w = _arrays(x, y, w)
+    base = fit_affine_l2(x, y, w) if base is None else base
+    a, b = _minimax_rows(x[None], y[None], w[None], base.a[None], np.array([base.intercept]), L)
+    return AffineMap(tuple(a[0]), b[0])
+
+
+def _check_bound(p: float, L: float | None):
+    if L is not None and p != 2 and not math.isinf(p):
+        raise ValueError(f"a gradient bound L needs p = 2 or inf, got p = {p}")
 
 
 def affine_fit(x, y, w, p: float, L: float | None = None) -> AffineMap:
@@ -417,8 +524,7 @@ def affine_fit(x, y, w, p: float, L: float | None = None) -> AffineMap:
 
     A rank-deficient design falls back to the minimum-norm least-squares map.
     """
-    if L is not None and p != 2 and not math.isinf(p):
-        raise ValueError(f"a gradient bound L needs p = 2 or inf, got p = {p}")
+    _check_bound(p, L)
     try:
         if math.isinf(p):
             return fit_affine_minimax(x, y, w, L=L)
@@ -436,32 +542,25 @@ def fit_rows(x, y, w, p: float, L: float | None = None):
 
     Returns (a (K, d), b (K,), sums (K,)): sums is w @ (r * r) at p = 2,
     w @ |r| ** p at another finite p and max |r| at p = inf. One stacked L2
-    fit, bounded by L only at p = 2, is p = 2's answer and the base of each
-    ok row's minimax fit at p = inf. At p = inf with d = 1 and no L, the ok
-    rows take the exact-fit exit and one lockstep exchange as stacks, and
-    only rows the exchange does not settle go on to fit_affine_minimax;
-    every other row goes through affine_fit.
+    fit, bounded by L only at p = 2, is p = 2's answer and the seed of every
+    ok row's fit at any other p: the ok rows run the lockstep IRLS at finite
+    p and the lockstep minimax front end at p = inf as one stack, and only
+    the minimax LP polish goes one row at a time. A row whose design is rank
+    deficient goes through affine_fit.
     """
+    _check_bound(p, L)
     x, y, w = _arrays(x, y, w)
     ok, a, b = (fit_affine_l2_constrained_stack(x, y, w, L) if p == 2 and L is not None
                 else fit_affine_l2_stack(x, y, w))
-    scalar = ~ok if p == 2 else np.ones(len(x), dtype=bool)
-    if math.isinf(p) and L is None and x.shape[2] == 1:
-        # fit_affine_minimax's exact-fit exit and 1-D exchange on the ok rows
-        # as stacks; a row the exchange does not settle takes the scalar path
+    if p != 2 and ok.any():
         rows = np.flatnonzero(ok)
-        r = np.abs(y[rows] - ((x[rows] @ a[rows, :, None])[:, :, 0] + b[rows, None]))
-        scale = np.maximum(np.max(np.abs(y[rows]), axis=1), 1.0)
-        rows = rows[~(r.max(axis=1) <= 1e-13 * scale)]
-        done, a1, b1 = _exchange_rows(x[rows, :, 0], y[rows])
-        a[rows[done], 0], b[rows[done]] = a1[done], b1[done]
-        scalar = ~ok
-        scalar[rows[~done]] = True
-    for k in np.flatnonzero(scalar):
-        amap = (fit_affine_minimax(x[k], y[k], w[k], L, base=AffineMap(tuple(a[k]), b[k]))
-                if ok[k] and math.isinf(p) else affine_fit(x[k], y[k], w[k], p, L))
+        xs, ys, ws = _keep(ok, x, y, w)
+        a[rows], b[rows] = (_minimax_rows(xs, ys, ws, a[rows], b[rows], L) if math.isinf(p)
+                            else _lp_rows(xs, ys, ws, a[rows], b[rows], p))
+    for k in np.flatnonzero(~ok):
+        amap = affine_fit(x[k], y[k], w[k], p, L)
         a[k], b[k] = amap.a, amap.intercept
-    r = np.abs(y - ((x @ a[:, :, None])[:, :, 0] + b[:, None]))
+    r = _residuals(x, y, a, b)
     if math.isinf(p):
         return a, b, r.max(axis=1)
     return a, b, (w[:, None, :] @ (r * r if p == 2 else r ** p)[:, :, None])[:, 0, 0]

@@ -52,14 +52,32 @@ def atomic_write(path: str, payload: str):
 
 
 def write_csv(path: str, header, rows):
-    """Write rows (iterables of cells) with formatted cells, atomically."""
+    """Write rows (iterables of cells) with formatted cells, atomically.
+
+    Each cell is written as fmt writes it. Its formatter comes from a table
+    keyed by its exact type, which holds fmt's branch for each common type
+    (tuples and lists join their entries through the same table); any other
+    type goes through fmt.
+    """
     import io
 
+    def boolean(value):
+        return "true" if value else "false"
+
+    def joined(value):
+        return ";".join([cell(v) for v in value])
+
+    def cell(value):
+        return formatters.get(type(value), fmt)(value)
+
+    formatters = {type(None): lambda value: "", bool: boolean, np.bool_: boolean,
+                  float: float.__repr__, np.float64: float.__repr__, int: int.__repr__,
+                  np.int64: lambda value: str(int(value)), str: str, tuple: joined,
+                  list: joined}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(cell) for cell in row])
+    writer.writerows([cell(c) for c in row] for row in rows)
     atomic_write(path, buf.getvalue())
 
 

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from multibeta import beta as betamod
 from multibeta import fitting
-from multibeta.beta import (SELECTORS, BetaRecord, CubeSample, QuadratureSpec, beta2_level,
+from multibeta.beta import (SELECTORS, BetaRecord, CubeSample, QuadratureSpec, cube_level,
                             beta_integralgeometric, beta_p_cube, beta_p_restricted,
                             carleson_sum, combined_beta, cube_beta, midpoint_mesh,
                             midpoint_nodes, norm_value, restricted_line_betas)
 from multibeta.errors import EmptyIntersection
 from multibeta.funcmodel import EUCLIDEAN_CATALOG, make_field
 from multibeta.geometry import Box, DyadicBox, Hyperplane, clip_lines, dyadic_levels, sample_lines
+from parent_fits import parent_cube_beta
 
 QUAD = QuadratureSpec()
 FINE = QuadratureSpec(nodes=257, restricted_nodes=257, mc_samples=64)
@@ -424,7 +425,7 @@ def _scalar_beta2(fld, frontier, dilation, quad):
 
 
 class TestBeta2Level:
-    """beta2_level equals the scalar beta2 selector cube by cube, exactly."""
+    """cube_level at p = 2 equals the scalar beta2 selector cube by cube, exactly."""
 
     @settings(max_examples=100)
     @given(kind=st.sampled_from(EUCLIDEAN_CATALOG), n=st.integers(1, 3),
@@ -442,7 +443,7 @@ class TestBeta2Level:
         depth = next(d for d in range(1, 5) if split ** (n * d) >= 16)
         for frontier in dyadic_levels(root, depth):
             with mock.patch.object(betamod, "ROW_BLOCK", block):
-                values = beta2_level(fld, frontier, dilation, quad)
+                values = cube_level(fld, frontier, (2,), quad, dilation)[2]
             assert values == _scalar_beta2(fld, frontier, dilation, quad)
 
     @pytest.mark.parametrize("marked", [slice(1, None, 3), slice(None)], ids=["some", "all"])
@@ -465,16 +466,73 @@ class TestBeta2Level:
         monkeypatch.setattr(fitting, "fit_affine_l2_stack", marking)
         monkeypatch.setattr(fitting, "affine_fit", counting)
         monkeypatch.setattr(betamod, "ROW_BLOCK", 7)
-        assert beta2_level(fld, frontier, 1.5, quad) == expect
+        assert cube_level(fld, frontier, (2,), quad, 1.5)[2] == expect
         blocks = [range(16)[i:i + 7] for i in range(0, 16, 7)]
         assert len(cubes) == sum(len(rows[marked]) for rows in blocks)
 
     def test_carleson_walk_uses_the_level_values(self):
         fld = make_field("cone", 2, x0=[0.3, 0.7])
-        with mock.patch.object(betamod, "beta2_level", wraps=beta2_level) as spy:
+        with mock.patch.object(betamod, "cube_level", wraps=cube_level) as spy:
             rep = carleson_sum(fld, DyadicBox(0, (0, 0), (2, 2)), 3.0, 2, "beta2", QUAD)
         assert spy.call_count == 3
         assert [v for _, v in rep.nodes] == _scalar_beta2(fld, [q for q, _ in rep.nodes], 3.0, QUAD)
+
+
+def parent_level(fld, frontier, ps, quad, dilation=None):
+    boxes = [cube.as_box() if dilation is None else cube.as_box().dilate(dilation)
+             for cube in frontier]
+    return {p: [parent_cube_beta(fld, box, p, quad) for box in boxes] for p in ps}
+
+
+class TestCubeLevel:
+    """cube_level equals the frozen per-cube coefficient of every cube, exactly."""
+
+    @settings(max_examples=40)
+    @given(kind=st.sampled_from(EUCLIDEAN_CATALOG), n=st.integers(1, 3),
+           nodes=st.sampled_from([3, 7, 5]), dilation=st.sampled_from([None, 1.0, 2.5]),
+           level=st.integers(0, 2), seed=st.integers(0, 2 ** 31 - 1),
+           points=st.sampled_from([1, 100, betamod.BLOCK_POINTS]))
+    def test_split3_level_equals_frozen_cubes(self, kind, n, nodes, dilation, level, seed,
+                                              points):
+        # a split of 3 gives sides that are not powers of two, so regrouping
+        # the corner's arithmetic changes its bits; a block of 1 or 100
+        # points holds one cube or a few
+        rng = np.random.default_rng(seed)
+        fld = _any_catalog_field(kind, n, rng)
+        root = DyadicBox(level, tuple(int(k) for k in rng.integers(-4, 4, n)), (3,) * n)
+        frontier = list(dyadic_levels(root, 1))[-1]
+        quad, ps = QuadratureSpec(nodes=nodes), (1, 1.5, 2, math.inf)
+        with mock.patch.object(betamod, "BLOCK_POINTS", points):
+            values = cube_level(fld, frontier, ps, quad, dilation)
+        assert values == parent_level(fld, frontier, ps, quad, dilation)
+
+    def test_large_cubes_split_a_level_into_blocks(self):
+        # 8 cubes of 13^3 points: BLOCK_POINTS holds 3 of them
+        fld = make_field("distset", 3, points=[[0.2, 0.3, 0.4], [0.7, 0.6, 0.5]])
+        frontier = DyadicBox(0, (0, 0, 0), (2, 2, 2)).children()
+        quad, ps = QuadratureSpec(nodes=13), (1, 2, math.inf)
+        assert betamod.BLOCK_POINTS // 13 ** 3 == 3
+        with mock.patch.object(betamod, "sample_grids", wraps=betamod.sample_grids) as spy:
+            values = cube_level(fld, frontier, ps, quad)
+        assert [len(c.args[1]) for c in spy.call_args_list] == [3, 3, 2]
+        assert values == parent_level(fld, frontier, ps, quad)
+
+
+class TestNormMonotonicity:
+    @settings(max_examples=40)
+    @given(kind=st.sampled_from(EUCLIDEAN_CATALOG), n=st.integers(1, 3),
+           dilation=st.sampled_from([None, 1.5, 3.0]), level=st.integers(0, 3),
+           split=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 31 - 1))
+    def test_beta_p_grows_with_p(self, kind, n, dilation, level, split, seed):
+        # beta_1 <= beta_2 <= beta_inf on generated boxes, at acceptance 2's
+        # 1e-9, through the level engine
+        rng = np.random.default_rng(seed)
+        fld = _any_catalog_field(kind, n, rng)
+        root = DyadicBox(level, tuple(int(k) for k in rng.integers(-4, 4, n)), (split,) * n)
+        frontier = root.children()
+        values = cube_level(fld, frontier, (1, 2, math.inf), QuadratureSpec(nodes=5), dilation)
+        for b1, b2, binf in zip(values[1], values[2], values[math.inf]):
+            assert b1 <= b2 + 1e-9 and b2 <= binf + 1e-9
 
 
 class TestCarleson:

@@ -19,7 +19,10 @@ from multibeta import cli
 from multibeta.cli import main
 from multibeta.errors import BudgetExhausted, RankDeficient
 from multibeta.funcmodel import PARABOLIC_CATALOG, FunctionField
-from multibeta.reports import config_hash
+from multibeta.beta import QuadratureSpec
+from multibeta.geometry import DyadicBox
+from multibeta.reports import config_hash, fmt
+from parent_fits import parent_cube_beta
 
 
 def write_config(tmp_path, name, payload):
@@ -568,8 +571,34 @@ class TestFieldWork:
         monkeypatch.setattr(FunctionField, "eval", counted)
         cfg = write_config(tmp_path, "cfg.json", CONE_CFG)
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
-        # depth 2 below a 2-D root is 1 + 4 + 16 cubes, each one 5 x 5 grid read by every p
-        assert sizes == [25] * 21
+        # depth 2 below a 2-D root is 1 + 4 + 16 cubes, each one 5 x 5 grid read
+        # by every p; each level is one block, so one field call
+        assert sizes == [25 * 1, 25 * 4, 25 * 16]
+
+
+class TestAnalyzeLevels:
+    @pytest.mark.parametrize("field, nodes, depth", [
+        ({"kind": "bump", "dim": 1, "params": {"x0": [0.3], "scale": 0.5}}, 9, 3),
+        # the exact-fit exit in every norm
+        ({"kind": "affine", "dim": 2, "params": {"a": [0.3, -0.7], "b": 0.2}}, 5, 2),
+        # 8 cubes of 13^3 points at level 1: blocks of 3, 3 and 2
+        ({"kind": "distset", "dim": 3,
+          "params": {"points": [[0.2, 0.3, 0.4], [0.7, 0.6, 0.5], [0.4, 0.8, 0.2]]}}, 13, 1),
+    ], ids=["n1", "n2-affine", "n3-blocks"])
+    def test_values_equal_frozen_cube_coefficients(self, tmp_path, field, nodes, depth):
+        ps = [1, 1.5, 2, "inf"]
+        cfg = write_config(tmp_path, "cfg.json", {"field": field, "depth": depth, "ps": ps,
+                                                  "quad": {"nodes": nodes}})
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        fld, quad = cli.load_field(cli.Config(cfg, {})), QuadratureSpec(nodes=nodes)
+        rows = read_csv(out / "analyze.csv")[1:]
+        assert len(rows) == sum(2 ** (field["dim"] * j) for j in range(depth + 1))
+        for level, index, *values in rows:
+            cube = DyadicBox(int(level), tuple(int(k) for k in index.split(";")),
+                             (2,) * field["dim"])
+            assert values == [fmt(parent_cube_beta(fld, cube.as_box(), float(p), quad))
+                              for p in ps]
 
 
 class TestImportFloor:

@@ -14,6 +14,7 @@ from multibeta.fitting import (fit_affine_l2, fit_affine_l2_constrained, fit_aff
                                fit_affine_minimax)
 from multibeta.geometry import AffineMap
 from multibeta.rng import stream
+from parent_fits import parent_affine_fit, parent_exchange_1d, parent_lp, parent_minimax
 
 
 def line_samples(lo, hi, n, f):
@@ -533,126 +534,6 @@ class TestArrayLayout:
         assert outcome(fit, *views, **kwargs) == outcome(fit, x, y, w, **kwargs)
 
 
-def parent_lp(x, y, w, p):
-    """fit_affine_lp as written when it computed each iterate's residual twice."""
-    amap = fit_affine_l2(x, y, w)
-
-    def objective(amap):
-        r = np.abs(y - amap(x))
-        return float(w @ r ** p / float(w.sum()))
-
-    best_map, best_obj = amap, objective(amap)
-    scale = max(float(np.max(np.abs(y))), 1.0)
-    for _ in range(40):
-        r = np.abs(y - amap(x))
-        if p < 2:
-            wi = w * np.maximum(r, 1e-9 * scale) ** (p - 2.0)
-        else:
-            wi = w * (r + 1e-14 * scale) ** (p - 2.0)
-        wi = wi / wi.max() if wi.max() > 0 else w
-        try:
-            amap = fitting._l2_map(*fitting._affine_moments(x, y, np.maximum(wi, 1e-300)))
-        except RankDeficient:
-            break
-        obj = objective(amap)
-        if obj < best_obj:
-            best_map, best_obj = amap, obj
-        elif abs(obj - best_obj) < 1e-15 * max(best_obj, 1e-300):
-            break
-    return best_map
-
-
-# The one-line exchange loop that fitting._exchange_rows replaced, frozen as it was.
-def parent_exchange_1d(x: np.ndarray, y: np.ndarray):
-    """Exact minimax line through 1-D data by three-point exchange."""
-    order = np.argsort(x, kind="stable")
-    x, y = x[order], y[order]
-    if x[-1] - x[0] < 1e-14 * max(1.0, abs(x[-1])):
-        raise RankDeficient("all abscissas coincide")
-    # seed: endpoints plus worst point of the chord
-    a0 = (y[-1] - y[0]) / (x[-1] - x[0])
-    b0 = y[0] - a0 * x[0]
-    r = y - (a0 * x + b0)
-    refs = sorted({0, int(np.argmax(np.abs(r))), x.size - 1})
-    while len(refs) < 3:
-        extra = [i for i in range(x.size) if i not in refs]
-        refs = sorted(refs + [extra[len(extra) // 2]])
-    for _ in range(100):
-        i0, i1, i2 = refs
-        M = np.array([[x[i0], 1.0, 1.0], [x[i1], 1.0, -1.0], [x[i2], 1.0, 1.0]])
-        try:
-            a, b, h = np.linalg.solve(M, np.array([y[i0], y[i1], y[i2]]))
-        except np.linalg.LinAlgError:
-            raise RankDeficient("degenerate reference set in exchange")
-        r = y - (a * x + b)
-        j = int(np.argmax(np.abs(r)))
-        if abs(r[j]) <= abs(h) * (1.0 + 1e-12) + 1e-15 * max(1.0, abs(h)):
-            return a, b, float(abs(r[j]))
-        sj = math.copysign(1.0, r[j]) if r[j] != 0 else 1.0
-        signs = [math.copysign(1.0, r[i]) if r[i] != 0 else s0
-                 for i, s0 in zip(refs, (1.0, -1.0, 1.0))]
-        if j < refs[0]:
-            refs = [j, refs[1], refs[2]] if sj == signs[0] else [j, refs[0], refs[1]]
-        elif j > refs[2]:
-            refs = [refs[0], refs[1], j] if sj == signs[2] else [refs[1], refs[2], j]
-        else:
-            k = 0 if j < refs[1] else 1
-            if sj == signs[k]:
-                refs[k] = j
-            else:
-                refs[k + 1] = j
-        refs = sorted(refs)
-    raise NonConvergence("1-D exchange did not settle")
-
-
-def parent_minimax(x, y, w, L=None):
-    """fit_affine_minimax as written when it computed each iterate's residual twice."""
-    base = fit_affine_l2(x, y, w)
-    d = x.shape[1]
-    r = np.abs(y - base(x))
-    scale = max(float(np.max(np.abs(y))), 1.0)
-    if r.max() <= 1e-13 * scale and (L is None or base.lipschitz <= L * (1 + 1e-12)):
-        return base
-    if d == 1 and L is None:
-        try:
-            a, b, _ = parent_exchange_1d(x[:, 0].copy(), y.copy())
-            return AffineMap((a,), b)
-        except (NonConvergence, RankDeficient):
-            pass
-    amap = base
-    best_map, best_val = amap, float(r.max())
-    for p in (4, 8, 16, 32, 64, 128, 256):
-        for _ in range(3):
-            rr = np.abs(y - amap(x)) + 1e-14 * scale
-            wi = w * (rr / rr.max()) ** (p - 2.0)
-            wi /= wi.max()
-            try:
-                amap = fitting._l2_map(*fitting._affine_moments(x, y, np.maximum(wi, 1e-300)))
-            except RankDeficient:
-                break
-            val = float(np.max(np.abs(y - amap(x))))
-            if val < best_val:
-                best_map, best_val = amap, val
-    r = np.abs(y - best_map(x))
-    k = max(3 * (d + 2), 8)
-    subset = list(np.argsort(r)[-k:])
-    for _ in range(60):
-        a, b, mval = fitting._minimax_lp(x, y, subset, L)
-        r = np.abs(y - (x @ a + b))
-        viol = np.where(r > mval * (1 + 1e-12) + 1e-12 * scale)[0]
-        if viol.size == 0:
-            break
-        extra = viol[np.argsort(r[viol])[-k:]]
-        subset = sorted(set(subset) | set(int(i) for i in extra))
-    else:
-        a, b, mval = fitting._minimax_lp(x, y, np.arange(y.size), L)
-    if L is not None and np.linalg.norm(a) > L:
-        a = a * (L / np.linalg.norm(a))
-        rr = y - x @ a
-        b = 0.5 * (rr.max() + rr.min())
-    return AffineMap(tuple(np.atleast_1d(a)), b)
-
-
 class TestOneResidualPerIterate:
     @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=sizes(3, 40),
            p=st.sampled_from([1.0, 1.5, 3.0, 6.0]))
@@ -670,6 +551,106 @@ class TestOneResidualPerIterate:
         x, y, w = gridded_set(3, 2, 30)
         base = fit_affine_l2(x, y, w)
         assert fit_affine_minimax(x, y, w, base=base) == fit_affine_minimax(x, y, w)
+
+
+def fit_outcome(fit, x, y, w, p, L):
+    """The map of each row that fit(x, y, w, p, L) gives, or the name of the
+    floating-point error it raises; with the CLI's error state."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return fit(x, y, w, p, L)
+    except FloatingPointError:
+        return "FloatingPointError"
+
+
+def stack_maps(x, y, w, p, L):
+    a, b, _ = fitting.fit_rows(x, y, w, p, L)
+    return [AffineMap(tuple(a[k]), b[k]) for k in range(len(x))]
+
+
+def parent_maps(x, y, w, p, L):
+    return [parent_affine_fit(x[k], y[k], w[k], p, L) for k in range(len(x))]
+
+
+def near_collinear_set(seed, d, N):
+    """N weighted samples in d >= 2 variables whose last column is the first
+    plus noise of 1e-9 to 1e-5: the design passes the rank test, and IRLS
+    weights often take a step's design below it."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (N, d))
+    x[:, -1] = x[:, 0] + 10.0 ** rng.uniform(-9.0, -5.0) * rng.normal(size=N)
+    return x, rng.normal(size=N), rng.uniform(0.01, 2.0, N)
+
+
+# Stack heights and sample sizes, both ends first: one row, and a row of the
+# 13-node 3-D cube grid, more points than a level block holds of such cubes
+KERNEL_K = [1, 9, 2, 5, 3]
+KERNEL_N = [2, 2197, 3, 81, 9, 27]
+
+
+class TestLockstepKernels:
+    """The lockstep IRLS and minimax front end: fit_rows at p != 2 equals
+    the frozen one-row fits row by row, exactly."""
+
+    @pytest.mark.parametrize("p, L", [(1, None), (1.5, None), (3, None), (math.inf, None),
+                                      (math.inf, 0.5)])
+    def test_stack_rows_equal_frozen_one_row_fits(self, p, L):
+        reached = set()
+
+        @settings(max_examples=40)
+        @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3),
+               K=st.sampled_from(KERNEL_K), N=st.sampled_from(KERNEL_N))
+        def check(seed, d, K, N):
+            reached.add((K, N))
+            x, y, w = random_sets(seed, d, K, N)
+            # every other row on a coarse lattice: repeated abscissas, rank
+            # deficient designs and rank-deficient IRLS steps
+            for k in range(0, K, 2):
+                x[k], y[k], w[k] = gridded_set(seed + k, d, N)
+            if d > 1 and K > 1:
+                x[1], y[1], w[1] = near_collinear_set(seed, d, N)
+            got = fit_outcome(stack_maps, x, y, w, p, L)
+            assert got == fit_outcome(parent_maps, x, y, w, p, L)
+
+        check()
+        # every listed size, both ends included, was drawn
+        assert {K for K, _ in reached} == set(KERNEL_K)
+        assert {N for _, N in reached} == set(KERNEL_N)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, math.inf])
+    def test_rank_deficient_steps_leave_the_stack(self, p):
+        # rows whose IRLS steps are rank deficient at some step, among rows
+        # whose steps are not
+        rows = [near_collinear_set(seed, 2, 12) for seed in range(16)]
+        rows += [gridded_set(seed, 2, 12) for seed in range(4)]
+        x, y, w = (np.stack(v) for v in zip(*rows))
+        assert stack_maps(x, y, w, p, None) == parent_maps(x, y, w, p, None)
+        steps = []
+        step = fitting._step_maps
+
+        def spy(*args):
+            ok, a, b = step(*args)
+            steps.append(ok.all())
+            return ok, a, b
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fitting, "_step_maps", spy)
+            fitting.fit_rows(x, y, w, p)
+        assert not all(steps)
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_one_row_fits_are_stacks_of_one(self, p, monkeypatch):
+        x, y, w = gridded_set(4, 2, 30)
+        kernel = "_minimax_rows" if math.isinf(p) else "_lp_rows"
+        calls, run = [], getattr(fitting, kernel)
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return run(*args)
+
+        monkeypatch.setattr(fitting, kernel, spy)
+        assert fitting.affine_fit(x, y, w, p) == parent_affine_fit(x, y, w, p)
+        assert calls == [1]
 
 
 def exchange_rows(seed, K, N):
