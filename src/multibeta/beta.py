@@ -1,16 +1,18 @@
 """Multiscale affine-approximation coefficients on cubes, slices and trees.
 
-A cube or slice coefficient is ``norm_value`` of one residual: the field's
-values on the set's quadrature nodes minus the affine map that ``fitting``
-returns for them. Cube coefficients read one ``CubeSample`` of the box (the
+A cube or slice coefficient is the normalized size of one residual: the
+field's values on the set's quadrature nodes minus their best affine map.
+``fit_betas`` takes both from ``fitting.fit_rows``, the one fit, for a
+stack of sets or a stack of one, so every coefficient is fitted and sized
+in one place. Cube coefficients read one ``CubeSample`` of the box (the
 midpoint tensor grid of ``sample_grids``, the one sampler) and normalize by
 diam(Q)^n (not |Q|). Restricted coefficients parametrize the slice (line
 interval or hyperplane patch), fit in slice coordinates, and report the
 fitted map in ambient coordinates. Integral-geometric coefficients are Monte
 Carlo averages of restricted coefficients against the weighted Grassmannian
-samplers. Every stacked fit goes through ``fitting.fit_rows``. Line
-coefficients are computed only as stacks, by ``restricted_line_betas`` (one
-clip per line, one field call per block and one stack per block and norm);
+samplers. Line coefficients are computed only as stacks, by
+``restricted_line_betas`` (one clip per line, one field call per block and
+one stack per block and norm);
 ``beta_p_restricted`` is the hyperplane-patch coefficient. The combined
 coefficient is the hypot of its two ``combined_parts``; at n = 2 they share
 one sampled line family. The cube coefficients of a dyadic level come from
@@ -120,10 +122,21 @@ def _lp_value(integral: float, p: float, diam: float, m: int) -> float:
     return (integral / diam ** m) ** (1.0 / p) / diam
 
 
+def fit_betas(x, y, w, p: float, diam: float, m: int, L: float | None = None):
+    """fitting.fit_rows of a stack x (K, N, d), y and w (K, N), and the
+    coefficient of each row's residual on an m-dimensional set of diameter
+    diam, bit for bit as norm_value gives it: (a, b, values), values a list
+    of floats."""
+    a, b, sums = fitting.fit_rows(x, y, w, p, L)
+    if math.isinf(p):
+        return a, b, [float(v) / diam for v in sums]
+    return a, b, [_lp_value(float(v), p, diam, m) for v in sums]
+
+
 def cube_beta(s: CubeSample, p: float, L: float | None = None) -> BetaRecord:
     """beta_p of the sampled cube/box itself (the m = n case)."""
-    amap = fitting.affine_fit(s.X, s.y, s.w, p, L)
-    return BetaRecord(norm_value(s.y - amap(s.X), s.w, p, s.box.diameter, s.box.dim), amap)
+    a, b, values = fit_betas(s.X[None], s.y[None], s.w[None], p, s.box.diameter, s.box.dim, L)
+    return BetaRecord(values[0], AffineMap(tuple(a[0]), b[0]))
 
 
 def beta_p_cube(fld: FunctionField, box: Box, p: float, quad: QuadratureSpec,
@@ -152,10 +165,9 @@ def beta_p_restricted(fld: FunctionField, box: Box, plane: Hyperplane, p: float,
     U, X = U[inside], X[inside]
     y = fld.eval(X)
     w = np.full(U.shape[0], cell)
-    amap = fitting.affine_fit(U, y, w, p)
-    value = norm_value(y - amap(U), w, p, box.diameter, box.dim - 1)
-    grad = B @ amap.a
-    return BetaRecord(value, AffineMap(tuple(grad), amap.intercept - float(grad @ x0)))
+    a, b, values = fit_betas(U[None], y[None], w[None], p, box.diameter, box.dim - 1)
+    grad = B @ a[0]
+    return BetaRecord(values[0], AffineMap(tuple(grad), b[0] - float(grad @ x0)))
 
 
 # Rows (sampled lines, cubes of one tree level) per batched pass: bounds the
@@ -175,8 +187,8 @@ def restricted_line_betas(fld: FunctionField, box: Box, bases, directions, ps,
     Returns (kept, values): ``kept`` masks the lines that meet the box and
     ``values[p]`` holds their coefficients in order, for each p in ``ps``.
     The lines are clipped as one stack; each block of ROW_BLOCK clipped lines
-    is one field call and, in each p, one ``fitting.fit_rows`` stack, through
-    which every stacked fit goes. Each value has the bits of its line alone.
+    is one field call and, in each p, one ``fit_betas`` stack. Each value
+    has the bits of its line alone.
     """
     # an empty family may come as an empty list
     bases = np.asarray(bases, dtype=float).reshape(-1, box.dim)
@@ -200,13 +212,7 @@ def _line_block_betas(fld, box, bases, directions, s0, s1, ps, quad):
     del pts
     x = s[:, :, None]
     w = np.repeat(h[:, None], nodes, axis=1)
-    diam = box.diameter
-    values = {}
-    for p in ps:
-        sums = fitting.fit_rows(x, y, w, p)[2]
-        values[p] = (sums / diam if math.isinf(p)
-                     else np.asarray([_lp_value(float(i), p, diam, 1) for i in sums]))
-    return values
+    return {p: np.asarray(fit_betas(x, y, w, p, box.diameter, 1)[2]) for p in ps}
 
 
 def _ig_family(fld, box, m, ps, quad, seed_tags):
@@ -359,7 +365,7 @@ def cube_level(fld: FunctionField, frontier: list, ps, quad: QuadratureSpec,
 
     The cubes of a level share their sides, so only the corner differs: a
     block of cubes is one sample_grids call and, in each p, one
-    fitting.fit_rows stack, each of whose rows has its scalar bits. A block
+    fit_betas stack, each of whose rows has its scalar bits. A block
     holds at most ROW_BLOCK cubes and BLOCK_POINTS sample points, and at
     least one cube.
     """
@@ -378,9 +384,7 @@ def cube_level(fld: FunctionField, frontier: list, ps, quad: QuadratureSpec,
         X, y = sample_grids(fld, lo[i:i + cubes], box.sides, quad.nodes)
         w = np.full(y.shape, box.volume / N)
         for p in ps:
-            sums = fitting.fit_rows(X, y, w, p)[2]
-            values[p] += ([float(v) / diam for v in sums] if math.isinf(p)
-                          else [_lp_value(float(v), p, diam, n) for v in sums])
+            values[p] += fit_betas(X, y, w, p, diam, n)[2]
     return values
 
 

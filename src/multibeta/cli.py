@@ -250,6 +250,8 @@ def cmd_carleson(cfg, args, seed):
     root, depth = load_root(cfg, fld.dim, 4)
     dilation = cfg.number("dilation", default=3.0, minimum=1.0)
     selector = cfg.string("selector", "beta2", betamod.SELECTORS)
+    if selector == "combined" and fld.dim < 2:
+        cfg.fail("selector", "'combined' needs a field of dim >= 2")
     rep = betamod.carleson_sum(fld, root, dilation, depth, selector, quad)
     return _write_packing(cfg, args, seed, fld.dim, rep, "carleson", "carleson_cubes.csv",
                           ("level", "index"), lambda node: (node.level, node.index))

@@ -13,10 +13,6 @@ class DegenerateSimplex(MultibetaError):
     """Simplex construction failed a transversality or volume check."""
 
 
-class RankDeficient(MultibetaError):
-    """Affine design matrix does not span; no unique fit."""
-
-
 class NonConvergence(MultibetaError):
     """Iterative fit oscillated past its iteration budget."""
 

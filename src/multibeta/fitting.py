@@ -1,28 +1,28 @@
 """Best affine approximation over weighted point sets.
 
-Every fit takes one sample set as arrays, abscissas x (N, d), values y (N,)
-and positive weights w (N,), and returns its ``AffineMap``; every stacked
-fit goes through ``fit_rows``, each set's map and residual size in one norm.
-Every fit runs on a stack of sets, and the one-set fit is a stack of one.
-Every affine L2 fit, single, stacked or an IRLS step, takes its rank
-decision and centered moments from one kernel, ``_affine_moments``, so a
-set's map has the same bits in a stack as alone. The kernel owns the memory
-layout: it reduces C-contiguous arrays, so a strided column fits with the
-bits of its contiguous copy. L2 fits solve the centered normal equations
-(exactly translation-equivariant). The fit with |a| <= L is a trust-region
-problem: exact multiplier by bisection on the ridge path, intercept
-re-optimized, the steep rows bisecting in lockstep. The Lp fit is IRLS from
-the L2 map, every row's steps in lockstep (``_lp_rows``). Discrete minimax
-starts from the L2 map ``base`` (the caller's, if it has one): the
-exact-fit exit, then in one dimension a three-point exchange, run in
-lockstep; else, or where the exchange does not settle, IRLS exponent
-escalation in lockstep (``_escalate_rows``) and an active-set LP polish,
-one set at a time. A lockstep step computes only on the rows still in it,
-so each row keeps the bits and floating-point errors of its one-row fit.
-The polish solves each LP through ``linprog``, the package's one LP entry
-point (HiGHS through scipy's ``milp``); scipy's solver is imported at the
-first LP, not with the package. A rank-deficient design falls back to the
-minimum-norm least-squares map in one place, ``affine_fit``.
+There is one fit, ``fit_rows``: for each sample set of a stack, abscissas
+x (K, N, d), values y and positive weights w (K, N), its best affine map in
+one weighted norm and the size of its residual. ``affine_fit`` is its
+one-row face, one set's ``AffineMap``. Every affine L2 fit, a set's own or
+an IRLS step, takes its rank decision and centered moments from one kernel,
+``_affine_moments``, so a set's map has the same bits in a stack as alone.
+The kernel owns the memory layout: it reduces C-contiguous arrays, so a
+strided column fits with the bits of its contiguous copy. L2 fits solve the
+centered normal equations (exactly translation-equivariant); a stacked
+solve that meets a singular matrix is solved again row by row. The fit with
+|a| <= L is a trust-region problem: exact multiplier by bisection on the
+ridge path, intercept re-optimized, the steep rows bisecting in lockstep.
+The Lp fit is IRLS from the L2 map, every row's steps in lockstep
+(``_lp_rows``). Discrete minimax starts from the L2 map: the exact-fit
+exit, then in one dimension a three-point exchange, run in lockstep; else,
+or where the exchange does not settle, IRLS exponent escalation in lockstep
+(``_escalate_rows``) and an active-set LP polish, one set at a time. A
+lockstep step computes only on the rows still in it, so each row keeps the
+bits and floating-point errors of its one-row fit. The polish solves each
+LP through ``linprog``, the package's one LP entry point (HiGHS through
+scipy's ``milp``); scipy's solver is imported at the first LP, not with the
+package. A set whose design is rank deficient gets the minimum-norm
+least-squares map, in ``fit_rows``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import warnings
 
 import numpy as np
 
-from .errors import NonConvergence, RankDeficient
+from .errors import NonConvergence
 from .geometry import AffineMap
 
 RANK_TOL = 1e-12
@@ -77,59 +77,51 @@ def _affine_moments(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     return ok, xbar, ybar, C, c
 
 
-def _l2_map(ok, xbar, ybar, C, c) -> AffineMap:
-    """The L2 map of one set from its _affine_moments; RankDeficient if none."""
-    if not ok:
-        raise RankDeficient("affine design matrix is rank deficient")
-    try:
-        a = np.linalg.solve(C, c)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient("centered covariance is numerically singular") from exc
-    return AffineMap(tuple(a), ybar - a @ xbar)
-
-
 def _row_norm(v: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row of v (K, d), bit for bit: sqrt of the row's
     dot product, as norm takes it (einsum or sum(v * v) round differently)."""
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _l2_rows(ok, xbar, ybar, C, c):
-    """(ok, a, b) of each set's L2 map from stacked _affine_moments; every row
-    is not ok when the stacked solve fails on any set."""
-    a, b = np.zeros(c.shape), np.zeros(len(c))
+def _keep(mask: np.ndarray, *arrays):
+    """The rows of each array where mask holds; the arrays themselves, not
+    copies, when it holds everywhere."""
+    return arrays if np.count_nonzero(mask) == len(mask) else tuple(v[mask] for v in arrays)
+
+
+def _solve_rows(M: np.ndarray, rhs: np.ndarray):
+    """np.linalg.solve of each system M (K, m, m), rhs (K, m): (solved, sol);
+    when the stacked solve finds a singular matrix, the rows are solved one
+    at a time and the singular ones are not solved."""
     try:
-        a_ok = np.linalg.solve(C[ok], c[ok][:, :, None])[:, :, 0]
+        return np.ones(len(M), dtype=bool), np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        return np.zeros(len(c), dtype=bool), a, b
-    a[ok] = a_ok
-    b[ok] = ybar[ok] - (a_ok[:, None, :] @ xbar[ok][:, :, None])[:, 0, 0]
-    return ok, a, b
+        solved, sol = np.ones(len(M), dtype=bool), np.zeros(rhs.shape)
+        for i in range(len(M)):
+            try:
+                sol[i] = np.linalg.solve(M[i], rhs[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return solved, sol
 
 
-def fit_affine_l2_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """fit_affine_l2 of each sample set in a stack: x (K, N, d), y and w (K, N).
-
-    Returns (ok, a (K, d), b (K,)); a row is not ok where the scalar fit
-    would raise RankDeficient, and every row is not ok when the stacked
-    SVD or solve fails on any set.
-    """
-    try:
-        moments = _affine_moments(x, y, w)
-    except np.linalg.LinAlgError:
-        K, _, d = np.shape(x)
-        return np.zeros(K, dtype=bool), np.zeros((K, d)), np.zeros(K)
-    return _l2_rows(*moments)
+def _solved_maps(ok, xbar, ybar, C, c):
+    """The L2 map of each ok set from its stacked _affine_moments, as (ok, a,
+    b) with a and b for the rows still ok; a row whose centered covariance
+    is singular is not ok, and a singular stacked solve is solved again row
+    by row."""
+    xbar, ybar, C, c = _keep(ok, xbar, ybar, C, c)
+    solved, a = _solve_rows(C, c)
+    if np.count_nonzero(solved) < len(solved):
+        ok[np.flatnonzero(ok)[~solved]] = False
+        xbar, ybar, a = xbar[solved], ybar[solved], a[solved]
+    return ok, a, ybar - (a[:, None, :] @ xbar[:, :, None])[:, 0, 0]
 
 
-def fit_affine_l2(x, y, w) -> AffineMap:
-    """Global minimizer of the weighted quadratic objective."""
-    return _l2_map(*_affine_moments(x, y, w))
-
-
-def fit_affine_l2_constrained_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray, L: float):
-    """fit_affine_l2_constrained of each sample set in a stack, with the
-    ok, a, b and solve failure of fit_affine_l2_stack.
+def _l2_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, L: float | None):
+    """(ok, a (K, d), b (K,)): the L2 map of each sample set of a stack, with
+    |a| <= L where L is given; a row is not ok where its design fails the
+    rank test or its centered covariance is singular.
 
     Rows steeper than L double, then bisect, their ridge multipliers in
     lockstep, each with its own stopping test, and each step computes only
@@ -137,10 +129,17 @@ def fit_affine_l2_constrained_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     one-row fit, and a stack raises a floating-point error only where one
     of its rows would. LinAlgError if the SVD or eigh does not converge.
     """
-    if L <= 0:
+    if L is not None and L <= 0:
         raise ValueError("L must be positive")
     ok, xbar, ybar, C, c = _affine_moments(x, y, w)
-    ok, a, b = _l2_rows(ok, xbar, ybar, C, c)
+    ok, a_ok, b_ok = _solved_maps(ok, xbar, ybar, C, c)
+    if ok.all():
+        a, b = a_ok, b_ok
+    else:
+        a, b = np.zeros(c.shape), np.zeros(len(c))
+        a[ok], b[ok] = a_ok, b_ok
+    if L is None:
+        return ok, a, b
     rows = np.flatnonzero(ok)
     S = rows[~(_row_norm(a[rows]) <= L * (1.0 + 1e-12))]
     if not S.size:
@@ -175,52 +174,28 @@ def fit_affine_l2_constrained_stack(x: np.ndarray, y: np.ndarray, w: np.ndarray,
     return ok, a, b
 
 
-def fit_affine_l2_constrained(x, y, w, L: float) -> AffineMap:
-    """L2 fit subject to |gradient| <= L, solved exactly on the ridge path."""
-    ok, a, b = fit_affine_l2_constrained_stack(
-        *(np.asarray(v, dtype=float)[None] for v in (x, y, w)), L)
-    if not ok[0]:
-        raise RankDeficient("affine design matrix is rank deficient")
-    return AffineMap(tuple(a[0]), b[0])
-
-
 def _residuals(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|y - A(x)| of each row's map A = (a, b): AffineMap's expression with a
     leading stack axis, so each row has its one-map bits."""
     return np.abs(y - ((x @ a[:, :, None])[:, :, 0] + b[:, None]))
 
 
-def _keep(mask: np.ndarray, *arrays):
-    """The rows of each array where mask holds; the arrays themselves, not
-    copies, when it holds everywhere."""
-    return arrays if np.count_nonzero(mask) == len(mask) else tuple(v[mask] for v in arrays)
-
-
 def _step_maps(x: np.ndarray, y: np.ndarray, wi: np.ndarray):
-    """One IRLS step: the L2 map of each row under the weights wi, as
-    (ok, a, b) with a and b for the ok rows only; a row is not ok where
-    _l2_map raises RankDeficient for it alone."""
-    ok, xbar, ybar, C, c = _affine_moments(x, y, np.maximum(wi, 1e-300))
-    xbar, ybar, C, c = _keep(ok, xbar, ybar, C, c)
-    try:
-        a = np.linalg.solve(C, c[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        solved, a = _solve_rows(C, c)
-        ok[np.flatnonzero(ok)[~solved]] = False
-        xbar, ybar, a = xbar[solved], ybar[solved], a[solved]
-    return ok, a, ybar - (a[:, None, :] @ xbar[:, :, None])[:, 0, 0]
+    """One IRLS step: _solved_maps of each row under the weights wi."""
+    return _solved_maps(*_affine_moments(x, y, np.maximum(wi, 1e-300)))
 
 
 def _lp_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
              p: float):
-    """fit_affine_lp of each set of a stack x (K, N, d), y and w (K, N) from
-    its L2 map (a, b): every row's 40 IRLS steps in lockstep.
+    """The Lp map of each set of a stack x (K, N, d), y and w (K, N) by IRLS
+    from its L2 map (a, b): every row's 40 IRLS steps in lockstep.
 
     A row leaves the stack where its objective stops moving or its step is
     rank deficient. Each step computes only on the rows still in it, and on
     the stack itself while every row is, so a row has the bits, and the
-    floating-point errors, of its one-row fit. Returns (a, b), the best
-    iterate of each row, the L2 map included.
+    floating-point errors, of its one-row fit. Returns (a, b), the iterate
+    of each row with the smallest Lp objective, the L2 map included, so the
+    fit never does worse than L2.
     """
     W = w.sum(axis=1)
     r = _residuals(x, y, a, b)
@@ -253,38 +228,9 @@ def _lp_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.n
     return a, b
 
 
-def fit_affine_lp(x, y, w, p: float) -> AffineMap:
-    """Quasi-minimizer of the weighted L^p objective via IRLS, seeded at L2.
-
-    Returns whichever of the IRLS iterates and the plain L2 fit has the
-    smaller L^p objective, so the result never does worse than L2. A stack
-    of one through the lockstep IRLS of fit_rows.
-    """
-    x, y, w = _arrays(x, y, w)
-    amap = fit_affine_l2(x, y, w)
-    a, b = _lp_rows(x[None], y[None], w[None], amap.a[None], np.array([amap.intercept]), p)
-    return AffineMap(tuple(a[0]), b[0])
-
-
 # ---------------------------------------------------------------------------
 # Discrete minimax
 # ---------------------------------------------------------------------------
-
-
-def _solve_rows(M: np.ndarray, rhs: np.ndarray):
-    """np.linalg.solve of each system M (K, m, m), rhs (K, m): (solved, sol);
-    when the stacked solve finds a singular matrix, the rows are solved one
-    at a time and the singular ones are not solved."""
-    try:
-        return np.ones(len(M), dtype=bool), np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        solved, sol = np.ones(len(M), dtype=bool), np.zeros(rhs.shape)
-        for i in range(len(M)):
-            try:
-                sol[i] = np.linalg.solve(M[i], rhs[i])
-            except np.linalg.LinAlgError:
-                solved[i] = False
-        return solved, sol
 
 
 def _exchange_rows(x: np.ndarray, y: np.ndarray):
@@ -404,7 +350,7 @@ def _minimax_lp(x: np.ndarray, y: np.ndarray, subset, L: float | None):
 
 def _escalate_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, r: np.ndarray,
                    scale: np.ndarray) -> np.ndarray:
-    """fit_affine_minimax's IRLS exponent escalation for each set of a stack
+    """The minimax fit's IRLS exponent escalation for each set of a stack
     x (K, N, d), y and w (K, N) from the residual r of its L2 map, which it
     overwrites: the residual of each row's best iterate, the L2 map included.
 
@@ -470,8 +416,8 @@ def _polish(x: np.ndarray, y: np.ndarray, r: np.ndarray, L: float | None, scale)
 
 def _minimax_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray,
                   L: float | None):
-    """fit_affine_minimax of each set of a stack x (K, N, d), y and w (K, N)
-    from its L2 map (a, b), as (a, b).
+    """The discrete minimax map (a, b) of each set of a stack x (K, N, d), y
+    and w (K, N), with |a| <= L where L is given, from its L2 map (a, b).
 
     A row whose L2 map fits exactly (and within L) keeps it; in one
     dimension with no L the other rows take the lockstep exchange; the rest
@@ -498,47 +444,10 @@ def _minimax_rows(x: np.ndarray, y: np.ndarray, w: np.ndarray, a: np.ndarray, b:
     return a, b
 
 
-def fit_affine_minimax(x, y, w, L: float | None = None,
-                       base: AffineMap | None = None) -> AffineMap:
-    """Minimize the max abs residual over affine maps (optionally |a| <= L).
-
-    ``base`` is the samples' L2 map when the caller has it; by default it
-    is ``fit_affine_l2(x, y, w)``. IRLS exponent escalation from it
-    provides the warm start and the active constraint set; an exact LP on
-    that set, grown cutting-plane style, polishes to the discrete optimum.
-    A stack of one through the lockstep front end of fit_rows.
-    """
-    x, y, w = _arrays(x, y, w)
-    base = fit_affine_l2(x, y, w) if base is None else base
-    a, b = _minimax_rows(x[None], y[None], w[None], base.a[None], np.array([base.intercept]), L)
-    return AffineMap(tuple(a[0]), b[0])
-
-
-def _check_bound(p: float, L: float | None):
-    if L is not None and p != 2 and not math.isinf(p):
-        raise ValueError(f"a gradient bound L needs p = 2 or inf, got p = {p}")
-
-
-def affine_fit(x, y, w, p: float, L: float | None = None) -> AffineMap:
-    """Best affine map in the weighted Lp norm (p = 2 and inf honour |a| <= L).
-
-    A rank-deficient design falls back to the minimum-norm least-squares map.
-    """
-    _check_bound(p, L)
-    try:
-        if math.isinf(p):
-            return fit_affine_minimax(x, y, w, L=L)
-        if p == 2:
-            return fit_affine_l2(x, y, w) if L is None else fit_affine_l2_constrained(x, y, w, L)
-        return fit_affine_lp(x, y, w, p)
-    except RankDeficient:
-        coef, *_ = np.linalg.lstsq(_weighted_design(x, w), y * np.sqrt(w), rcond=None)
-        return AffineMap(tuple(coef[:-1]), coef[-1])
-
-
 def fit_rows(x, y, w, p: float, L: float | None = None):
-    """affine_fit(x[k], y[k], w[k], p, L) and the size of its residual r for
-    each set of a stack x (K, N, d), y and w (K, N), bit for bit.
+    """The best affine map of each sample set of a stack x (K, N, d), y and
+    w (K, N) in the weighted Lp norm (p = 2 and inf honour |a| <= L), and
+    the size of its residual r; each row has the bits of its set alone.
 
     Returns (a (K, d), b (K,), sums (K,)): sums is w @ (r * r) at p = 2,
     w @ |r| ** p at another finite p and max |r| at p = inf. One stacked L2
@@ -546,21 +455,28 @@ def fit_rows(x, y, w, p: float, L: float | None = None):
     ok row's fit at any other p: the ok rows run the lockstep IRLS at finite
     p and the lockstep minimax front end at p = inf as one stack, and only
     the minimax LP polish goes one row at a time. A row whose design is rank
-    deficient goes through affine_fit.
+    deficient gets the minimum-norm least-squares map in every norm.
     """
-    _check_bound(p, L)
+    if L is not None and p != 2 and not math.isinf(p):
+        raise ValueError(f"a gradient bound L needs p = 2 or inf, got p = {p}")
     x, y, w = _arrays(x, y, w)
-    ok, a, b = (fit_affine_l2_constrained_stack(x, y, w, L) if p == 2 and L is not None
-                else fit_affine_l2_stack(x, y, w))
+    ok, a, b = _l2_rows(x, y, w, L if p == 2 else None)
     if p != 2 and ok.any():
         rows = np.flatnonzero(ok)
         xs, ys, ws = _keep(ok, x, y, w)
         a[rows], b[rows] = (_minimax_rows(xs, ys, ws, a[rows], b[rows], L) if math.isinf(p)
                             else _lp_rows(xs, ys, ws, a[rows], b[rows], p))
     for k in np.flatnonzero(~ok):
-        amap = affine_fit(x[k], y[k], w[k], p, L)
-        a[k], b[k] = amap.a, amap.intercept
+        coef = np.linalg.lstsq(_weighted_design(x[k], w[k]), y[k] * np.sqrt(w[k]), rcond=None)[0]
+        a[k], b[k] = coef[:-1], coef[-1]
     r = _residuals(x, y, a, b)
     if math.isinf(p):
         return a, b, r.max(axis=1)
     return a, b, (w[:, None, :] @ (r * r if p == 2 else r ** p)[:, :, None])[:, 0, 0]
+
+
+def affine_fit(x, y, w, p: float, L: float | None = None) -> AffineMap:
+    """The best affine map of one sample set x (N, d), y and w (N,) in the
+    weighted Lp norm (p = 2 and inf honour |a| <= L): fit_rows on a stack of one."""
+    a, b, _ = fit_rows(*(np.asarray(v, dtype=float)[None] for v in (x, y, w)), p, L)
+    return AffineMap(tuple(a[0]), b[0])

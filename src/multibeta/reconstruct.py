@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fitting
 from .calibration import KAPPA_B, KAPPA_C
 from .beta import (CubeSample, QuadratureSpec, beta_integralgeometric, beta_p_restricted,
-                   combined_parts, cube_beta, midpoint_mesh, midpoint_nodes, norm_value,
-                   restricted_line_betas)
+                   combined_parts, cube_beta, fit_betas, midpoint_mesh, midpoint_nodes,
+                   norm_value, restricted_line_betas)
 from .errors import BudgetExhausted, DegenerateSimplex, EmptyIntersection
 from .funcmodel import FunctionField
 from .geometry import (AffineMap, Box, Hyperplane, Simplex, clip_lines, orthonormal_complement,
@@ -262,8 +261,7 @@ def planar_beta2(fld: FunctionField, box: Box, direction, quad: QuadratureSpec) 
     X = (bases[:, None, :] + s[:, :, None] * direction).reshape(-1, 2)
     w = np.repeat(h_v * ((s1 - s0) / nodes), nodes)
     y = fld.eval(X)
-    amap = fitting.fit_affine_l2(X, y, w)
-    return norm_value(y - amap(X), w, 2, box.diameter, 2)
+    return fit_betas(X[None], y[None], w[None], 2, box.diameter, 2)[2][0]
 
 
 def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: float = 8.0,

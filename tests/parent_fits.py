@@ -10,9 +10,83 @@ import numpy as np
 
 from multibeta import fitting
 from multibeta.beta import CubeSample, norm_value
-from multibeta.errors import NonConvergence, RankDeficient
-from multibeta.fitting import fit_affine_l2
+from multibeta.errors import NonConvergence
 from multibeta.geometry import AffineMap
+
+
+class RankDeficient(Exception):
+    """The frozen fits' signal that a design or an IRLS step has no unique fit."""
+
+
+def _l2_map(ok, xbar, ybar, C, c) -> AffineMap:
+    """fitting._l2_map, frozen: the L2 map of one set from its
+    fitting._affine_moments; RankDeficient if none."""
+    if not ok:
+        raise RankDeficient("affine design matrix is rank deficient")
+    try:
+        a = np.linalg.solve(C, c)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient("centered covariance is numerically singular") from exc
+    return AffineMap(tuple(a), ybar - a @ xbar)
+
+
+def fit_affine_l2(x, y, w) -> AffineMap:
+    """fitting.fit_affine_l2, frozen: global minimizer of the weighted quadratic objective."""
+    return _l2_map(*fitting._affine_moments(x, y, w))
+
+
+def parent_constrained(x, y, w, L):
+    """The two-pass constrained fit as it was written before the shared moments kernel."""
+    W = float(w.sum())
+
+    def moments():
+        xbar = w @ x / W
+        ybar = float(w @ y / W)
+        xc = x - xbar
+        yc = y - ybar
+        return xbar, ybar, (xc * w[:, None]).T @ xc / W, (xc * w[:, None]).T @ yc / W
+
+    def residual(a, b):
+        r = y - (x @ a + b)
+        return float(w @ (r * r) / W)
+
+    design = np.hstack([x, np.ones((len(y), 1))]) * np.sqrt(w)[:, None]
+    sv = np.linalg.svd(design, compute_uv=False)
+    if sv[0] == 0 or sv[-1] / sv[0] < fitting.RANK_TOL:
+        raise RankDeficient("rank")
+    xbar, ybar, C, c = moments()
+    try:
+        a = np.linalg.solve(C, c)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient("singular") from exc
+    a = np.array([float(v) for v in a])
+    b = float(ybar - a @ xbar)
+    if float(np.linalg.norm(a)) <= L * (1.0 + 1e-12):
+        return a, b, residual(a, b)
+    xbar, ybar, C, c = moments()
+    evals, evecs = np.linalg.eigh(C)
+    proj = evecs.T @ c
+
+    def grad_norm(lam):
+        return float(np.linalg.norm(proj / (evals + lam)))
+
+    lo, hi = 0.0, max(float(np.linalg.norm(c)) / L, 1e-30)
+    while grad_norm(hi) > L:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if grad_norm(mid) > L:
+            lo = mid
+        else:
+            hi = mid
+        if abs(grad_norm(hi) - L) <= fitting.GRAD_BISECT_TOL:
+            break
+    a = evecs @ (proj / (evals + hi))
+    if np.linalg.norm(a) > L:
+        a *= L / np.linalg.norm(a)
+    a = np.array([float(v) for v in a])
+    b = float(ybar - a @ xbar)
+    return a, b, residual(a, b)
 
 
 def parent_lp(x, y, w, p):
@@ -33,7 +107,7 @@ def parent_lp(x, y, w, p):
             wi = w * (r + 1e-14 * scale) ** (p - 2.0)
         wi = wi / wi.max() if wi.max() > 0 else w
         try:
-            amap = fitting._l2_map(*fitting._affine_moments(x, y, np.maximum(wi, 1e-300)))
+            amap = _l2_map(*fitting._affine_moments(x, y, np.maximum(wi, 1e-300)))
         except RankDeficient:
             break
         obj = objective(amap)
@@ -109,7 +183,7 @@ def parent_minimax(x, y, w, L=None):
             wi = w * (rr / rr.max()) ** (p - 2.0)
             wi /= wi.max()
             try:
-                amap = fitting._l2_map(*fitting._affine_moments(x, y, np.maximum(wi, 1e-300)))
+                amap = _l2_map(*fitting._affine_moments(x, y, np.maximum(wi, 1e-300)))
             except RankDeficient:
                 break
             val = float(np.max(np.abs(y - amap(x))))
@@ -137,13 +211,15 @@ def parent_minimax(x, y, w, L=None):
 
 def parent_affine_fit(x, y, w, p, L=None):
     """fitting.affine_fit as it was before the lockstep IRLS kernels, through
-    the frozen fits above; the L2 fits are the package's own."""
+    the frozen fits above, the minimum-norm least-squares fallback included."""
     try:
         if math.isinf(p):
             return parent_minimax(x, y, w, L)
         if p == 2:
-            return fit_affine_l2(x, y, w) if L is None else fitting.fit_affine_l2_constrained(
-                x, y, w, L)
+            if L is None:
+                return fit_affine_l2(x, y, w)
+            a, b, _ = parent_constrained(x, y, w, L)
+            return AffineMap(tuple(a), b)
         return parent_lp(x, y, w, p)
     except RankDeficient:
         coef, *_ = np.linalg.lstsq(fitting._weighted_design(x, w), y * np.sqrt(w), rcond=None)

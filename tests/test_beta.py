@@ -343,12 +343,14 @@ class TestBatchedLines:
         assert values[p].tolist() == _scalar_line_betas(fld, box, *rows, (p,), QUAD)[1][p]
 
     def test_nothing_fitted_in_the_stack_falls_back(self, monkeypatch):
+        # with no L2 map in any stack, every line takes the least-squares
+        # fallback, in a block as alone
         fld = make_field("cone", 2, x0=[0.3, 0.6])
         box = Box((0.0, 0.0), (1.0, 1.0))
         rows = _sampled_rows(box, 8, 5)
-        expect = _scalar_line_betas(fld, box, *rows, (2, math.inf), QUAD)[1]
-        monkeypatch.setattr(fitting, "fit_affine_l2_stack", lambda x, y, w: (
+        monkeypatch.setattr(fitting, "_l2_rows", lambda x, y, w, L: (
             np.zeros(len(x), dtype=bool), np.zeros((len(x), 1)), np.zeros(len(x))))
+        expect = _scalar_line_betas(fld, box, *rows, (2, math.inf), QUAD)[1]
         _, values = restricted_line_betas(fld, box, *rows, (2, math.inf), QUAD)
         assert {p: v.tolist() for p, v in values.items()} == expect
 
@@ -359,9 +361,13 @@ class TestBatchedLines:
         s = np.linspace(0.0, 1.0, 5)
         x = np.stack([s, 2.0 * s])[:, :, None]
         y = np.stack([s, s * s])
+        w = np.ones_like(y)
         monkeypatch.setattr(np.linalg, "solve", singular)
-        ok, _, _ = fitting.fit_affine_l2_stack(x, y, np.ones_like(y))
-        assert not ok.any()
+        a, b, _ = fitting.fit_rows(x, y, w, 2)
+        # each row solved again alone, singular too: its least-squares map
+        for k in range(2):
+            coef = np.linalg.lstsq(np.hstack([x[k], np.ones((5, 1))]), y[k], rcond=None)[0]
+            assert a[k].tolist() == coef[:-1].tolist() and b[k] == coef[-1]
 
     def test_family_missing_the_box(self):
         fld = make_field("cone", 2, x0=[0.3, 0.6])
@@ -448,27 +454,31 @@ class TestBeta2Level:
 
     @pytest.mark.parametrize("marked", [slice(1, None, 3), slice(None)], ids=["some", "all"])
     def test_rows_not_ok_take_the_scalar_path(self, marked, monkeypatch):
+        # the marked cubes' L2 fits are not ok, in a block as alone: each
+        # takes the least-squares fallback, one row at a time
         fld = make_field("bump", 2, x0=[0.3, -0.6], scale=0.5)
         quad = QuadratureSpec(nodes=5)
         frontier = list(dyadic_levels(DyadicBox(1, (-1, 0), (2, 2)), 2))[-1]
-        expect = _scalar_beta2(fld, frontier, 1.5, quad)
-        stack, affine_fit, cubes = fitting.fit_affine_l2_stack, fitting.affine_fit, []
+        samples = [CubeSample.of(fld, cube.as_box().dilate(1.5), quad).y for cube in frontier]
+        marks = {y.tobytes() for y in samples[marked]}
+        rows, lstsq, cubes = fitting._l2_rows, np.linalg.lstsq, []
 
-        def marking(x, y, w):
-            ok, a, b = stack(x, y, w)
-            ok[marked], a[marked], b[marked] = False, np.nan, np.nan
+        def marking(x, y, w, L):
+            ok, a, b = rows(x, y, w, L)
+            hit = np.array([v.tobytes() in marks for v in y], dtype=bool)
+            ok[hit], a[hit], b[hit] = False, np.nan, np.nan
             return ok, a, b
 
-        def counting(x, y, w, p, L=None):
-            cubes.append(y)
-            return affine_fit(x, y, w, p, L)
+        def counting(design, rhs, rcond):
+            cubes.append(rhs)
+            return lstsq(design, rhs, rcond=rcond)
 
-        monkeypatch.setattr(fitting, "fit_affine_l2_stack", marking)
-        monkeypatch.setattr(fitting, "affine_fit", counting)
+        monkeypatch.setattr(fitting, "_l2_rows", marking)
+        expect = _scalar_beta2(fld, frontier, 1.5, quad)
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
         monkeypatch.setattr(betamod, "ROW_BLOCK", 7)
         assert cube_level(fld, frontier, (2,), quad, 1.5)[2] == expect
-        blocks = [range(16)[i:i + 7] for i in range(0, 16, 7)]
-        assert len(cubes) == sum(len(rows[marked]) for rows in blocks)
+        assert len(cubes) == sum(y.tobytes() in marks for y in samples) == len(samples[marked])
 
     def test_carleson_walk_uses_the_level_values(self):
         fld = make_field("cone", 2, x0=[0.3, 0.7])
@@ -533,6 +543,80 @@ class TestNormMonotonicity:
         values = cube_level(fld, frontier, (1, 2, math.inf), QuadratureSpec(nodes=5), dilation)
         for b1, b2, binf in zip(values[1], values[2], values[math.inf]):
             assert b1 <= b2 + 1e-9 and b2 <= binf + 1e-9
+
+
+def _kinked_field(kind, n, root, rng, shift=0.0, lam=1.0):
+    """A catalog field whose points lie in the root box, drawn from rng, moved
+    to lam f((x - shift) / lam): again a field of the kind, its points at
+    lam x0 + shift (and a bump's amplitude and width times lam)."""
+    box = root.as_box()
+    pts = lam * (np.asarray(box.lo) + np.asarray(box.sides) * rng.uniform(0.0, 1.0, (3, n)))
+    pts += shift
+    if kind == "distset":
+        return make_field(kind, n, points=pts)
+    if kind == "bump":
+        return make_field(kind, n, x0=pts[0], scale=lam * 0.5 * box.sides[0], amp=lam)
+    return make_field(kind, n, x0=pts[0])
+
+
+def _moved_level(move, p, n, kind, level, seed):
+    """beta_p of the 3-times dilated children of a root box, for a field
+    whose points lie in it, before and after both move together: by whole
+    root sides ("translate"), or by f -> lam f(. / lam) on lam Q for a power
+    of two lam ("scale"), which maps every cube and node exactly."""
+    rng = np.random.default_rng(seed)
+    root = DyadicBox(level, tuple(int(k) for k in rng.integers(-2, 2, n)), (2,) * n)
+    draw = rng.integers(2 ** 32)
+    if move == "translate":
+        m = rng.integers(-4, 5, n)
+        moved = DyadicBox(level, tuple(int(k + j) for k, j in zip(root.index, m)), root.split)
+        fields = [_kinked_field(kind, n, root, np.random.default_rng(draw), shift=shift)
+                  for shift in (0.0, m * np.asarray(root.sides))]
+    else:
+        j = int(rng.choice([-2, -1, 1, 2]))
+        moved = DyadicBox(level - j, root.index, root.split)
+        fields = [_kinked_field(kind, n, root, np.random.default_rng(draw), lam=lam)
+                  for lam in (1.0, 2.0 ** j)]
+    quad = QuadratureSpec(nodes=5)
+    return [cube_level(fld, list(dyadic_levels(r, 1))[-1], (p,), quad, 3.0)[p]
+            for fld, r in zip(fields, (root, moved))]
+
+
+def _unmoved(base, after) -> bool:
+    """Every value of after within 1e-9 of the largest of base, which is not 0."""
+    top = max(base)
+    return top > 0 and max(abs(u - v) for u, v in zip(after, base)) <= 1e-9 * top
+
+
+class TestInvariance:
+    """The cube coefficients of a dyadic level, through cube_level, do not
+    change when the box and the field move together, nor under
+    f -> lam f(. / lam) on lam Q for a power of two lam: each value stays
+    within 1e-9 of the level's largest, the bound of the n = 1
+    test_scale_invariance. The cubes are dilated 3 times, so each holds the
+    field's kinks and no coefficient is 0 by an affine restriction."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("move, p", [("translate", 1), ("translate", 2),
+                                         ("translate", math.inf), ("scale", 2),
+                                         ("scale", math.inf)])
+    @settings(max_examples=10)
+    @given(kind=st.sampled_from(["cone", "distset", "bump"]), level=st.sampled_from([0, 2, 1]),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_level_values_do_not_move(self, move, p, n, kind, level, seed):
+        assert _unmoved(*_moved_level(move, p, n, kind, level, seed))
+
+    # p = 1's IRLS stops at a quasi-minimizer and floors its residuals at
+    # 1e-9 max(max |y|, 1), whose 1 does not scale with f: beta_1 moves by up
+    # to 4e-5 of the level's largest under scaling a field below 1, and by up
+    # to 2e-9 under translation on rare draws such as these
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="the p = 1 IRLS fit is not exactly equivariant")
+    @pytest.mark.parametrize("move, n, kind, level, seed", [
+        ("scale", 1, "distset", 2, 3), ("scale", 2, "distset", 2, 3),
+        ("scale", 3, "distset", 2, 3), ("translate", 3, "bump", 0, 77)])
+    def test_p1_values_move_on_known_draws(self, move, n, kind, level, seed):
+        assert _unmoved(*_moved_level(move, 1, n, kind, level, seed))
 
 
 class TestCarleson:

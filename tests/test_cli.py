@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from multibeta import cli
 from multibeta.cli import main
-from multibeta.errors import BudgetExhausted, RankDeficient
+from multibeta.errors import BudgetExhausted, NonConvergence
 from multibeta.funcmodel import PARABOLIC_CATALOG, FunctionField
 from multibeta.beta import QuadratureSpec
 from multibeta.geometry import DyadicBox
@@ -60,7 +60,7 @@ class TestExitCodes:
         assert "does not exist" in capsys.readouterr().err
 
     @pytest.mark.parametrize("exc", [BudgetExhausted("solver gave up"),
-                                     RankDeficient("solver gave up"),
+                                     NonConvergence("solver gave up"),
                                      np.linalg.LinAlgError("solver gave up")])
     def test_numerical_failures_exit_3(self, tmp_path, capsys, monkeypatch, exc):
         def failing(cfg, args, seed):
@@ -365,6 +365,14 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "cfg.json", dict(base, **patch))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f'"{key}"' in capsys.readouterr().err
+
+    def test_combined_selector_on_a_line_names_key(self, tmp_path, capsys):
+        # the combined coefficient has a hyperplane part, so it needs n >= 2
+        field = {"kind": "cone", "dim": 1, "params": {"x0": [0.5]}}
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"field": field, "depth": 1, "selector": "combined"})
+        assert main(["carleson", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert '"selector"' in capsys.readouterr().err
 
     @pytest.mark.parametrize("sides", [[1e-150, 1.0], [1e150, 1.0]])
     def test_box_no_line_can_meet_exits_3(self, tmp_path, capsys, sides):

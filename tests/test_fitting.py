@@ -9,12 +9,12 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from multibeta import fitting
-from multibeta.errors import NonConvergence, RankDeficient
-from multibeta.fitting import (fit_affine_l2, fit_affine_l2_constrained, fit_affine_lp,
-                               fit_affine_minimax)
+from multibeta.errors import NonConvergence
+from multibeta.fitting import affine_fit
 from multibeta.geometry import AffineMap
 from multibeta.rng import stream
-from parent_fits import parent_affine_fit, parent_exchange_1d, parent_lp, parent_minimax
+from parent_fits import (RankDeficient, fit_affine_l2, parent_affine_fit, parent_constrained,
+                         parent_exchange_1d)
 
 
 def line_samples(lo, hi, n, f):
@@ -69,7 +69,7 @@ class TestL2:
         x = rng.uniform(-1, 1, (40, 3))
         y = x @ np.array([1.5, -2.0, 0.25]) + 0.7
         s = x, y, np.ones(40)
-        fit = fit_affine_l2(*s)
+        fit = affine_fit(*s, 2)
         assert np.allclose(fit.a, [1.5, -2.0, 0.25], atol=1e-12)
         assert fit.intercept == pytest.approx(0.7, abs=1e-12)
         assert mean_sq(*s, fit) <= 1e-24
@@ -78,14 +78,14 @@ class TestL2:
         # best affine fit to x^2 on [-1, 1]: a = 0, b = 1/3,
         # mean-square residual = (1/2) * integral (x^2 - 1/3)^2 = 4/45
         s = line_samples(-1.0, 1.0, 4001, lambda x: x * x)
-        fit = fit_affine_l2(*s)
+        fit = affine_fit(*s, 2)
         assert fit.a[0] == pytest.approx(0.0, abs=1e-10)
         assert fit.intercept == pytest.approx(1.0 / 3.0, rel=1e-6)
         assert mean_sq(*s, fit) == pytest.approx(4.0 / 45.0, rel=1e-5)
 
     def test_local_optimality(self):
         x, y, w = line_samples(0.0, 1.0, 500, lambda x: np.abs(x - 0.3))
-        fit = fit_affine_l2(x, y, w)
+        fit = affine_fit(x, y, w, 2)
 
         def obj(a, b):
             r = y - (x[:, 0] * a + b)
@@ -96,9 +96,15 @@ class TestL2:
             assert obj(fit.a[0] + da, fit.intercept + db) >= base - 1e-15
 
     def test_repeated_abscissa(self):
-        x = np.zeros((10, 1))
+        # no unique L2 map: the minimum-norm least-squares map, slope 0 and
+        # the mean as intercept
+        s = np.zeros((10, 1)), np.arange(10.0), np.ones(10)
         with pytest.raises(RankDeficient):
-            fit_affine_l2(x, np.arange(10.0), np.ones(10))
+            fit_affine_l2(*s)
+        fit = affine_fit(*s, 2)
+        assert fit == parent_affine_fit(*s, 2)
+        assert fit.a[0] == pytest.approx(0.0, abs=1e-12)
+        assert fit.intercept == pytest.approx(4.5, rel=1e-12)
 
     def test_translation_equivariance(self):
         rng = stream(9, "shift")
@@ -107,8 +113,8 @@ class TestL2:
         w = rng.uniform(0.5, 1.5, 60)
         shift = np.array([13.0, -7.0])
         s0, s1 = (x, y, w), (x + shift, y, w)
-        f0 = fit_affine_l2(*s0)
-        f1 = fit_affine_l2(*s1)
+        f0 = affine_fit(*s0, 2)
+        f1 = affine_fit(*s1, 2)
         assert np.allclose(f0.a, f1.a, atol=1e-9)
         assert f1.intercept == pytest.approx(
             f0.intercept - f0.a @ shift, abs=1e-9)
@@ -120,14 +126,14 @@ class TestConstrained:
         # fit 2x with |a| <= 1: a = 1, residual x - b minimized at b = 1/2,
         # mean-square residual = var(x) = 1/12
         s = line_samples(0.0, 1.0, 4001, lambda x: 2.0 * x)
-        fit = fit_affine_l2_constrained(*s, 1.0)
+        fit = affine_fit(*s, 2, 1.0)
         assert fit.a[0] == pytest.approx(1.0, abs=1e-8)
         assert fit.intercept == pytest.approx(0.5, rel=1e-6)
         assert mean_sq(*s, fit) == pytest.approx(1.0 / 12.0, rel=1e-5)
 
     def test_grid_search_oracle(self):
         x, y, w = line_samples(0.0, 1.0, 801, lambda x: 2.0 * x)
-        fit = fit_affine_l2_constrained(x, y, w, 1.0)
+        fit = affine_fit(x, y, w, 2, 1.0)
 
         def obj(a, b):
             r = y - (a * x[:, 0] + b)
@@ -140,13 +146,13 @@ class TestConstrained:
 
     def test_feasible_equals_unconstrained(self):
         s = line_samples(0.0, 1.0, 500, lambda x: 0.3 * x + 0.1)
-        fit = fit_affine_l2_constrained(*s, 1.0)
-        free = fit_affine_l2(*s)
+        fit = affine_fit(*s, 2, 1.0)
+        free = affine_fit(*s, 2)
         assert np.allclose(fit.a, free.a, atol=1e-12)
 
     def test_tiny_l_approaches_constant(self):
         x, y, w = line_samples(0.0, 1.0, 500, lambda x: 2.0 * x)
-        fit = fit_affine_l2_constrained(x, y, w, 1e-9)
+        fit = affine_fit(x, y, w, 2, 1e-9)
         # the weighted mean is the best constant; its residual is the weighted variance
         W = float(w.sum())
         c = float(w @ y / W)
@@ -158,7 +164,7 @@ class TestConstrained:
         s = line_samples(0.0, 1.0, 500, lambda x: np.abs(x - 0.37) * 3.0)
         prev = np.inf
         for L in (0.1, 0.5, 1.0, 2.0, 5.0):
-            fit = fit_affine_l2_constrained(*s, L)
+            fit = affine_fit(*s, 2, L)
             assert fit.lipschitz <= L * (1.0 + 1e-9)
             assert mean_sq(*s, fit) <= prev + 1e-12
             prev = mean_sq(*s, fit)
@@ -168,14 +174,14 @@ class TestMinimax:
     def test_parabola(self):
         # minimax line for x^2 on [-1, 1] is b = 1/2 with deviation 1/2
         s = line_samples(-1.0, 1.0, 2001, lambda x: x * x)
-        fit = fit_affine_minimax(*s)
+        fit = affine_fit(*s, math.inf)
         assert fit.a[0] == pytest.approx(0.0, abs=1e-6)
         assert fit.intercept == pytest.approx(0.5, abs=1e-3)
         assert max_abs(*s, fit) == pytest.approx(0.5, rel=1e-3)
 
     def test_vee(self):
         s = line_samples(-1.0, 1.0, 2001, np.abs)
-        fit = fit_affine_minimax(*s)
+        fit = affine_fit(*s, math.inf)
         assert fit.a[0] == pytest.approx(0.0, abs=1e-6)
         assert max_abs(*s, fit) == pytest.approx(0.5, rel=1e-3)
 
@@ -184,14 +190,14 @@ class TestMinimax:
         x = rng.uniform(0, 1, (50, 2))
         y = x @ np.array([0.4, -0.2]) + 0.1
         s = x, y, np.ones(50)
-        assert max_abs(*s, fit_affine_minimax(*s)) <= 1e-10
+        assert max_abs(*s, affine_fit(*s, math.inf)) <= 1e-10
 
     def test_lp_oracle_2d(self):
         rng = stream(9, "mm2")
         x = rng.uniform(0, 1, (120, 2))
         y = np.abs(x[:, 0] - 0.3) + 0.5 * np.sin(3 * x[:, 1])
         s = x, y, np.ones(120)
-        fit = fit_affine_minimax(*s)
+        fit = affine_fit(*s, math.inf)
         _, _, h = lp_minimax_oracle(x, y)
         assert max_abs(*s, fit) == pytest.approx(h, rel=1e-8, abs=1e-12)
 
@@ -200,13 +206,13 @@ class TestMinimax:
         x = rng.uniform(-1, 1, (80, 1))
         y = np.exp(x[:, 0])
         s = x, y, np.ones(80)
-        fit = fit_affine_minimax(*s)
+        fit = affine_fit(*s, math.inf)
         _, _, h = lp_minimax_oracle(x, y)
         assert max_abs(*s, fit) == pytest.approx(h, rel=1e-10, abs=1e-13)
 
     def test_constrained_lp_oracle(self):
         x, y, w = line_samples(0.0, 1.0, 301, lambda x: 2.0 * x)
-        fit = fit_affine_minimax(x, y, w, L=1.0)
+        fit = affine_fit(x, y, w, math.inf, 1.0)
         assert fit.lipschitz <= 1.0 + 1e-12
         _, _, h = lp_minimax_oracle(x, y, L=1.0)
         assert max_abs(x, y, w, fit) == pytest.approx(h, rel=1e-6)
@@ -230,8 +236,8 @@ class TestMinimax:
             x = rng.uniform(0, 1, (60, 2))
             y = 2.0 * x @ rng.normal(size=2) + np.abs(x[:, 0] - 0.4) + 0.3 * np.sin(4 * x[:, 1])
             s = x, y, np.ones(60)
-            L = factor * fit_affine_l2(*s).lipschitz
-            fit = fit_affine_minimax(*s, L=L)
+            L = factor * affine_fit(*s, 2).lipschitz
+            fit = affine_fit(*s, math.inf, L)
             assert fit.lipschitz <= L * (1.0 + 1e-12)
             _, _, h = lp_minimax_oracle(x, y, L=L)
             assert abs(max_abs(*s, fit) - h) <= 1e-4 * h
@@ -243,8 +249,8 @@ class TestMinimax:
         y = np.abs(x[:, 0] - 0.5)
         w = np.full(64, 1.0 / 64.0)
         s = x, y, w
-        mm = fit_affine_minimax(*s)
-        l2 = fit_affine_l2(*s)
+        mm = affine_fit(*s, math.inf)
+        l2 = affine_fit(*s, 2)
         assert max_abs(*s, mm) >= np.sqrt(mean_sq(*s, l2)) - 1e-12
 
     def test_duplicated_abscissas_fall_through(self):
@@ -253,7 +259,7 @@ class TestMinimax:
         x = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
         s = x, y, np.ones(4)
-        assert max_abs(*s, fit_affine_minimax(*s)) == pytest.approx(0.5, abs=1e-9)
+        assert max_abs(*s, affine_fit(*s, math.inf)) == pytest.approx(0.5, abs=1e-9)
 
 
 class TestLp:
@@ -263,8 +269,8 @@ class TestLp:
         y = np.abs(x[:, 0] - 0.4) + x[:, 1]
         w = np.ones(100)
         for p in (1.0, 1.5, 3.0, 6.0):
-            fit = fit_affine_lp(x, y, w, p)
-            l2 = fit_affine_l2(x, y, w)
+            fit = affine_fit(x, y, w, p)
+            l2 = affine_fit(x, y, w, 2)
             r = np.abs(y - l2(x))
             l2_obj = float(w @ r ** p / w.sum())
             assert lp_objective(x, y, w, fit, p) <= l2_obj + 1e-15
@@ -273,14 +279,14 @@ class TestLp:
         x = np.linspace(0, 1, 20)[:, None]
         y = 2 * x[:, 0] + 1
         s = x, y, np.ones(20)
-        assert lp_objective(*s, fit_affine_lp(*s, 4.0), 4.0) <= 1e-20
+        assert lp_objective(*s, affine_fit(*s, 4.0), 4.0) <= 1e-20
 
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_slope_bound_rejected(self, p):
         # the Lp fit has no slope bound; an L given with it must not be dropped
         s = np.linspace(0, 1, 20)[:, None], np.linspace(0, 2, 20), np.ones(20)
         with pytest.raises(ValueError, match="p = 2 or inf"):
-            fitting.affine_fit(*s, p, L=0.5)
+            affine_fit(*s, p, L=0.5)
 
 
 def random_sets(seed, d, K, N):
@@ -307,76 +313,16 @@ def sizes(lo, hi):
     return st.sampled_from([n for n in (12, 4, 30, 2, 20, 7, 40, 3) if lo <= n <= hi])
 
 
-def parent_constrained(x, y, w, L):
-    """The two-pass constrained fit as it was written before the shared moments kernel."""
-    W = float(w.sum())
-
-    def moments():
-        xbar = w @ x / W
-        ybar = float(w @ y / W)
-        xc = x - xbar
-        yc = y - ybar
-        return xbar, ybar, (xc * w[:, None]).T @ xc / W, (xc * w[:, None]).T @ yc / W
-
-    def residual(a, b):
-        r = y - (x @ a + b)
-        return float(w @ (r * r) / W)
-
-    design = np.hstack([x, np.ones((len(y), 1))]) * np.sqrt(w)[:, None]
-    sv = np.linalg.svd(design, compute_uv=False)
-    if sv[0] == 0 or sv[-1] / sv[0] < fitting.RANK_TOL:
-        raise RankDeficient("rank")
-    xbar, ybar, C, c = moments()
-    try:
-        a = np.linalg.solve(C, c)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient("singular") from exc
-    a = np.array([float(v) for v in a])
-    b = float(ybar - a @ xbar)
-    if float(np.linalg.norm(a)) <= L * (1.0 + 1e-12):
-        return a, b, residual(a, b)
-    xbar, ybar, C, c = moments()
-    evals, evecs = np.linalg.eigh(C)
-    proj = evecs.T @ c
-
-    def grad_norm(lam):
-        return float(np.linalg.norm(proj / (evals + lam)))
-
-    lo, hi = 0.0, max(float(np.linalg.norm(c)) / L, 1e-30)
-    while grad_norm(hi) > L:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if grad_norm(mid) > L:
-            lo = mid
-        else:
-            hi = mid
-        if abs(grad_norm(hi) - L) <= fitting.GRAD_BISECT_TOL:
-            break
-    a = evecs @ (proj / (evals + hi))
-    if np.linalg.norm(a) > L:
-        a *= L / np.linalg.norm(a)
-    a = np.array([float(v) for v in a])
-    b = float(ybar - a @ xbar)
-    return a, b, residual(a, b)
-
-
 class TestOneMomentsKernel:
     @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3),
            K=st.sampled_from([4, 2, 6, 3, 5]), N=sizes(2, 30))
     def test_stack_rows_equal_scalar_fits(self, seed, d, K, N):
         x, y, w = random_sets(seed, d, K, N)
-        ok, a, b = fitting.fit_affine_l2_stack(x, y, w)
+        a, b, _ = fitting.fit_rows(x, y, w, 2)
         for k in range(K):
-            try:
-                amap = fit_affine_l2(x[k], y[k], w[k])
-            except RankDeficient:
-                assert not ok[k]
-                continue
-            if not ok.any():
-                continue  # a singular stacked solve gives up on the whole block
-            assert ok[k]
-            assert amap.gradient == tuple(a[k]) and amap.intercept == b[k]
+            # a rank-deficient row, and every row of a stack whose solve meets
+            # a singular matrix, equals its frozen one-row fit too
+            assert AffineMap(tuple(a[k]), b[k]) == parent_affine_fit(x[k], y[k], w[k], 2), k
 
     @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=sizes(2, 30),
            factor=st.sampled_from([0.3, 2.0]))
@@ -386,12 +332,12 @@ class TestOneMomentsKernel:
         try:
             free = fit_affine_l2(*s).lipschitz
         except RankDeficient:
-            with pytest.raises(RankDeficient):
-                fit_affine_l2_constrained(*s, 1.0)
+            # no L2 map: the minimum-norm least-squares map, at any L
+            assert affine_fit(*s, 2, 1.0) == parent_affine_fit(*s, 2, 1.0)
             return
         L = max(free, 1e-3) * factor
         a, b, res = parent_constrained(*s, L)
-        fit = fit_affine_l2_constrained(*s, L)
+        fit = affine_fit(*s, 2, L)
         assert fit.gradient == tuple(a) and fit.intercept == b
         assert mean_sq(*s, fit) == res
 
@@ -408,7 +354,7 @@ def reference_rows(x, y, w, L):
 
 
 class TestConstrainedStack:
-    """fit_affine_l2_constrained_stack equals the frozen reference row by row."""
+    """fit_rows at p = 2 with L equals the frozen reference row by row."""
 
     @settings(max_examples=100)
     @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3),
@@ -424,19 +370,12 @@ class TestConstrainedStack:
         # of 1e-20 leaves the eigenvalues below the rounding of the first
         # multiplier, which drives the doubling loop
         L = max(float(np.median(frees)) if frees else 1.0, 1e-3) * factor
-        expect = reference_rows(x, y, w, L)
-        ok, a, b = fitting.fit_affine_l2_constrained_stack(x, y, w, L)
-        if "singular" in expect:
-            assert not ok.any()  # a singular stacked solve gives up on the whole stack
-            return
-        for k, ref in enumerate(expect):
-            one = outcome(fit_affine_l2_constrained, x[k], y[k], w[k], L)
-            if isinstance(ref, str):
-                assert not ok[k] and one == "RankDeficient"
-                continue
-            assert ok[k]
-            assert tuple(a[k]) == tuple(ref[0]) and b[k] == ref[1]
-            assert one == AffineMap(tuple(ref[0]), ref[1])
+        a, b, _ = fitting.fit_rows(x, y, w, 2, L)
+        for k in range(K):
+            # every row, rank deficient or in a stack whose solve meets a
+            # singular matrix, equals its frozen one-row fit
+            expect = parent_affine_fit(x[k], y[k], w[k], 2, L)
+            assert AffineMap(tuple(a[k]), b[k]) == expect == affine_fit(x[k], y[k], w[k], 2, L), k
 
     def test_row_norm_is_numpy_norm(self):
         # 10^5 rows over 200 decades: a reduction such as einsum rounds some
@@ -468,7 +407,7 @@ class TestFitRows:
         a, b, sums = fitting.fit_rows(x, y, w, p, L)
         assert a.shape == (K, d) and b.shape == sums.shape == (K,)
         for k in range(K):
-            amap = fitting.affine_fit(x[k], y[k], w[k], p, L)
+            amap = affine_fit(x[k], y[k], w[k], p, L)
             assert tuple(a[k]) == amap.gradient and b[k] == amap.intercept, k
             r = y[k] - amap(x[k])
             if math.isinf(p):
@@ -489,7 +428,7 @@ class TestFitRows:
         w = rng.uniform(0.01, 2.0, (K, N))
         a, b, sups = fitting.fit_rows(x, y, w, math.inf)
         for k in range(K):
-            amap = fitting.affine_fit(x[k], y[k], w[k], math.inf)
+            amap = affine_fit(x[k], y[k], w[k], math.inf)
             assert tuple(a[k]) == amap.gradient and b[k] == amap.intercept, k
             assert sups[k] == np.max(np.abs(y[k] - amap(x[k]))), k
 
@@ -502,14 +441,6 @@ def strided(v):
     return grid[:, 1::2].reshape(v.shape)
 
 
-def outcome(fit, *args, **kwargs):
-    """The map that fit returns, or "RankDeficient" if it raises that."""
-    try:
-        return fit(*args, **kwargs)
-    except RankDeficient:
-        return "RankDeficient"
-
-
 def gridded_set(seed, d, N):
     """N weighted samples in d variables on a coarse lattice, so abscissas repeat."""
     rng = np.random.default_rng(seed)
@@ -518,20 +449,19 @@ def gridded_set(seed, d, N):
     return x, y, rng.uniform(0.01, 2.0, N)
 
 
-LAYOUT_FITS = [(fit_affine_l2, {}), (fit_affine_l2_constrained, {"L": 0.5}),
-               (fit_affine_lp, {"p": 1.0}), (fit_affine_lp, {"p": 3.0}),
-               (fit_affine_minimax, {}), (fit_affine_minimax, {"L": 0.5})]
+# (p, L) of affine_fit
+LAYOUT_FITS = [(2, None), (2, 0.5), (1.0, None), (3.0, None), (math.inf, None), (math.inf, 0.5)]
 
 
 class TestArrayLayout:
-    @pytest.mark.parametrize("fit, kwargs", LAYOUT_FITS,
+    @pytest.mark.parametrize("p, L", LAYOUT_FITS,
                              ids=["l2", "l2-L", "lp1", "lp3", "minimax", "minimax-L"])
     @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=sizes(2, 40))
-    def test_strided_columns_fit_like_contiguous_copies(self, fit, kwargs, seed, d, N):
+    def test_strided_columns_fit_like_contiguous_copies(self, p, L, seed, d, N):
         x, y, w = (v[0].copy() for v in random_sets(seed, d, 1, N))
         views = [strided(v) for v in (x, y, w)]
         assert not any(v.flags.c_contiguous for v in views)
-        assert outcome(fit, *views, **kwargs) == outcome(fit, x, y, w, **kwargs)
+        assert affine_fit(*views, p, L) == affine_fit(x, y, w, p, L)
 
 
 class TestOneResidualPerIterate:
@@ -539,18 +469,13 @@ class TestOneResidualPerIterate:
            p=st.sampled_from([1.0, 1.5, 3.0, 6.0]))
     def test_lp_equals_two_residual_reference(self, seed, d, N, p):
         s = gridded_set(seed, d, N)
-        assert outcome(fit_affine_lp, *s, p) == outcome(parent_lp, *s, p)
+        assert affine_fit(*s, p) == parent_affine_fit(*s, p)
 
     @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3), N=sizes(3, 40),
            L=st.sampled_from([None, 0.5]))
     def test_minimax_equals_two_residual_reference(self, seed, d, N, L):
         s = gridded_set(seed, d, N)
-        assert outcome(fit_affine_minimax, *s, L=L) == outcome(parent_minimax, *s, L=L)
-
-    def test_given_base_is_the_default_base(self):
-        x, y, w = gridded_set(3, 2, 30)
-        base = fit_affine_l2(x, y, w)
-        assert fit_affine_minimax(x, y, w, base=base) == fit_affine_minimax(x, y, w)
+        assert affine_fit(*s, math.inf, L) == parent_affine_fit(*s, math.inf, L)
 
 
 def fit_outcome(fit, x, y, w, p, L):
@@ -649,8 +574,60 @@ class TestLockstepKernels:
             return run(*args)
 
         monkeypatch.setattr(fitting, kernel, spy)
-        assert fitting.affine_fit(x, y, w, p) == parent_affine_fit(x, y, w, p)
+        assert affine_fit(x, y, w, p) == parent_affine_fit(x, y, w, p)
         assert calls == [1]
+
+
+def mixed_rows(seed, d, K, N):
+    """K weighted sets of N samples in d variables, row k of kind (seed + k) % 4:
+    random_sets' (at times rank deficient), on a coarse lattice, one repeated
+    abscissa, or d points repeated, fewer than the d + 1 an affine map needs."""
+    x, y, w = random_sets(seed, d, K, N)
+    for k in range(K):
+        kind = (seed + k) % 4
+        if kind == 1:
+            x[k], y[k], w[k] = gridded_set(seed + k, d, N)
+        elif kind == 2:
+            x[k] = x[k, 0]
+        elif kind == 3:
+            x[k] = x[k, np.arange(N) % d]
+    return x, y, w
+
+
+# Both ends first; N = 2 and 3 leave a 2-D or 3-D row fewer than d + 1 samples
+FALLBACK_K = [1, 8, 2, 5, 3]
+FALLBACK_N = [2, 40, 3, 9, 4, 17]
+
+
+class TestLeastSquaresFallback:
+    """fit_rows gives each row with no unique L2 map the minimum-norm
+    least-squares map: every row of a stack mixing such rows with ordinary
+    ones equals the frozen one-row fit of that row alone, exactly."""
+
+    @pytest.mark.parametrize("p, L", [(1, None), (2, None), (2, 0.5), (3, None),
+                                      (math.inf, None), (math.inf, 0.5)])
+    def test_mixed_stack_rows_equal_frozen_one_row_fits(self, p, L):
+        reached, fallbacks = set(), []
+
+        @settings(max_examples=40)
+        @given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 3),
+               K=st.sampled_from(FALLBACK_K), N=st.sampled_from(FALLBACK_N))
+        def check(seed, d, K, N):
+            reached.add((K, N))
+            x, y, w = mixed_rows(seed, d, K, N)
+            for k in range(K):
+                try:
+                    fit_affine_l2(x[k], y[k], w[k])
+                except RankDeficient:
+                    fallbacks.append(k)
+            got = fit_outcome(stack_maps, x, y, w, p, L)
+            assert got == fit_outcome(parent_maps, x, y, w, p, L)
+
+        check()
+        assert len(fallbacks) > 40  # rows that take the fallback
+        # every listed size, both ends included, was drawn
+        assert {K for K, _ in reached} == set(FALLBACK_K)
+        assert {N for _, N in reached} == set(FALLBACK_N)
 
 
 def exchange_rows(seed, K, N):
@@ -733,14 +710,15 @@ class TestExchangeRows:
         x = rng.uniform(-1.0, 1.0, (16, 17, 1))
         y = np.abs(x[:, :, 0] - 0.2) + 0.1 * rng.normal(size=(16, 17))
         assert fitting._exchange_rows(x[:, :, 0], y)[0].all()
+        # no row leaves the lockstep for the one-row LP polish
         calls = []
-        fit = fitting.fit_affine_minimax
+        polish = fitting._polish
 
-        def spy(*args, **kwargs):
+        def spy(*args):
             calls.append(args)
-            return fit(*args, **kwargs)
+            return polish(*args)
 
-        monkeypatch.setattr(fitting, "fit_affine_minimax", spy)
+        monkeypatch.setattr(fitting, "_polish", spy)
         fitting.fit_rows(x, y, np.ones(y.shape), math.inf)
         assert calls == []
 
@@ -807,7 +785,7 @@ class TestLinprog:
         x = rng.uniform(0, 1, (120, 2))
         y = np.abs(x[:, 0] - 0.3) + 0.5 * np.sin(3 * x[:, 1])
         w = np.ones(120)
-        expect = fit_affine_minimax(x, y, w)
+        expect = affine_fit(x, y, w, math.inf)
         calls = []
         solve = fitting.linprog
 
@@ -816,7 +794,7 @@ class TestLinprog:
             return solve(*args)
 
         monkeypatch.setattr(fitting, "linprog", spy)
-        assert fit_affine_minimax(x, y, w) == expect
+        assert affine_fit(x, y, w, math.inf) == expect
         assert calls
 
     # min cost * x subject to A x <= ub and x >= 0

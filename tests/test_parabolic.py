@@ -312,30 +312,34 @@ class TestAffinityLevel:
     @pytest.mark.parametrize("marked", [slice(1, None, 3), slice(None)], ids=["some", "all"])
     @pytest.mark.parametrize("L", [None, 0.5])
     def test_rows_not_ok_take_the_scalar_path(self, marked, L, monkeypatch):
+        # the marked time slices' L2 fits are not ok, in a level block as in
+        # one box's stack: each takes the least-squares fallback, one row at
+        # a time
         psi = additive("cone", "sin", x0=[0.4])
         quad = QuadratureSpec(nodes=5)
         frontier = list(dyadic_levels(DyadicBox(1, (-1, 2), (2, 4)), 1))[-1]
-        expect = _scalar_affinity(psi, frontier, 2.0, quad, L)
-        name = "fit_affine_l2_stack" if L is None else "fit_affine_l2_constrained_stack"
-        stack, affine_fit, slices = getattr(fitting, name), fitting.affine_fit, []
+        samples = [ParabolicSample.of(psi, node.as_parabolic_box().dilate(2.0), quad)
+                   for node in frontier]
+        slices = [np.ascontiguousarray(s.vals[:, k]) for s in samples for k in range(quad.nodes)]
+        marks = {y.tobytes() for y in slices[marked]}
+        rows, lstsq, fallbacks = fitting._l2_rows, np.linalg.lstsq, []
 
-        def marking(*args):
-            ok, a, b = stack(*args)
-            if len(ok) > 1:  # a one-row stack is the scalar fit itself
-                ok[marked], a[marked], b[marked] = False, np.nan, np.nan
+        def marking(x, y, w, L):
+            ok, a, b = rows(x, y, w, L)
+            hit = np.array([v.tobytes() in marks for v in y], dtype=bool)
+            ok[hit], a[hit], b[hit] = False, np.nan, np.nan
             return ok, a, b
 
-        def counting(x, y, w, p, L=None):
-            slices.append(y)
-            return affine_fit(x, y, w, p, L)
+        def counting(design, rhs, rcond):
+            fallbacks.append(rhs)
+            return lstsq(design, rhs, rcond=rcond)
 
-        monkeypatch.setattr(fitting, name, marking)
-        monkeypatch.setattr(fitting, "affine_fit", counting)
+        monkeypatch.setattr(fitting, "_l2_rows", marking)
+        expect = _scalar_affinity(psi, frontier, 2.0, quad, L)
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
         monkeypatch.setattr(betamod, "ROW_BLOCK", 3)
         assert horizontal_affinity_level(psi, frontier, 2.0, quad, L) == expect
-        # blocks of 3, 3 and 2 boxes, 5 time slices each
-        blocks = [range(15), range(15), range(10)]
-        assert len(slices) == sum(len(rows[marked]) for rows in blocks)
+        assert len(fallbacks) == sum(y.tobytes() in marks for y in slices) == len(slices[marked])
 
     @pytest.mark.parametrize("L", [None, 0.5])
     def test_one_field_call_per_block(self, L, monkeypatch):

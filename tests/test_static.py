@@ -203,7 +203,7 @@ def test_no_unread_properties(path):
 def test_checker_flags_private_reference():
     source = ("from . import fitting\nimport numpy as np\nfrom .reports import _write, fmt\n"
               "fitting._stack(np.zeros(1))\nself._cache = fitting.__name__\n"
-              "def f(obj):\n    return obj._x, fitting.fit_affine_l2\n")
+              "def f(obj):\n    return obj._x, fitting.fit_rows\n")
     assert private_references(source) == [(3, "reports._write"), (4, "fitting._stack")]
 
 
@@ -212,28 +212,50 @@ def test_no_private_references(path):
     assert private_references(path.read_text()) == []
 
 
-STACK_FITS = {"fit_affine_l2_stack", "fit_affine_l2_constrained_stack"}
+def public_functions(source: str):
+    """The names of the module-level functions of ``source`` that are not private."""
+    return sorted(node.name for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not _private(node.name))
 
 
-def stack_fit_reads(source: str):
-    """The stacked L2 fits of ``fitting`` that ``source`` reads, as an
-    attribute or an imported name."""
-    _, names = imports(ast.parse(source))
-    return sorted(STACK_FITS & (attribute_loads([source]) | {name for _, _, name in names}))
+def test_fitting_has_one_public_fit():
+    # fit_rows is the fit and affine_fit its one-row face, so no per-norm
+    # wrapper offers a second way to fit; linprog is the LP entry point that
+    # perfbench's tracer hooks by name
+    source = (ROOT / "src" / "multibeta" / "fitting.py").read_text()
+    assert public_functions(source) == ["affine_fit", "fit_rows", "linprog"]
+
+
+FIT_FACES = {"affine_fit", "fit_rows"}
+
+
+def fitting_reads(source: str):
+    """The names of ``fitting`` that ``source`` reads: an attribute of the
+    module it binds as ``fitting``, or a name it imports from that module."""
+    tree = ast.parse(source)
+    modules, names = imports(tree)
+    found = {name for _, module, name in names if module.split(".")[-1] == "fitting"}
+    if "fitting" in modules:
+        found.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                     and isinstance(node.value, ast.Name) and node.value.id == "fitting")
+    return sorted(found)
 
 
 def test_checker_flags_stack_fit_reads():
-    source = ("from . import fitting\nfrom .fitting import fit_affine_l2_constrained_stack as c\n"
-              "fitting.fit_affine_l2_stack = None\n"
-              "def f(x):\n    return fitting.fit_rows(x, x, x, 2), fitting.fit_affine_l2_stack(x)\n")
-    assert stack_fit_reads(source) == ["fit_affine_l2_constrained_stack", "fit_affine_l2_stack"]
-    assert stack_fit_reads("from . import fitting\nfitting.fit_affine_l2_stack = None\n") == []
+    source = ("from . import fitting\nfrom .fitting import _l2_rows as c\n"
+              "fitting.fit_rows = None\n"
+              "def f(x):\n    return fitting.fit_rows(x, x, x, 2), fitting.linprog(x), c\n")
+    assert fitting_reads(source) == ["_l2_rows", "fit_rows", "linprog"]
+    assert fitting_reads("from .beta import fit_rows\nfitting.fit_rows(1)\n") == []
 
 
 @pytest.mark.parametrize("path", [p for p in SRC if p.name != "fitting.py"], ids=lambda p: p.name)
 def test_stacked_fits_go_through_fit_rows(path):
-    # only fitting.fit_rows reads the stacked L2 fits, so p is chosen in one place
-    assert stack_fit_reads(path.read_text()) == []
+    # every other module fits through fit_rows or its one-row face, so p is
+    # chosen and the lstsq fallback taken in one place
+    assert sorted(set(fitting_reads(path.read_text())) - FIT_FACES) == []
 
 
 READERS = {"get", "section", "number", "numbers", "string"}
