@@ -4,21 +4,20 @@ A cube or slice coefficient is the normalized size of one residual: the
 field's values on the set's quadrature nodes minus their best affine map.
 ``fit_betas`` takes both from ``fitting.fit_rows``, the one fit, for a
 stack of sets or a stack of one, so every coefficient is fitted and sized
-in one place. Cube coefficients read one ``CubeSample`` of the box (the
-midpoint tensor grid of ``sample_grids``, the one sampler) and normalize by
-diam(Q)^n (not |Q|). Restricted coefficients parametrize the slice (line
-interval or hyperplane patch), fit in slice coordinates, and report the
-fitted map in ambient coordinates. Integral-geometric coefficients are Monte
-Carlo averages of restricted coefficients against the weighted Grassmannian
-samplers. Line coefficients are computed only as stacks, by
-``restricted_line_betas`` (one clip per line, one field call per block and
-one stack per block and norm);
-``beta_p_restricted`` is the hyperplane-patch coefficient. The combined
-coefficient is the hypot of its two ``combined_parts``; at n = 2 they share
-one sampled line family. The cube coefficients of a dyadic level come from
-one level engine, ``cube_level`` (one ``sample_grids`` call per block of
-cubes and one stack per block and norm), which matches ``beta_p_cube`` bit
-for bit; ``analyze`` and the beta2 Carleson sum read their levels from it.
+in one place. Cube coefficients come from one engine, ``beta_p_cube``,
+which takes box corners and common sides: it reads the midpoint tensor grid
+of ``sample_grids``, the one sampler, one call per block of boxes, fits one
+stack per block and norm, and normalizes by diam(Q)^n (not |Q|). One box is
+a stack of one; ``cube_level`` hands it the cubes of a dyadic level, for
+``analyze`` and the beta2 Carleson sum. Restricted coefficients parametrize
+the slice (line interval or hyperplane patch), fit in slice coordinates, and
+report the fitted map in ambient coordinates. Integral-geometric
+coefficients are Monte Carlo averages of restricted coefficients against
+the weighted Grassmannian samplers. Line coefficients are computed only as
+stacks, by ``restricted_line_betas`` (one clip per line, one field call per
+block and one stack per block and norm); ``beta_p_restricted`` is the
+hyperplane-patch coefficient. The combined coefficient is the hypot of its
+two ``combined_parts``; at n = 2 they share one sampled line family.
 Carleson sums walk the dyadic tree and profile per-scale contributions.
 """
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,23 +91,6 @@ def sample_grids(fld: FunctionField, lo, sides, nodes: int):
     return X, fld.eval(X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1])
 
 
-class CubeSample(NamedTuple):
-    """fld on a box by the midpoint rule, read by every norm of the box:
-    nodes X (N, n), weights w (N,) summing to |box| and values y (N,)."""
-    box: Box
-    X: np.ndarray
-    w: np.ndarray
-    y: np.ndarray
-
-    @classmethod
-    def of(cls, fld: FunctionField, box: Box, quad: QuadratureSpec) -> CubeSample:
-        """Sample fld on box with quad.nodes nodes per axis, in one field call."""
-        if box.volume <= 0:
-            raise DegenerateBox("empty box")
-        X, y = sample_grids(fld, np.asarray([box.lo]), box.sides, quad.nodes)
-        return cls(box, X[0], np.full(y.shape[1], box.volume / y.shape[1]), y[0])
-
-
 def norm_value(r: np.ndarray, w: np.ndarray, p: float, diam: float, m: int) -> float:
     """(sum w |r|^p / diam^m)^(1/p) / diam, the size of the residual r on an
     m-dimensional set of diameter diam; max |r| / diam (0 if empty) for p = inf."""
@@ -133,15 +114,56 @@ def fit_betas(x, y, w, p: float, diam: float, m: int, L: float | None = None):
     return a, b, [_lp_value(float(v), p, diam, m) for v in sums]
 
 
-def cube_beta(s: CubeSample, p: float, L: float | None = None) -> BetaRecord:
-    """beta_p of the sampled cube/box itself (the m = n case)."""
-    a, b, values = fit_betas(s.X[None], s.y[None], s.w[None], p, s.box.diameter, s.box.dim, L)
-    return BetaRecord(values[0], AffineMap(tuple(a[0]), b[0]))
+# Rows (sampled lines, cubes of one tree level) per batched pass: bounds the
+# (rows, nodes, n) arrays and the field's own temporaries while keeping
+# per-call overhead small.
+ROW_BLOCK = 512
+# Sample points per block of cubes: a stack of large cubes runs its lockstep
+# fits on few rows, which stay in cache
+BLOCK_POINTS = 16 * ROW_BLOCK
 
 
-def beta_p_cube(fld: FunctionField, box: Box, p: float, quad: QuadratureSpec,
-                L: float | None = None) -> BetaRecord:
-    return cube_beta(CubeSample.of(fld, box, quad), p, L)
+def beta_p_cube(fld: FunctionField, lo, sides, ps, quad: QuadratureSpec) -> dict:
+    """beta_p of fld on each box with a corner among the (K, n) rows of ``lo``
+    and the common ``sides``, in order, for each p of ps: {p: values}.
+
+    The coefficient reads the midpoint grid of the box (quad.nodes per axis,
+    weights summing to |box|) and normalizes by diam(box)^n. A block of
+    boxes is one sample_grids call and, in each p, one fit_betas stack,
+    each of whose rows has the bits of its box alone. A block holds at most
+    ROW_BLOCK boxes and BLOCK_POINTS sample points, and at least one box.
+    """
+    sides = np.asarray(sides, dtype=float)
+    # one corner may come as a flat sequence
+    lo = np.asarray(lo, dtype=float).reshape(-1, len(sides))
+    volume = float(np.prod(sides))
+    if volume <= 0:
+        raise DegenerateBox("empty box")
+    n, N, diam = len(sides), quad.nodes ** len(sides), float(np.linalg.norm(sides))
+    boxes = max(1, min(ROW_BLOCK, BLOCK_POINTS // N))  # per block
+    values = {p: [] for p in ps}
+    for i in range(0, len(lo), boxes):
+        X, y = sample_grids(fld, lo[i:i + boxes], sides, quad.nodes)
+        w = np.full(y.shape, volume / N)
+        for p in ps:
+            values[p] += fit_betas(X, y, w, p, diam, n)[2]
+    return values
+
+
+def cube_level(fld: FunctionField, frontier: list, ps, quad: QuadratureSpec,
+               dilation: float | None = None) -> dict:
+    """beta_p_cube of the box of each cube of one dyadic level, in order, for
+    each p of ps: {p: values}. The box is cube.as_box(), dilated by
+    ``dilation`` if given; its corner is written with DyadicBox.as_box's and
+    Box.dilate's expressions, so it has their bits.
+    """
+    box = frontier[0].as_box()  # the sides of every cube here
+    s = np.asarray(box.sides)
+    lo = np.asarray([cube.index for cube in frontier], dtype=float) * s  # DyadicBox.as_box's
+    if dilation is not None:
+        box = box.dilate(dilation)
+        lo = lo + 0.5 * s - 0.5 * np.asarray(box.sides)  # Box.dilate's corner
+    return beta_p_cube(fld, lo, box.sides, ps, quad)
 
 
 def beta_p_restricted(fld: FunctionField, box: Box, plane: Hyperplane, p: float,
@@ -168,15 +190,6 @@ def beta_p_restricted(fld: FunctionField, box: Box, plane: Hyperplane, p: float,
     a, b, values = fit_betas(U[None], y[None], w[None], p, box.diameter, box.dim - 1)
     grad = B @ a[0]
     return BetaRecord(values[0], AffineMap(tuple(grad), b[0] - float(grad @ x0)))
-
-
-# Rows (sampled lines, cubes of one tree level) per batched pass: bounds the
-# (rows, nodes, n) arrays and the field's own temporaries while keeping
-# per-call overhead small.
-ROW_BLOCK = 512
-# Sample points per block of cubes: a stack of large cubes runs its lockstep
-# fits on few rows, which stay in cache
-BLOCK_POINTS = 16 * ROW_BLOCK
 
 
 def restricted_line_betas(fld: FunctionField, box: Box, bases, directions, ps,
@@ -261,8 +274,7 @@ def beta_integralgeometric(fld: FunctionField, box: Box, m: int, p: float, q: fl
     """L^q average of restricted beta_p over m-planes meeting the box."""
     n = box.dim
     if m == n:
-        rec = beta_p_cube(fld, box, p, quad)
-        return BetaRecord(rec.value, rec.fitted, stderr=0.0)
+        return BetaRecord(beta_p_cube(fld, box.lo, box.sides, (p,), quad)[p][0], stderr=0.0)
     if m not in (1, n - 1):
         raise ValueError("only m in {1, n-1, n} is supported")
     weights, values = _ig_family(fld, box, m, (p,), quad, seed_tags)
@@ -291,16 +303,26 @@ def combined_beta(fld: FunctionField, box: Box, quad: QuadratureSpec,
     return math.hypot(*combined_parts(fld, box, quad, seed_tags))
 
 
-# name -> coefficient of a dilated cube; carleson_sum squares it. Entries
-# call the coefficient functions through their module-level names, so a
-# rebound name (instrumentation, monkeypatching) is seen by the table as well.
+def _each_cube(coefficient):
+    """The level function that runs coefficient(fld, box, quad) on the
+    dilated box of each cube of a level, in order."""
+    return lambda fld, frontier, quad, dilation: [
+        coefficient(fld, cube.as_box().dilate(dilation), quad) for cube in frontier]
+
+
+# name -> level function (fld, frontier, quad, dilation) -> the coefficient
+# of each dilated cube of one dyadic level, in order; carleson_sum squares
+# it. Entries call the coefficient functions through their module-level
+# names, so a rebound name (instrumentation, monkeypatching) is seen by the
+# table as well.
 SELECTORS = {
-    "beta2": lambda fld, box, quad: beta_p_cube(fld, box, 2, quad).value,
-    "ig_line_inf2": lambda fld, box, quad: beta_integralgeometric(
-        fld, box, 1, math.inf, 2, quad).value,
-    "ig_plane_22": lambda fld, box, quad: beta_integralgeometric(
-        fld, box, max(box.dim - 1, 1), 2, 2, quad).value,
-    "combined": lambda fld, box, quad: combined_beta(fld, box, quad),
+    "beta2": lambda fld, frontier, quad, dilation: cube_level(
+        fld, frontier, (2,), quad, dilation)[2],
+    "ig_line_inf2": _each_cube(lambda fld, box, quad: beta_integralgeometric(
+        fld, box, 1, math.inf, 2, quad).value),
+    "ig_plane_22": _each_cube(lambda fld, box, quad: beta_integralgeometric(
+        fld, box, max(box.dim - 1, 1), 2, 2, quad).value),
+    "combined": _each_cube(lambda fld, box, quad: combined_beta(fld, box, quad)),
 }
 
 
@@ -357,54 +379,18 @@ class CarlesonReport:
                    lipschitz, ratios, nodes)
 
 
-def cube_level(fld: FunctionField, frontier: list, ps, quad: QuadratureSpec,
-               dilation: float | None = None) -> dict:
-    """cube_beta(CubeSample.of(fld, box, quad), p).value of the box of each
-    cube of one dyadic level, in order and bit for bit, for each p of ps:
-    {p: values}. The box is cube.as_box(), dilated by ``dilation`` if given.
-
-    The cubes of a level share their sides, so only the corner differs: a
-    block of cubes is one sample_grids call and, in each p, one
-    fit_betas stack, each of whose rows has its scalar bits. A block
-    holds at most ROW_BLOCK cubes and BLOCK_POINTS sample points, and at
-    least one cube.
-    """
-    box = frontier[0].as_box()  # the sides of every cube here
-    s = np.asarray(box.sides)
-    lo = np.asarray([cube.index for cube in frontier], dtype=float) * s  # DyadicBox.as_box's
-    if dilation is not None:
-        box = box.dilate(dilation)
-        lo = lo + 0.5 * s - 0.5 * np.asarray(box.sides)  # Box.dilate's corner
-    if box.volume <= 0:
-        raise DegenerateBox("empty box")
-    n, N, diam = box.dim, quad.nodes ** box.dim, box.diameter
-    cubes = max(1, min(ROW_BLOCK, BLOCK_POINTS // N))  # per block
-    values = {p: [] for p in ps}
-    for i in range(0, len(frontier), cubes):
-        X, y = sample_grids(fld, lo[i:i + cubes], box.sides, quad.nodes)
-        w = np.full(y.shape, box.volume / N)
-        for p in ps:
-            values[p] += fit_betas(X, y, w, p, diam, n)[2]
-    return values
-
-
 def carleson_sum(fld: FunctionField, root: DyadicBox, dilation: float, depth: int,
                  selector: str, quad: QuadratureSpec) -> CarlesonReport:
-    """Sum selector(CQ)^2 |Q| over dyadic Q inside root, down `depth` levels;
-    beta2 takes its values a level at a time from cube_level."""
+    """Sum selector(CQ)^2 |Q| over dyadic Q inside root, down `depth` levels,
+    taking the values a level at a time from the selector's level function."""
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
-    coefficient = SELECTORS[selector]
+    level = SELECTORS[selector]
     Lhat = fld.lipschitz
     if Lhat is None:
         Lhat = lipschitz_estimate(fld, root.as_box().dilate(dilation), 4096, quad.seed)
-    if selector == "beta2":
-        def values(frontier):
-            return cube_level(fld, frontier, (2,), quad, dilation)[2]
-    else:
-        def values(frontier):
-            return [coefficient(fld, cube.as_box().dilate(dilation), quad) for cube in frontier]
     return CarlesonReport.walk(
-        selector, 2.0, Lhat, max(Lhat, 1e-300) * root.volume, root, depth, values,
+        selector, 2.0, Lhat, max(Lhat, 1e-300) * root.volume, root, depth,
+        lambda frontier: level(fld, frontier, quad, dilation),
         # v * v, not v ** 2.0: the two round differently for some doubles
         lambda v: v * v)

@@ -364,8 +364,8 @@ def cmd_verify(cfg, args, seed):
     for n in (1, 2, 3):
         fld = make_field("affine", n, a=[0.3] * n, b=-0.2)
         box = Box((0.0,) * n, (1.0,) * n)
-        s = betamod.CubeSample.of(fld, box, quad)
-        worst = max(betamod.cube_beta(s, p).value for p in (1, 2, math.inf))
+        worst = max(v[0] for v in betamod.beta_p_cube(fld, box.lo, box.sides, (1, 2, math.inf),
+                                                      quad).values())
         if n >= 2:
             worst = max(worst, betamod.combined_beta(fld, box, quad))
         check(f"affine_annihilation_n{n}", worst <= 1e-10, f"max {worst!r}")
@@ -373,8 +373,8 @@ def cmd_verify(cfg, args, seed):
     # norm monotonicity spot check
     fld = make_field("cone", 2, x0=[0.4, 0.6])
     box = Box((0.0, 0.0), (1.0, 1.0))
-    s = betamod.CubeSample.of(fld, box, quad)
-    b1, b2, binf = (betamod.cube_beta(s, p).value for p in (1, 2, math.inf))
+    b1, b2, binf = (v[0] for v in betamod.beta_p_cube(fld, box.lo, box.sides, (1, 2, math.inf),
+                                                      quad).values())
     check("norm_monotone", b1 <= b2 + 1e-9 and b2 <= binf + 1e-9,
           f"{b1!r} <= {b2!r} <= {binf!r}")
 

@@ -57,15 +57,17 @@ def _affine_moments(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Rank decision and centered moments of one weighted sample set or a stack.
 
     x is (..., N, d), y and w are (..., N). Returns ok (...), xbar (..., d),
-    ybar (...), C (..., d, d) and c (..., d); a set fails ok where its
-    design fails the relative singular-value test. Each set of a stack
+    ybar (...), C (..., d, d) and c (..., d); a set fails ok where it has
+    N <= d points or its design fails the relative singular-value test (with
+    N <= d the design has only N singular values, and its last can pass
+    while the affine map is not unique). Each set of a stack
     meets the reductions and BLAS kernels it meets alone, so its bits do
     not depend on the stack. LinAlgError if the SVD does not converge.
     """
     x, y, w = _arrays(x, y, w)
     sv = np.linalg.svd(_weighted_design(x, w), compute_uv=False)
     # weights are positive, so the design is non-zero and sv[..., 0] > 0
-    ok = ~(sv[..., -1] / sv[..., 0] < RANK_TOL)
+    ok = ~(sv[..., -1] / sv[..., 0] < RANK_TOL) & (x.shape[-2] > x.shape[-1])
     W = w.sum(axis=-1, keepdims=True)
     xbar = (w[..., None, :] @ x)[..., 0, :] / W
     ybar = (w[..., None, :] @ y[..., :, None])[..., 0, 0] / W[..., 0]

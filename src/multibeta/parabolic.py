@@ -56,14 +56,16 @@ class ParabolicSample(NamedTuple):
 
     @classmethod
     def of(cls, psi: FunctionField, pbox: ParabolicBox, quad: QuadratureSpec) -> ParabolicSample:
-        """The cube sample of pbox.as_box() (time runs fastest), one field call;
+        """The midpoint grid of pbox.as_box() (time runs fastest), one field call;
         X is C-contiguous, as combine_affine_bound's X @ a_bar needs for its bits."""
         if pbox.volume <= 0:
             raise DegenerateBox("empty parabolic box")
-        s, Nt = beta.CubeSample.of(psi, pbox.as_box(), quad), quad.nodes
-        Ns = len(s.y) // Nt
-        return cls(pbox, np.ascontiguousarray(s.X[::Nt, :-1]), np.full(Ns, pbox.spatial.volume / Ns),
-                   s.X[:Nt, -1], np.full(Nt, pbox.t_len / Nt), s.y.reshape(Ns, Nt))
+        box, Nt = pbox.as_box(), quad.nodes
+        X, y = beta.sample_grids(psi, [box.lo], box.sides, Nt)
+        Ns = y.shape[1] // Nt
+        return cls(pbox, np.ascontiguousarray(X[0, ::Nt, :-1]),
+                   np.full(Ns, pbox.spatial.volume / Ns), X[0, :Nt, -1],
+                   np.full(Nt, pbox.t_len / Nt), y[0].reshape(Ns, Nt))
 
 
 def _slice_fits(X, vals, wx, L):

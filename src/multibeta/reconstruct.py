@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import KAPPA_B, KAPPA_C
-from .beta import (CubeSample, QuadratureSpec, beta_integralgeometric, beta_p_restricted,
-                   combined_parts, cube_beta, fit_betas, midpoint_mesh, midpoint_nodes,
-                   norm_value, restricted_line_betas)
+from .beta import (QuadratureSpec, beta_integralgeometric, beta_p_restricted, combined_parts,
+                   fit_betas, midpoint_mesh, midpoint_nodes, norm_value, restricted_line_betas,
+                   sample_grids)
 from .errors import BudgetExhausted, DegenerateSimplex, EmptyIntersection
 from .funcmodel import FunctionField
 from .geometry import (AffineMap, Box, Hyperplane, Simplex, clip_lines, orthonormal_complement,
@@ -294,9 +294,10 @@ def verify_reconstruction(fld: FunctionField, Q: Box, c: float = 1.0 / 20.0, C: 
         raise DegenerateSimplex("small box escaped the reconstruction simplex")
     A = build_global_affine(simplex.v, selection.corner_values)
 
-    s = CubeSample.of(fld, cQ, quad)
-    direct = cube_beta(s, 2).value
-    via = norm_value(s.y - A(s.X), s.w, 2, cQ.diameter, cQ.dim)
+    X, y = sample_grids(fld, [cQ.lo], cQ.sides, quad.nodes)
+    w = np.full(y.shape, cQ.volume / y.shape[1])
+    direct = fit_betas(X, y, w, 2, cQ.diameter, cQ.dim)[2][0]
+    via = norm_value(y[0] - A(X[0]), w[0], 2, cQ.diameter, cQ.dim)
 
     plane_part, line_part = combined_parts(fld, CQ, quad, ("reconstruct", seed))
     combined = math.hypot(plane_part, line_part)

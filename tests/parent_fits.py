@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from multibeta import fitting
-from multibeta.beta import CubeSample, norm_value
+from multibeta.beta import midpoint_mesh, norm_value
 from multibeta.errors import NonConvergence
 from multibeta.geometry import AffineMap
 
@@ -227,8 +227,10 @@ def parent_affine_fit(x, y, w, p, L=None):
 
 
 def parent_cube_beta(fld, box, p, quad):
-    """beta.cube_beta(CubeSample.of(fld, box, quad), p).value through the
-    frozen fits above."""
-    s = CubeSample.of(fld, box, quad)
-    amap = parent_affine_fit(s.X, s.y, s.w, p)
-    return norm_value(s.y - amap(s.X), s.w, p, s.box.diameter, s.box.dim)
+    """The cube coefficient beta_p of the box through the frozen fits above,
+    on the box's midpoint grid built as each one-box call built it."""
+    X = midpoint_mesh(box.lo, box.sides, quad.nodes)
+    w = np.full(X.shape[0], box.volume / X.shape[0])
+    y = fld.eval(X)
+    amap = parent_affine_fit(X, y, w, p)
+    return norm_value(y - amap(X), w, p, box.diameter, box.dim)

@@ -9,9 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from multibeta.beta import (CubeSample, QuadratureSpec, beta_integralgeometric,
-                            beta_p_cube, beta_p_restricted, carleson_sum,
-                            combined_beta, cube_beta, restricted_line_betas)
+from multibeta.beta import (QuadratureSpec, beta_integralgeometric, beta_p_cube,
+                            beta_p_restricted, carleson_sum, combined_beta, fit_betas,
+                            restricted_line_betas, sample_grids)
 from multibeta.calibration import C_HOLD, C_REC, CARLESON_RATIO
 from multibeta.cli import main as cli_main
 from multibeta.funcmodel import (default_catalog, default_parabolic_catalog,
@@ -59,8 +59,8 @@ def test_acceptance_1_affine_annihilation():
     for n in (1, 2, 3):
         fld = make_field("affine", n, a=0.3 * np.arange(1, n + 1), b=-0.2)
         box = Box((0.0,) * n, (1.0,) * n)
-        for p in (1, 2, math.inf):
-            worst = max(worst, beta_p_cube(fld, box, p, quad).value)
+        for values in beta_p_cube(fld, box.lo, box.sides, (1, 2, math.inf), quad).values():
+            worst = max(worst, values[0])
         if n >= 2:
             d = np.asarray((1.0,) + (0.3,) * (n - 1))
             _, line = restricted_line_betas(fld, box, [(0.5,) * n], [d / np.linalg.norm(d)],
@@ -91,8 +91,8 @@ def test_acceptance_2_norm_monotonicity():
         boxes = random_boxes(n, 100, 2)
         for fld in default_catalog(n):
             for box in boxes:
-                s = CubeSample.of(fld, box, quad)
-                vals = {p: cube_beta(s, p).value for p in (1, 2, 4, math.inf)}
+                vals = {p: v[0] for p, v in
+                        beta_p_cube(fld, box.lo, box.sides, (1, 2, 4, math.inf), quad).items()}
                 for p, q in pairs:
                     worst_gap = max(worst_gap, vals[p] - vals[q])
                     checked += 1
@@ -166,15 +166,24 @@ def test_acceptance_6_l_restricted_consistency():
     for n in (1, 2):
         box = Box((0.0,) * n, (1.0,) * n)
         for fld in default_catalog(n):
-            free = beta_p_cube(fld, box, 2, quad)
-            L_big = max(2.0 * free.fitted.lipschitz, 0.5)
-            tied = beta_p_cube(fld, box, 2, quad, L=L_big)
-            ok = ok and tied.value >= free.value - 1e-12
-            ok = ok and abs(tied.value - free.value) <= 1e-10
+            # the box's cube coefficient, with and without the slope bound,
+            # fitted on one grid of the box
+            X, y = sample_grids(fld, [box.lo], box.sides, quad.nodes)
+            w = np.full(y.shape, box.volume / y.shape[1])
+
+            def cube(L=None):
+                a, _, values = fit_betas(X, y, w, 2, box.diameter, box.dim, L)
+                return float(np.linalg.norm(a[0])), values[0]
+
+            slope, free = cube()
+            L_big = max(2.0 * slope, 0.5)
+            tied = cube(L_big)[1]
+            ok = ok and tied >= free - 1e-12
+            ok = ok and abs(tied - free) <= 1e-10
             prev = math.inf
             for L in np.linspace(0.05, L_big, 10):
-                val = beta_p_cube(fld, box, 2, quad, L=float(L)).value
-                ok = ok and val >= free.value - 1e-12
+                val = cube(float(L))[1]
+                ok = ok and val >= free - 1e-12
                 ok = ok and val <= prev + 1e-12
                 prev = val
     # parabolic counterpart

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from multibeta import beta as betamod
 from multibeta import fitting
-from multibeta.beta import (SELECTORS, BetaRecord, CubeSample, QuadratureSpec, cube_level,
-                            beta_integralgeometric, beta_p_cube, beta_p_restricted,
-                            carleson_sum, combined_beta, cube_beta, midpoint_mesh,
-                            midpoint_nodes, norm_value, restricted_line_betas)
+from multibeta.beta import (SELECTORS, BetaRecord, QuadratureSpec, beta_integralgeometric,
+                            beta_p_cube, beta_p_restricted, carleson_sum, combined_beta,
+                            cube_level, fit_betas, midpoint_mesh, midpoint_nodes, norm_value,
+                            restricted_line_betas, sample_grids)
 from multibeta.errors import EmptyIntersection
 from multibeta.funcmodel import EUCLIDEAN_CATALOG, make_field
 from multibeta.geometry import Box, DyadicBox, Hyperplane, clip_lines, dyadic_levels, sample_lines
@@ -24,35 +24,44 @@ FINE = QuadratureSpec(nodes=257, restricted_nodes=257, mc_samples=64)
 VEE = dict(xs=[-1.0, 0.0, 1.0], ys=[1.0, 0.0, 1.0])
 
 
+def cube_value(fld, box, p, quad):
+    """beta_p_cube of one box: a stack of one."""
+    return beta_p_cube(fld, box.lo, box.sides, (p,), quad)[p][0]
+
+
 class TestCubeBeta:
     def test_affine_is_zero_all_dims(self):
         for n in (1, 2, 3):
             fld = make_field("affine", n, a=0.3 * np.arange(1, n + 1), b=0.2)
             box = Box((0.0,) * n, (1.0,) * n)
             for p in (2, math.inf):
-                rec = beta_p_cube(fld, box, p, QUAD)
-                assert rec.value <= 1e-10
+                assert cube_value(fld, box, p, QUAD) <= 1e-10
 
     def test_vee_sup_norm(self):
         # minimax error of |x| over the midpoint grid is max|x|/2 exactly
         fld = make_field("pwlinear", 1, **VEE)
         box = Box((-1.0,), (2.0,))
-        rec = beta_p_cube(fld, box, math.inf, FINE)
         expect = (1.0 - 1.0 / FINE.nodes) / 4.0
-        assert rec.value == pytest.approx(expect, rel=1e-9)
+        assert cube_value(fld, box, math.inf, FINE) == pytest.approx(expect, rel=1e-9)
 
     def test_parabola_l2(self):
         # integral of (x^2 - 1/3)^2 over [-1, 1] is 8/45; beta_2 = 1/sqrt(45)
         fld = make_field("square", 1)
         box = Box((-1.0,), (2.0,))
-        rec = beta_p_cube(fld, box, 2, FINE)
-        assert rec.value == pytest.approx(1.0 / math.sqrt(45.0), rel=1e-4)
+        assert cube_value(fld, box, 2, FINE) == pytest.approx(1.0 / math.sqrt(45.0), rel=1e-4)
 
     def test_cube_sample_mass(self):
-        box = Box((0.0, 1.0), (2.0, 3.0))
-        s = CubeSample.of(make_field("square", 2), box, QuadratureSpec(nodes=5))
-        assert s.X.shape == (25, 2) and s.y.shape == (25,)
-        assert s.w.sum() == pytest.approx(box.volume)
+        # two corners, one grid each; the midpoint weights, |box| / N at each
+        # node, are the cells of the grid and sum to |box|
+        fld, box = make_field("square", 2), Box((0.0, 1.0), (2.0, 3.0))
+        X, y = sample_grids(fld, [box.lo, box.hi], box.sides, 5)
+        assert X.shape == (2, 25, 2) and y.shape == (2, 25)
+        assert y.tolist() == [fld.eval(x).tolist() for x in X]
+        assert box.contains(X[0]).all()
+        assert X[1].min(axis=0) == pytest.approx(box.hi + 0.1 * np.asarray(box.sides))
+        w = np.full(y.shape, box.volume / y.shape[1])
+        assert w[0] == pytest.approx(np.prod(np.asarray(box.sides) / 5))
+        assert w.sum(axis=1) == pytest.approx([box.volume] * 2)
 
     def test_scale_invariance(self):
         # f_lam(x) = f(lam x)/lam has the same coefficient on Q/lam;
@@ -60,54 +69,65 @@ class TestCubeBeta:
         fld = make_field("pwlinear", 1, xs=[0.0, 1.0 / 3.0, 1.0], ys=[1.0 / 3.0, 0.0, 2.0 / 3.0])
         scaled = make_field("pwlinear", 1, xs=[0.0, 1.0 / 6.0, 0.5], ys=[1.0 / 6.0, 0.0, 1.0 / 3.0])
         for p in (2, math.inf):
-            v1 = beta_p_cube(fld, Box((0.0,), (1.0,)), p, QUAD).value
-            v2 = beta_p_cube(scaled, Box((0.0,), (0.5,)), p, QUAD).value
+            v1 = cube_value(fld, Box((0.0,), (1.0,)), p, QUAD)
+            v2 = cube_value(scaled, Box((0.0,), (0.5,)), p, QUAD)
             assert v2 == pytest.approx(v1, abs=1e-9)
 
     def test_quadrature_refinement(self):
         fld = make_field("bump", 2, x0=[0.5, 0.4], scale=0.4)
         box = Box((0.0, 0.0), (1.0, 1.0))
-        coarse = beta_p_cube(fld, box, 2, QuadratureSpec(nodes=9)).value
-        fine = beta_p_cube(fld, box, 2, QuadratureSpec(nodes=27)).value
+        coarse = cube_value(fld, box, 2, QuadratureSpec(nodes=9))
+        fine = cube_value(fld, box, 2, QuadratureSpec(nodes=27))
         assert coarse == pytest.approx(fine, rel=0.01)
 
     def test_lipschitz_constrained_not_smaller(self):
         fld = make_field("pwlinear", 1, **VEE)
         box = Box((-1.0,), (2.0,))
-        free = beta_p_cube(fld, box, 2, QUAD).value
-        tied = beta_p_cube(fld, box, 2, QUAD, L=0.1).value
+        # the slope bound is fit_betas' L, on one grid of the box
+        X, y = sample_grids(fld, [box.lo], box.sides, QUAD.nodes)
+        w = np.full(y.shape, box.volume / y.shape[1])
+        free = cube_value(fld, box, 2, QUAD)
+        tied = fit_betas(X, y, w, 2, box.diameter, box.dim, 0.1)[2][0]
         assert tied >= free - 1e-15
 
 
-def _ref_beta_p_cube(fld, box, p, quad, L=None):
+def _ref_beta_p_cube(fld, box, p, quad):
     """beta_p_cube as it was when each call built its own grid, frozen: the
     sample path must reproduce every bit of it."""
     X = midpoint_mesh(box.lo, box.sides, quad.nodes)
     w = np.full(X.shape[0], box.volume / X.shape[0])
     y = fld.eval(X)
-    amap = fitting.affine_fit(X, y, w, p, L)
+    amap = fitting.affine_fit(X, y, w, p)
     return BetaRecord(norm_value(y - amap(X), w, p, box.diameter, box.dim), amap)
 
 
-class TestCubeSample:
-    """Every norm read off one CubeSample equals the resampling reference, exactly."""
+# Stack heights, both ends first: one box, and a stack of 20 that blocks
+# of at most 7 boxes split into three
+ENGINE_K = [1, 20, 2, 7, 3]
+
+
+class TestCubeEngine:
+    """beta_p_cube on a stack of boxes equals the reference that builds one
+    grid per box, box by box and in every norm, exactly."""
 
     @settings(max_examples=40)
     @given(kind=st.sampled_from(EUCLIDEAN_CATALOG), n=st.integers(1, 3),
-           nodes=st.sampled_from([3, 5, 7]), seed=st.integers(0, 2 ** 31 - 1),
-           L=st.one_of(st.none(), st.floats(0.05, 5.0)))
-    def test_every_norm_equals_the_resampling_reference(self, kind, n, nodes, seed, L):
+           nodes=st.sampled_from([3, 5, 7]), K=st.sampled_from(ENGINE_K),
+           split3=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+    def test_stack_equals_the_resampling_reference(self, kind, n, nodes, K, split3, seed):
         rng = np.random.default_rng(seed)
         fld = _any_catalog_field(kind, n, rng)
-        box = Box(tuple(rng.uniform(-2.0, 2.0, n)), tuple(rng.uniform(0.05, 3.0, n)))
-        quad = QuadratureSpec(nodes=nodes)
-        s = CubeSample.of(fld, box, quad)
-        assert s.X.flags.c_contiguous and s.y.flags.c_contiguous
-        for p in (1, 1.5, 2, 3, math.inf):
-            assert cube_beta(s, p) == _ref_beta_p_cube(fld, box, p, quad), p
-            assert beta_p_cube(fld, box, p, quad) == _ref_beta_p_cube(fld, box, p, quad), p
-            if L is not None and p in (2, math.inf):
-                assert cube_beta(s, p, L) == _ref_beta_p_cube(fld, box, p, quad, L), p
+        # the sides of a split-3 dyadic level are not powers of two, so
+        # regrouping a node's arithmetic would change its bits
+        sides = (DyadicBox(int(rng.integers(0, 4)), (0,) * n, (3,) * n).sides if split3
+                 else tuple(rng.uniform(0.05, 3.0, n)))
+        lo = rng.uniform(-2.0, 2.0, (K, n))
+        quad, ps = QuadratureSpec(nodes=nodes), (1, 1.5, 2, 3, math.inf)
+        with mock.patch.object(betamod, "ROW_BLOCK", 7):
+            values = beta_p_cube(fld, lo, sides, ps, quad)
+        for p in ps:
+            assert values[p] == [_ref_beta_p_cube(fld, Box(tuple(c), sides), p, quad).value
+                                 for c in lo], p
 
 
 def coords(n, lo, hi):
@@ -126,9 +146,8 @@ class TestAffineAnnihilation:
         fld = make_field("affine", n, a=a, b=data.draw(st.floats(-3, 3)))
         box = Box(tuple(lo), tuple(sides))
         quad = QuadratureSpec(nodes=9, restricted_nodes=17)
-        s = CubeSample.of(fld, box, quad)
-        for p in (1, 2, 4, math.inf):
-            assert cube_beta(s, p).value <= 1e-10, p
+        for p, values in beta_p_cube(fld, lo, sides, (1, 2, 4, math.inf), quad).items():
+            assert values[0] <= 1e-10, p
         if n >= 2:
             # lines through interior points of the box, in random directions
             rng = np.random.default_rng(seed)
@@ -181,13 +200,41 @@ class TestRestrictedBeta:
             assert np.abs(rec.fitted(X) - fld.eval(X)).max() <= 1e-9, p
 
 
+    def test_patch_of_fewer_points_than_an_affine_map_needs(self):
+        # the plane cuts a corner off the box and the patch grid keeps 2 of
+        # its nodes, where a map of the plane needs 3: the fit is the
+        # least-squares map, not a solve of the near-singular covariance
+        # (which read 3.4e-5 at p = 2 with a gradient near 1e13)
+        fld = make_field("affine", 3, a=[1.284451779548152, -0.6124724353970272,
+                                         -0.9523874567423838], b=2.8467283132993426)
+        box = Box((3.15040938118168, -2.2484563162239697, -2.7572452030496137),
+                  (2.020223374300232, 2.339039183233397, 1.452235576757637))
+        plane = Hyperplane((0.8515630076298101, -0.5189465123728243, 0.0743973207350534),
+                           5.41407179495799)
+        for p in (1, 2, math.inf):
+            rec = beta_p_restricted(fld, box, plane, p, QuadratureSpec(restricted_nodes=7))
+            assert rec.value <= 1e-10, p
+
+
 class TestIntegralGeometric:
+    @settings(max_examples=30)
+    @given(data=st.data(), n=st.sampled_from([2, 3]), seed=st.integers(0, 2 ** 31 - 1))
+    def test_affine_field_is_zero(self, data, n, seed):
+        # every m and p on generated boxes; 3 nodes a side leave some patches
+        # that cut a corner with fewer nodes than an affine map needs
+        a, lo, sides = (data.draw(coords(n, *bounds)) for bounds in ((-3, 3), (-4, 4), (0.1, 4)))
+        fld = make_field("affine", n, a=a, b=data.draw(st.floats(-3, 3)))
+        box = Box(tuple(lo), tuple(sides))
+        quad = QuadratureSpec(nodes=5, restricted_nodes=3, mc_samples=64, seed=seed)
+        for m in sorted({1, n - 1, n}):
+            for p in (1, 2, math.inf):
+                assert beta_integralgeometric(fld, box, m, p, 2, quad).value <= 1e-10, (m, p)
+
     def test_full_dimension_reduces_to_cube(self):
         fld = make_field("cone", 2, x0=[0.3, 0.6])
         box = Box((0.0, 0.0), (1.0, 1.0))
         ig = beta_integralgeometric(fld, box, 2, 2, 2, QUAD)
-        cube = beta_p_cube(fld, box, 2, QUAD)
-        assert ig.value == pytest.approx(cube.value, abs=1e-12)
+        assert ig.value == pytest.approx(cube_value(fld, box, 2, QUAD), abs=1e-12)
         assert ig.stderr == 0.0
 
     def test_affine_zero(self):
@@ -427,11 +474,11 @@ def _any_catalog_field(kind, n, rng):
 
 
 def _scalar_beta2(fld, frontier, dilation, quad):
-    return [SELECTORS["beta2"](fld, cube.as_box().dilate(dilation), quad) for cube in frontier]
+    return [parent_cube_beta(fld, cube.as_box().dilate(dilation), 2, quad) for cube in frontier]
 
 
 class TestBeta2Level:
-    """cube_level at p = 2 equals the scalar beta2 selector cube by cube, exactly."""
+    """cube_level at p = 2 equals the frozen coefficient cube by cube, exactly."""
 
     @settings(max_examples=100)
     @given(kind=st.sampled_from(EUCLIDEAN_CATALOG), n=st.integers(1, 3),
@@ -459,7 +506,8 @@ class TestBeta2Level:
         fld = make_field("bump", 2, x0=[0.3, -0.6], scale=0.5)
         quad = QuadratureSpec(nodes=5)
         frontier = list(dyadic_levels(DyadicBox(1, (-1, 0), (2, 2)), 2))[-1]
-        samples = [CubeSample.of(fld, cube.as_box().dilate(1.5), quad).y for cube in frontier]
+        boxes = [cube.as_box().dilate(1.5) for cube in frontier]
+        samples = [sample_grids(fld, [box.lo], box.sides, quad.nodes)[1][0] for box in boxes]
         marks = {y.tobytes() for y in samples[marked]}
         rows, lstsq, cubes = fitting._l2_rows, np.linalg.lstsq, []
 
@@ -474,7 +522,7 @@ class TestBeta2Level:
             return lstsq(design, rhs, rcond=rcond)
 
         monkeypatch.setattr(fitting, "_l2_rows", marking)
-        expect = _scalar_beta2(fld, frontier, 1.5, quad)
+        expect = [cube_value(fld, box, 2, quad) for box in boxes]  # each cube alone
         monkeypatch.setattr(np.linalg, "lstsq", counting)
         monkeypatch.setattr(betamod, "ROW_BLOCK", 7)
         assert cube_level(fld, frontier, (2,), quad, 1.5)[2] == expect

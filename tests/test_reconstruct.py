@@ -228,7 +228,7 @@ class TestPlanarRoute:
         fld = make_field("cone", 2, x0=[0.45, 0.55])
         quad = QuadratureSpec(nodes=13, restricted_nodes=25, mc_samples=64)
         strip = planar_beta2(fld, UNIT2, [1.0, 0.3], quad)
-        grid = beta_p_cube(fld, UNIT2, 2, quad).value
+        grid = beta_p_cube(fld, UNIT2.lo, UNIT2.sides, (2,), quad)[2][0]
         assert strip == pytest.approx(grid, rel=0.02)
 
 

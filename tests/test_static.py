@@ -227,6 +227,27 @@ def test_fitting_has_one_public_fit():
     assert public_functions(source) == ["affine_fit", "fit_rows", "linprog"]
 
 
+def referrers(source: str, name: str):
+    """The names of the module-level functions and classes of ``source``
+    whose bodies reference ``name``."""
+    return sorted(node.name for node in ast.parse(source).body
+                  if isinstance(node, DEFINITIONS) and name in _names(node))
+
+
+def test_checker_finds_referrers():
+    source = ("def grid():\n    return 1\n\ndef engine():\n    return grid()\n\n"
+              "class Sample:\n    def of(self):\n        return self.grid\n\n"
+              "def level():\n    return engine()\n\nTABLE = {'grid': grid}\n")
+    assert referrers(source, "grid") == ["Sample", "engine"]
+
+
+def test_one_cube_engine_samples_grids():
+    # every cube coefficient, one box or a dyadic level, comes from
+    # beta_p_cube, so no second path lays a cube's midpoint grid
+    source = (ROOT / "src" / "multibeta" / "beta.py").read_text()
+    assert referrers(source, "sample_grids") == ["beta_p_cube"]
+
+
 FIT_FACES = {"affine_fit", "fit_rows"}
 
 
